@@ -12,9 +12,6 @@ Usage: python scripts/run_defect_scaling.py
 
 import argparse
 
-import numpy as np
-
-from kzchain.config import RunConfig
 from kzchain.correlators import fermion_correlators
 from kzchain.mode_dynamics import run_quench
 from kzchain.observables import (defect_density, excess_energy, power_law_fit,

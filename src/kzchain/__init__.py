@@ -16,7 +16,6 @@ from .protocol import (
     schedule_at,
 )
 from .mode_dynamics import (
-    BlochState,
     ModeEnsemble,
     evolve_continuous,
     ground_state_bloch,

@@ -32,12 +32,11 @@ from .circuit import emit_program, gate_counts, to_qasm3
 from .collapse import (CollapseResult, CorrelationDataset, GridSpec,
                        QKZ_EXPONENTS, QND_EXPONENTS, exponent_sweep, rescale)
 from .config import RunConfig, load_config_file, _parse_steps
-from .correlators import fermion_correlators, xx_connected, zz_connected_profile
 from .io import (protocol_to_dict, read_correlators_csv, read_manifest,
                  read_trajectories_csv, write_correlators_csv, write_manifest,
                  write_observables_csv, write_rmse_csv, write_trajectories_csv)
 from .mode_dynamics import run_quench
-from .observables import power_law_fit, run_record
+from .observables import RunRecord, power_law_fit, run_record
 from .oracle import evolve_lindblad, evolve_statevector, oracle_observables
 from .protocol import Evolution, QuenchProtocol, Variant
 from .svg import heatmap, line_plot
@@ -69,6 +68,13 @@ def _sample_times(p: QuenchProtocol) -> Optional[List[float]]:
     return [0.0]
 
 
+def _observable_rows(rec: RunRecord) -> List[dict]:
+    return [{"tau_q": rec.protocol.tau_q, "lam": rec.lam, "t": s["t"],
+             "m_x": s["m_x"], "n_def": s["n_def"], "e_total": s["e_total"],
+             "e_res": s["e_res"], "e_exc": s["e_exc"]}
+            for s in rec.samples]
+
+
 def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
     """One (tau_q, lambda) run: dynamics, correlators, observables, files."""
     t_wall = time.time()
@@ -79,22 +85,14 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
     write_trajectories_csv(out_dir / "trajectories.csv", ensembles)
 
     x_max = cfg.x_max if cfg.x_max is not None else cfg.n_sites // 2
-    corr_rows = []
-    for e in ensembles:
-        profile = zz_connected_profile(e, x_max=x_max,
-                                       stop_below=cfg.mask_threshold / 10.0)
-        fc = fermion_correlators(e)
-        for x, c_zz in enumerate(profile, start=1):
-            corr_rows.append((p.tau_q, e.t, x, c_zz, xx_connected(fc, x)))
-    write_correlators_csv(out_dir / "correlators.csv", corr_rows)
-
     rec = run_record(ensembles, p, x_max=x_max,
                      stop_below=cfg.mask_threshold / 10.0)
-    obs_rows = [{"tau_q": p.tau_q, "lam": cfg.lam, "t": s["t"],
-                 "m_x": s["m_x"], "n_def": s["n_def"], "e_total": s["e_total"],
-                 "e_res": s["e_res"], "e_exc": s["e_exc"]}
-                for s in rec.samples]
-    write_observables_csv(out_dir / "observables.csv", obs_rows)
+    corr_rows = [(p.tau_q, s["t"], x, c_zz, c_xx)
+                 for s in rec.samples
+                 for x, (c_zz, c_xx) in enumerate(zip(s["c_zz"], s["c_xx"]),
+                                                  start=1)]
+    write_correlators_csv(out_dir / "correlators.csv", corr_rows)
+    write_observables_csv(out_dir / "observables.csv", _observable_rows(rec))
     manifest = {
         "version": __version__,
         "protocol": protocol_to_dict(p),
@@ -227,10 +225,7 @@ def cmd_observables(args) -> int:
                                       manifest["n_sites"], manifest["lambda"])
     rec = run_record(ensembles, p, x_max=manifest.get("x_max"),
                      stop_below=manifest["mask_threshold"] / 10.0)
-    rows = [{"tau_q": p.tau_q, "lam": manifest["lambda"], "t": s["t"],
-             "m_x": s["m_x"], "n_def": s["n_def"], "e_total": s["e_total"],
-             "e_res": s["e_res"], "e_exc": s["e_exc"]}
-            for s in rec.samples]
+    rows = _observable_rows(rec)
     write_observables_csv(run_dir / "observables.csv", rows)
     for row in rows:
         print(json.dumps(row))
@@ -268,11 +263,11 @@ def cmd_oracle(args) -> int:
         p = QuenchProtocol(
             tau_q=args.tau_q,
             variant=Variant.FULL_QUENCH if args.full else Variant.TO_CRITICAL_POINT)
-    times = [p.t_end]
+    # both evolutions sample t_end by default; Trotter samples every step
     if args.lam > 0:
-        states = evolve_lindblad(p, args.n, args.lam, times)
+        states = evolve_lindblad(p, args.n, args.lam)
     else:
-        states = evolve_statevector(p, args.n, times)
+        states = evolve_statevector(p, args.n)
     from .protocol import schedule_at
     sched = schedule_at(p, states[-1].t)
     obs = oracle_observables(states[-1], sched.j, sched.h)

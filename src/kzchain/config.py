@@ -2,7 +2,7 @@
 
 The file format is deliberately dumb: one `section.key = value` per line,
 `#` comments, sections mirroring module names (protocol, mode_dynamics,
-collapse, cli_io).  CLI flags override file values.
+collapse).  CLI flags override file values.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ class RunConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     mask_threshold: float = DEFAULT_MASK_THEORY
     x_max: Optional[int] = None
-    shots: Optional[int] = None
-    out_dir: Path = Path("runs")
 
     def protocols(self) -> List[QuenchProtocol]:
         """One protocol per sweep entry (tau_q values or Trotter step counts)."""
@@ -122,13 +120,6 @@ class RunConfig:
                     self.grid = GridSpec(**{**self.grid.__dict__, name: float(val)})
                 else:
                     raise ValueError(f"unknown collapse key {name!r}")
-            elif section == "cli_io":
-                if name == "out_dir":
-                    self.out_dir = Path(val)
-                elif name == "shots":
-                    self.shots = int(val)
-                else:
-                    raise ValueError(f"unknown cli_io key {name!r}")
             else:
                 raise ValueError(f"unknown config section {section!r}")
         return self

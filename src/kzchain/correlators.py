@@ -1,11 +1,16 @@
-"""Fermionic two-point tables and spin correlators built from mode data.
+"""Majorana tables and spin correlators built from mode data.
 
-The ensemble's Bloch vectors fix the four translation-invariant fermionic
-two-point functions as cosine/sine sums over the positive momenta.  Spin
-observables follow by Wick's theorem: the x-magnetization from the density
-table, the connected XX correlator from a 2x2 determinant of table
-entries, and the connected ZZ correlator from the Pfaffian of a real
-antisymmetric Majorana contraction matrix assembled from the tables.
+The ensemble's Bloch vectors fix two real, translation-invariant Majorana
+contraction tables as sine/cosine sums over the positive momenta,
+
+    sx(d) = (2/N) sum_k sin(k d) n_k^x
+    q(d)  = (2/N) sum_k [cos(k d) n_k^z - sin(k d) n_k^y],
+
+and every spin observable follows from them by Wick's theorem.  sigma^x
+is a one-site Majorana bilinear, so the x-magnetization is m_x = q(0) and
+the connected XX correlator is the 2x2 Pfaffian sx(x)^2 - q(x) q(-x); the
+connected ZZ correlator is the Pfaffian of a real antisymmetric string
+matrix assembled from the same two tables.
 
 Majorana convention: a_{2m-1} = c_m^dag + c_m and a_{2m} = i(c_m - c_m^dag),
 for which every pair contraction is delta_{pq} + i * (real), so the string
@@ -23,7 +28,6 @@ from .pfaffian import pfaffian
 
 __all__ = [
     "FermionCorrelators",
-    "MajoranaCovariance",
     "fermion_correlators",
     "magnetization_x",
     "xx_connected",
@@ -32,28 +36,18 @@ __all__ = [
     "pfaffian",
 ]
 
-IMAG_RESIDUE_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class FermionCorrelators:
-    """Equal-time fermionic two-point functions over separation d = j - l.
+    """The two real Majorana tables sx(d) and q(d) of one sample.
 
     Tables run over d = -(N-1) .. N-1 and are indexed through the
     accessors; translation invariance is automatic since they come from
-    momentum sums.  Alongside the four complex tables, the two real
-    combinations entering the Majorana matrix are kept:
-
-        sx(d) = (2/N) sum_k sin(k d) n_k^x
-        q(d)  = (2/N) sum_k [cos(k d) n_k^z - sin(k d) n_k^y]
+    momentum sums.
     """
 
     n_sites: int
     t: float
-    cc_dag_table: np.ndarray = field(repr=False)   # <c_j c_l^dag>
-    dag_dag_table: np.ndarray = field(repr=False)  # <c_j^dag c_l^dag>
-    cc_table: np.ndarray = field(repr=False)       # <c_j c_l>
-    dag_c_table: np.ndarray = field(repr=False)    # <c_j^dag c_l>
     sx_table: np.ndarray = field(repr=False)
     q_table: np.ndarray = field(repr=False)
 
@@ -63,18 +57,6 @@ class FermionCorrelators:
             raise ValueError(f"separation {d} out of range for N = {n}")
         return table[d + n - 1]
 
-    def cc_dag(self, d: int) -> complex:
-        return self._at(self.cc_dag_table, d)
-
-    def dag_dag(self, d: int) -> complex:
-        return self._at(self.dag_dag_table, d)
-
-    def cc(self, d: int) -> complex:
-        return self._at(self.cc_table, d)
-
-    def dag_c(self, d: int) -> complex:
-        return self._at(self.dag_c_table, d)
-
     def sx(self, d: int) -> float:
         return self._at(self.sx_table, d)
 
@@ -82,47 +64,21 @@ class FermionCorrelators:
         return self._at(self.q_table, d)
 
 
-@dataclass(frozen=True)
-class MajoranaCovariance:
-    """Real antisymmetric contraction matrix for a window of L sites."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma)
-        if np.max(np.abs(g + g.T)) > 1e-10 * max(1.0, np.max(np.abs(g))):
-            raise ValueError("gamma is not antisymmetric")
-
-
 def fermion_correlators(e: ModeEnsemble) -> FermionCorrelators:
-    """Build all separation tables from the ensemble's Bloch vectors."""
+    """Build both separation tables from the ensemble's Bloch vectors."""
     n = e.n_sites
-    k = e.grid.modes
-    bloch = e.bloch_array()
-    nx, ny, nz = bloch[:, 0], bloch[:, 1], bloch[:, 2]
-    d = np.arange(-(n - 1), n)
-    cos_kd = np.cos(np.outer(d, k))
-    sin_kd = np.sin(np.outer(d, k))
-    # rho components per mode: rho00 = (1+nz)/2 etc.
-    cc_dag = cos_kd @ (1.0 + nz) / n
-    dag_c = cos_kd @ (1.0 - nz) / n
-    dag_dag = sin_kd @ (-1j * nx - ny) / n
-    cc = sin_kd @ (-1j * nx + ny) / n
+    nx, ny, nz = e.states.T
+    kd = np.outer(np.arange(-(n - 1), n), e.grid.modes)
+    sin_kd = np.sin(kd)
     sx = 2.0 * (sin_kd @ nx) / n
-    q = 2.0 * (cos_kd @ nz - sin_kd @ ny) / n
-    return FermionCorrelators(
-        n_sites=n, t=e.t,
-        cc_dag_table=cc_dag, dag_dag_table=dag_dag,
-        cc_table=cc, dag_c_table=dag_c,
-        sx_table=sx, q_table=q,
-    )
+    q = 2.0 * (np.cos(kd) @ nz - sin_kd @ ny) / n
+    return FermionCorrelators(n_sites=n, t=e.t, sx_table=sx, q_table=q)
 
 
 def magnetization_x(fc: FermionCorrelators):
     """Per-site magnetization (M^x, M^y, M^z); the y and z components
     vanish identically for this protocol."""
-    mx = float(np.real(1.0 - 2.0 * fc.dag_c(0)))
-    return mx, 0.0, 0.0
+    return float(fc.q(0)), 0.0, 0.0
 
 
 def _check_separation(fc: FermionCorrelators, x: int):
@@ -133,17 +89,12 @@ def _check_separation(fc: FermionCorrelators, x: int):
 
 
 def xx_connected(fc: FermionCorrelators, x: int) -> float:
-    """Connected <sigma^x_i sigma^x_{i+x}> from the two-point tables."""
+    """Connected <sigma^x_i sigma^x_{i+x}>, sx(x)^2 - q(x) q(-x)."""
     _check_separation(fc, x)
-    val = 4.0 * (
-        fc.dag_c(-x) * fc.cc_dag(-x) - fc.dag_dag(-x) * fc.cc(-x)
-    )
-    if abs(val.imag) > IMAG_RESIDUE_TOL:
-        raise RuntimeError(f"xx correlator has imaginary residue {val.imag:g}")
-    return float(val.real)
+    return float(fc.sx(x) ** 2 - fc.q(x) * fc.q(-x))
 
 
-def majorana_string_matrix(fc: FermionCorrelators, x: int) -> MajoranaCovariance:
+def majorana_string_matrix(fc: FermionCorrelators, x: int) -> np.ndarray:
     """Contraction matrix of the ZZ string operator at separation x.
 
     The string (c_i^dag - c_i) * prod (c^dag + c)(c^dag - c) * (c_j^dag + c_j)
@@ -151,7 +102,6 @@ def majorana_string_matrix(fc: FermionCorrelators, x: int) -> MajoranaCovariance
     matrix entry for indices (p, q) is the real part of -i<a_p a_q>.
     """
     dim = 2 * x
-    g = np.empty((dim, dim))
     # global Majorana index (1-based) runs 2i .. 2j-1 with i = 1
     idx = np.arange(2, 2 + dim)
     site = (idx + 1) // 2            # site m for a_{2m-1} and a_{2m}
@@ -169,7 +119,7 @@ def majorana_string_matrix(fc: FermionCorrelators, x: int) -> MajoranaCovariance
     g = np.where(ab, -q_pq, g)
     g = np.where(~(aa | bb | ab), q_qp, g)
     np.fill_diagonal(g, 0.0)
-    return MajoranaCovariance(gamma=g)
+    return g
 
 
 def zz_connected(fc: FermionCorrelators, x: int) -> float:
@@ -183,12 +133,12 @@ def zz_connected(fc: FermionCorrelators, x: int) -> float:
     if x == 1:
         # empty string: plain two-operator expectation, no Pfaffian needed
         return -fc.q(1)
-    gamma = majorana_string_matrix(fc, x).gamma
+    gamma = majorana_string_matrix(fc, x)
     sign = -1.0 if x % 2 else 1.0
     return sign * float(pfaffian(gamma, skew_tol=1e-10))
 
 
-def zz_connected_profile(e: ModeEnsemble, x_max=None,
+def zz_connected_profile(fc: FermionCorrelators, x_max=None,
                          stop_below=None, stop_run: int = 5) -> np.ndarray:
     """C^zz(t, x) for x = 1 .. x_max (default N/2).
 
@@ -197,10 +147,8 @@ def zz_connected_profile(e: ModeEnsemble, x_max=None,
     Saves the Pfaffian hot path on large chains where the correlator is
     masked anyway.
     """
-    fc = fermion_correlators(e)
-    n = e.n_sites
     if x_max is None:
-        x_max = n // 2
+        x_max = fc.n_sites // 2
     out = np.zeros(x_max)
     below = 0
     for x in range(1, x_max + 1):

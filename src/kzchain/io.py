@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mode_dynamics import BlochState, ModeEnsemble
+from .mode_dynamics import ModeEnsemble
 from .protocol import Evolution, QuenchProtocol, Variant, momentum_grid, schedule_at
 
 __all__ = [
@@ -93,8 +93,9 @@ def write_trajectories_csv(path, ensembles: Sequence[ModeEnsemble]):
         w = csv.writer(fh)
         w.writerow(["k", "t", "nx", "ny", "nz"])
         for e in ensembles:
-            for s in e.states:
-                w.writerow([_fmt(s.k), _fmt(e.t), _fmt(s.n[0]), _fmt(s.n[1]), _fmt(s.n[2])])
+            t = _fmt(e.t)
+            for k, (nx, ny, nz) in zip(e.grid.modes, e.states):
+                w.writerow([_fmt(k), t, _fmt(nx), _fmt(ny), _fmt(nz)])
 
 
 def read_trajectories_csv(path, protocol: QuenchProtocol, n_sites: int,
@@ -102,23 +103,23 @@ def read_trajectories_csv(path, protocol: QuenchProtocol, n_sites: int,
     """Rebuild the ensemble sequence; rows must be grouped by sample time
     in grid order, as written."""
     grid = momentum_grid(n_sites)
-    per_time: Dict[float, List[BlochState]] = {}
-    order: List[float] = []
+    per_time: Dict[float, List[List[float]]] = {}
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         next(r)
-        for row in r:
+        for lineno, row in enumerate(r, start=2):
             k, t = float(row[0]), float(row[1])
-            n = np.array([float(row[2]), float(row[3]), float(row[4])])
-            if t not in per_time:
-                per_time[t] = []
-                order.append(t)
-            per_time[t].append(BlochState(k=k, n=n))
+            modes = per_time.setdefault(t, [])
+            # states carry no k, so the rows must follow the grid exactly
+            if len(modes) >= len(grid) or k != grid.modes[len(modes)]:
+                raise ValueError(f"{path}:{lineno}: k = {k} breaks the "
+                                 f"N = {n_sites} momentum grid order")
+            modes.append([float(row[2]), float(row[3]), float(row[4])])
     out = []
-    for t in order:
+    for t, states in per_time.items():
         sched = schedule_at(protocol, t)
-        out.append(ModeEnsemble(grid=grid, states=per_time[t], t=t, lam=lam,
-                                j=sched.j, h=sched.h))
+        out.append(ModeEnsemble(grid=grid, states=np.array(states), t=t, lam=lam,
+                                j=sched.j, h=sched.h, protocol=protocol))
     return out
 
 

@@ -9,6 +9,9 @@ with h the pseudo-magnetic field; lam >= 0 is the nondemolition
 measurement strength (lam = 0 is unitary).  Trotterized closed-system
 quenches are stepped with exact Bloch rotations, one sub-rotation per
 circuit layer.
+
+A sample of the whole chain is a ModeEnsemble: one (n_modes, 3) float
+array whose row i is the Bloch vector of mode grid.modes[i].
 """
 
 from __future__ import annotations
@@ -25,14 +28,12 @@ from .protocol import (
     MomentumGrid,
     PseudoField,
     QuenchProtocol,
-    Variant,
     momentum_grid,
     pseudo_field,
     schedule_at,
 )
 
 __all__ = [
-    "BlochState",
     "ModeEnsemble",
     "IntegrationError",
     "ground_state_bloch",
@@ -55,40 +56,31 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BlochState:
-    k: float
-    n: np.ndarray  # 3-vector, |n| <= 1 + slack
-
-    def __post_init__(self):
-        n = np.asarray(self.n, dtype=float)
-        object.__setattr__(self, "n", n)
-        if n.shape != (3,):
-            raise ValueError(f"Bloch vector must be a 3-vector, got shape {n.shape}")
-
-
-@dataclass(frozen=True)
 class ModeEnsemble:
     """All positive-mode Bloch vectors at a single time.
 
-    j and h are the couplings at the sample time; they are carried along so
-    downstream observables need not re-evaluate the schedule.
+    states is an (n_modes, 3) array in grid order.  j and h are the
+    couplings at the sample time; they are carried along so downstream
+    observables need not re-evaluate the schedule.  protocol is the quench
+    that produced the ensemble (None for hand-built states).
     """
 
     grid: MomentumGrid
-    states: List[BlochState]
+    states: np.ndarray
     t: float
     lam: float
     j: float
     h: float
-    protocol_tag: str = ""
+    protocol: Optional[QuenchProtocol] = None
 
     def __post_init__(self):
-        if len(self.states) != len(self.grid):
-            raise ValueError("states must cover the momentum grid exactly once")
-
-    def bloch_array(self) -> np.ndarray:
-        """Stack of Bloch vectors, shape (n_modes, 3), grid order."""
-        return np.array([s.n for s in self.states])
+        states = np.ascontiguousarray(self.states, dtype=float)
+        object.__setattr__(self, "states", states)
+        if states.shape != (len(self.grid), 3):
+            raise ValueError(
+                f"states must have shape ({len(self.grid)}, 3), one Bloch "
+                f"vector per grid mode; got {states.shape}"
+            )
 
     @property
     def n_sites(self) -> int:
@@ -136,8 +128,10 @@ def evolve_continuous(
     sample_times: Sequence[float],
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> List[BlochState]:
+) -> np.ndarray:
     """Integrate one mode from its ground state at t_from, sampling n(t).
+
+    Returns the Bloch vectors at the sample times, shape (n_samples, 3).
 
     Uses LSODA: the damping rate 4*lam*|h_k|^2 makes the system stiff at
     large lam and the solver switches to BDF there on its own.
@@ -163,7 +157,7 @@ def evolve_continuous(
     )
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}", k=k, t=t_from)
-    return [BlochState(k=k, n=sol.y[:, i].copy()) for i in range(sol.y.shape[1])]
+    return sol.y.T
 
 
 def _rotate(n: np.ndarray, axis_x: float, axis_y: float, axis_z: float,
@@ -205,15 +199,16 @@ def trotter_step_mode(n: np.ndarray, k: float, j: float, h: float,
     return n
 
 
-def _evolve_trotter_mode(p: QuenchProtocol, k: float) -> List[BlochState]:
+def _evolve_trotter_mode(p: QuenchProtocol, k: float) -> np.ndarray:
+    """Bloch vector of one mode after every Trotter step, (steps, 3)."""
     sched0 = schedule_at(p, p.t_start)
     n = ground_state_bloch(pseudo_field(k, sched0.j, sched0.h))
     out = []
     for t_s in p.step_times():
         sched = schedule_at(p, t_s)
         n = trotter_step_mode(n, k, sched.j, sched.h, p.dt)
-        out.append(BlochState(k=k, n=n))
-    return out
+        out.append(n)
+    return np.array(out)
 
 
 def run_quench(
@@ -236,10 +231,6 @@ def run_quench(
     alone or as part of the ensemble.
     """
     grid = momentum_grid(n_sites)
-    tag = (
-        f"tau_q={p.tau_q};variant={p.variant.value};evolution={p.evolution.value}"
-        f";dt={p.dt};steps={p.steps};lam={lam}"
-    )
     if p.evolution is Evolution.TROTTER:
         if lam != 0.0:
             raise ValueError("Trotter evolution with lam > 0 is not supported")
@@ -257,12 +248,12 @@ def run_quench(
                               rtol=rtol, atol=atol)
             for k in grid.modes
         ]
+    states = np.stack(per_mode, axis=1)  # (n_samples, n_modes, 3)
     ensembles = []
-    for i, t in enumerate(times):
+    for t, s in zip(times, states):
         sched = schedule_at(p, t)
-        states = [traj[i] for traj in per_mode]
         ensembles.append(
-            ModeEnsemble(grid=grid, states=states, t=float(t), lam=lam,
-                         j=sched.j, h=sched.h, protocol_tag=tag)
+            ModeEnsemble(grid=grid, states=s, t=float(t), lam=lam,
+                         j=sched.j, h=sched.h, protocol=p)
         )
     return ensembles

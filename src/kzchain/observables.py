@@ -13,7 +13,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .correlators import FermionCorrelators, fermion_correlators, zz_connected
+from .correlators import (FermionCorrelators, fermion_correlators,
+                          magnetization_x, xx_connected, zz_connected,
+                          zz_connected_profile)
 from .mode_dynamics import ModeEnsemble
 from .protocol import QuenchProtocol, pseudo_field_components
 
@@ -31,7 +33,8 @@ __all__ = [
 
 @dataclass
 class RunRecord:
-    """Per-sample-time observables of one quench run."""
+    """Per-sample-time observables of one quench run, including the ZZ and
+    XX correlator profiles over x = 1 .. x_max."""
 
     protocol: QuenchProtocol
     n_sites: int
@@ -41,13 +44,14 @@ class RunRecord:
     def add_sample(self, t: float, m_x: float, n_def: float,
                    e_total: float, e_res: float,
                    c_zz: Optional[np.ndarray] = None,
+                   c_xx: Optional[np.ndarray] = None,
                    e_exc: Optional[float] = None):
         if e_res < -1e-9:
             raise ValueError(f"residual energy {e_res} below tolerance floor")
         self.samples.append({
             "t": t, "m_x": m_x, "n_def": n_def,
             "e_total": e_total, "e_res": e_res,
-            "c_zz": c_zz, "e_exc": e_exc,
+            "c_zz": c_zz, "c_xx": c_xx, "e_exc": e_exc,
         })
 
 
@@ -68,17 +72,15 @@ def total_energy(e: ModeEnsemble) -> float:
     exact vacuum energy (asserted in the test suite).
     """
     hy, hz = _field_sums(e)
-    bloch = e.bloch_array()
-    dot = hy * bloch[:, 1] + hz * bloch[:, 2]
+    dot = hy * e.states[:, 1] + hz * e.states[:, 2]
     return float(-e.n_sites * e.h + np.sum(hz) - np.sum(dot))
 
 
 def residual_energy(e: ModeEnsemble) -> float:
     """Energy above the instantaneous ground state, sum(|h_k| - h_k . n_k)."""
     hy, hz = _field_sums(e)
-    bloch = e.bloch_array()
     mod = np.sqrt(hy**2 + hz**2)
-    dot = hy * bloch[:, 1] + hz * bloch[:, 2]
+    dot = hy * e.states[:, 1] + hz * e.states[:, 2]
     return float(np.sum(mod - dot))
 
 
@@ -90,8 +92,7 @@ def excess_energy(noisy: ModeEnsemble, clean: ModeEnsemble) -> float:
         raise ValueError("mismatched system sizes")
     if not math.isclose(noisy.t, clean.t, rel_tol=0, abs_tol=1e-12):
         raise ValueError("mismatched sample times")
-    tag = lambda s: s.split(";lam=")[0]
-    if tag(noisy.protocol_tag) != tag(clean.protocol_tag):
+    if noisy.protocol != clean.protocol:
         raise ValueError("mismatched protocols")
     return (total_energy(noisy) - total_energy(clean)) / noisy.n_sites
 
@@ -136,16 +137,17 @@ def run_record(ensembles: Sequence[ModeEnsemble], protocol: QuenchProtocol,
                stop_below: Optional[float] = None) -> RunRecord:
     """Assemble the full observable record for a run.
 
-    clean, when given, must be the matching lam = 0 run and fills the
+    Each sample's Majorana tables are built once and feed every
+    correlator; stop_below is passed on to zz_connected_profile.  clean,
+    when given, must be the matching lam = 0 run and fills the
     excess-energy column.
     """
-    from .correlators import zz_connected_profile, magnetization_x
-
     first = ensembles[0]
+    if x_max is None:
+        x_max = first.n_sites // 2
     rec = RunRecord(protocol=protocol, n_sites=first.n_sites, lam=first.lam)
     for i, e in enumerate(ensembles):
         fc = fermion_correlators(e)
-        c_zz = zz_connected_profile(e, x_max=x_max, stop_below=stop_below)
         e_exc = None
         if clean is not None:
             e_exc = excess_energy(e, clean[i])
@@ -155,7 +157,8 @@ def run_record(ensembles: Sequence[ModeEnsemble], protocol: QuenchProtocol,
             n_def=defect_density(fc),
             e_total=total_energy(e),
             e_res=residual_energy(e),
-            c_zz=c_zz,
+            c_zz=zz_connected_profile(fc, x_max=x_max, stop_below=stop_below),
+            c_xx=np.array([xx_connected(fc, x) for x in range(1, x_max + 1)]),
             e_exc=e_exc,
         )
     return rec

@@ -46,7 +46,8 @@ def _sweep_records(n, taus, lam=0.0, dt=None, mask=5e-4, variant=None):
         else:
             p = QuenchProtocol(tau_q=tau, variant=variant or Variant.TO_CRITICAL_POINT)
             e = run_quench(p, n, lam=lam, sample_times=[0.0])[0]
-        prof = zz_connected_profile(e, x_max=n // 2, stop_below=mask / 10)
+        prof = zz_connected_profile(fermion_correlators(e), x_max=n // 2,
+                                    stop_below=mask / 10)
         records.extend((tau, x, c) for x, c in enumerate(prof, start=1))
     return np.array(records)
 

@@ -12,19 +12,14 @@ import pytest
 from kzchain.correlators import (fermion_correlators, magnetization_x,
                                  majorana_string_matrix, xx_connected,
                                  zz_connected, zz_connected_profile)
-from kzchain.mode_dynamics import (BlochState, ModeEnsemble,
-                                   ground_state_bloch, run_quench)
+from kzchain.mode_dynamics import ModeEnsemble, ground_state_bloch
 from kzchain.protocol import QuenchProtocol, momentum_grid, pseudo_field
 
 
-def ground_state_ensemble(n, j, h, t=0.0, tag=""):
+def ground_state_ensemble(n, j, h, t=0.0):
     grid = momentum_grid(n)
-    states = [
-        BlochState(k=float(k), n=ground_state_bloch(pseudo_field(float(k), j, h)))
-        for k in grid.modes
-    ]
-    return ModeEnsemble(grid=grid, states=states, t=t, lam=0.0, j=j, h=h,
-                        protocol_tag=tag)
+    states = [ground_state_bloch(pseudo_field(float(k), j, h)) for k in grid.modes]
+    return ModeEnsemble(grid=grid, states=states, t=t, lam=0.0, j=j, h=h)
 
 
 class TestParamagnetLimit:
@@ -46,7 +41,11 @@ class TestParamagnetLimit:
             assert xx_connected(self.fc, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_no_fermions(self):
-        assert self.fc.dag_c(0) == pytest.approx(0.0, abs=1e-12)
+        # empty Jordan-Wigner vacuum: q(d) = delta_{d,0} and sx vanishes
+        expected_q = np.zeros(2 * 12 - 1)
+        expected_q[12 - 1] = 1.0
+        np.testing.assert_allclose(self.fc.q_table, expected_q, atol=1e-12)
+        np.testing.assert_allclose(self.fc.sx_table, 0.0, atol=1e-12)
 
 
 class TestFerromagnetLimit:
@@ -66,38 +65,32 @@ class TestFerromagnetLimit:
 
 class TestCriticalGroundState:
     def test_xx_known_value_nearest_neighbor(self):
-        # <c_j^dag c_l> at criticality approaches the 1/pi law for large N
+        # density of JW fermions, (1 - m_x)/2, at criticality approaches
+        # the 1/2 - 1/pi law for large N
         e = ground_state_ensemble(256, 1.0, 1.0)
-        fc = fermion_correlators(e)
-        # G(d=1) = <(c^dag + c)(c^dag - c)> -> -2/(pi(4-1)) ... use sum rule:
-        # density of JW fermions at criticality is (1/2 - 1/pi)
-        assert fc.dag_c(0).real == pytest.approx(0.5 - 1.0 / np.pi, abs=1e-3)
+        m_x = magnetization_x(fermion_correlators(e))[0]
+        assert (1.0 - m_x) / 2.0 == pytest.approx(0.5 - 1.0 / np.pi, abs=1e-3)
 
 
 class TestTableStructure:
-    def test_hermiticity_relations(self, small_quench_ensemble):
+    def test_sx_odd_in_separation(self, small_quench_ensemble):
+        # pair-amplitude antisymmetry under the exchange j <-> l
         fc = fermion_correlators(small_quench_ensemble)
         for d in range(-7, 8):
-            # <c c^dag>(d) + <c^dag c>(-d) = delta_{d,0}
-            total = fc.cc_dag(d) + fc.dag_c(-d)
-            expected = 1.0 if d == 0 else 0.0
-            assert total == pytest.approx(expected, abs=1e-12)
-            # anticommutation antisymmetry of the pair amplitudes
-            assert fc.dag_dag(d) == pytest.approx(-fc.dag_dag(-d), abs=1e-12)
-            assert fc.cc(d) == pytest.approx(-fc.cc(-d), abs=1e-12)
+            assert fc.sx(-d) == pytest.approx(-fc.sx(d), abs=1e-12)
 
-    def test_real_combinations_match_complex_tables(self, small_quench_ensemble):
-        fc = fermion_correlators(small_quench_ensemble)
-        for d in range(-7, 8):
-            # q(d) = 2 Re<c^dag(0) c(d)-type string entry>: rebuild from tables
-            rebuilt = fc.cc_dag(d) - fc.dag_c(d) + fc.dag_dag(d) - fc.cc(d)
-            assert rebuilt.imag == pytest.approx(0.0, abs=1e-12)
-            assert fc.q(d) == pytest.approx(rebuilt.real, abs=1e-12)
+    def test_q_at_zero_is_magnetization(self, small_quench_ensemble):
+        # sigma^x is a one-site Majorana bilinear: m_x = q(0) = (2/N) sum n^z
+        e = small_quench_ensemble
+        fc = fermion_correlators(e)
+        assert fc.q(0) == magnetization_x(fc)[0]
+        assert fc.q(0) == pytest.approx(2.0 * np.sum(e.states[:, 2]) / e.n_sites,
+                                        abs=1e-12)
 
     def test_out_of_range_separation(self, small_quench_ensemble):
         fc = fermion_correlators(small_quench_ensemble)
         with pytest.raises(ValueError):
-            fc.cc_dag(8)
+            fc.sx(8)
         with pytest.raises(ValueError):
             zz_connected(fc, 5)
         with pytest.raises(ValueError):
@@ -108,14 +101,14 @@ class TestStringMatrix:
     def test_antisymmetric(self, small_quench_ensemble):
         fc = fermion_correlators(small_quench_ensemble)
         for x in (2, 3, 4):
-            g = majorana_string_matrix(fc, x).gamma
+            g = majorana_string_matrix(fc, x)
             assert g.shape == (2 * x, 2 * x)
             np.testing.assert_allclose(g, -g.T, atol=1e-12)
 
     def test_x1_pfaffian_equals_closed_form(self, small_quench_ensemble):
         # the x = 1 shortcut must agree with the generic string matrix
         fc = fermion_correlators(small_quench_ensemble)
-        g = majorana_string_matrix(fc, 1).gamma
+        g = majorana_string_matrix(fc, 1)
         assert -fc.q(1) == pytest.approx(-float(g[0, 1]), abs=1e-12)
 
 
@@ -143,13 +136,14 @@ class TestGoldenProfile:
 class TestProfile:
     def test_matches_pointwise(self, small_quench_ensemble):
         fc = fermion_correlators(small_quench_ensemble)
-        prof = zz_connected_profile(small_quench_ensemble)
+        prof = zz_connected_profile(fc)
         assert len(prof) == 4
         for x in range(1, 5):
             assert prof[x - 1] == pytest.approx(zz_connected(fc, x), abs=1e-12)
 
     def test_early_stop_zero_fills(self):
         e = ground_state_ensemble(64, 0.0, 2.0)  # paramagnet: all zeros
-        prof = zz_connected_profile(e, stop_below=1e-6, stop_run=3)
+        prof = zz_connected_profile(fermion_correlators(e), stop_below=1e-6,
+                                    stop_run=3)
         assert len(prof) == 32
         np.testing.assert_array_equal(prof[3:], 0.0)

@@ -1,6 +1,5 @@
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ from kzchain.io import (protocol_from_dict, protocol_to_dict,
                         write_manifest, write_observables_csv, write_rmse_csv,
                         write_trajectories_csv)
 from kzchain.mode_dynamics import run_quench
-from kzchain.protocol import Evolution, QuenchProtocol, Variant
+from kzchain.oracle import evolve_statevector, oracle_observables
+from kzchain.protocol import Evolution, QuenchProtocol, Variant, schedule_at
 
 
 class TestCsvRoundTrips:
@@ -42,8 +42,14 @@ class TestCsvRoundTrips:
         assert len(back) == 2
         for orig, rebuilt in zip(ensembles, back):
             assert rebuilt.t == orig.t and rebuilt.j == orig.j
-            np.testing.assert_array_equal(rebuilt.bloch_array(),
-                                          orig.bloch_array())
+            np.testing.assert_array_equal(rebuilt.states, orig.states)
+
+    def test_trajectories_off_grid_rejected(self, tmp_path):
+        p = QuenchProtocol(tau_q=1.0)
+        path = tmp_path / "t.csv"
+        write_trajectories_csv(path, run_quench(p, 8, lam=0.0))
+        with pytest.raises(ValueError):
+            read_trajectories_csv(path, p, 10, 0.0)
 
     def test_rmse_surface_with_nan(self, tmp_path):
         a, b = [0.1, 0.2], [0.3]
@@ -81,12 +87,14 @@ class TestConfig:
             "mode_dynamics.n_sites = 256\n"
             "mode_dynamics.lambda = 100\n"
             "collapse.mask = 5e-4\n"
-            "cli_io.out_dir = /tmp/xyz\n"
         )
         cfg = RunConfig().apply_file(load_config_file(cfg_file))
         assert cfg.tau_sweep == [8.0, 16.0, 24.0]
         assert cfg.n_sites == 256 and cfg.lam == 100.0
-        assert cfg.out_dir == Path("/tmp/xyz")
+        # the output root comes from --out or KZCHAIN_OUT, not the file
+        cfg_file.write_text("cli_io.out_dir = /tmp/xyz\n")
+        with pytest.raises(ValueError):
+            RunConfig().apply_file(load_config_file(cfg_file))
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -155,6 +163,19 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert "n_def" in out and "energy" in out
+
+    def test_oracle_trotter_reports_final_step(self, capsys):
+        rc = main(["oracle", "--n", "4", "--trotter", "--dt", "0.25",
+                   "--steps", "4"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        p = QuenchProtocol(tau_q=1.0, evolution=Evolution.TROTTER,
+                           dt=0.25, steps=4)
+        final = evolve_statevector(p, 4)[-1]
+        sched = schedule_at(p, final.t)
+        ref = oracle_observables(final, sched.j, sched.h)
+        assert out["n_def"] == ref["n_def"] and out["energy"] == ref["energy"]
+        assert out["m_x"] == ref["m_x"].tolist()
 
     def test_error_is_machine_readable(self, capsys):
         rc = main(["oracle", "--n", "3", "--tau-q", "1"])

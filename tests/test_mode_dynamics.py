@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kzchain.mode_dynamics import (BlochState, ModeEnsemble, ground_state_bloch,
+from kzchain.mode_dynamics import (ModeEnsemble, ground_state_bloch,
                                    evolve_continuous, run_quench,
                                    trotter_step_mode)
+from kzchain.observables import residual_energy
 from kzchain.protocol import (Evolution, QuenchProtocol, Variant, momentum_grid,
                               pseudo_field, schedule_at)
 
@@ -29,28 +30,28 @@ class TestContinuousEvolution:
         # slow quench on a gapped mode: n(t) stays close to h(t)/|h(t)|
         p = QuenchProtocol(tau_q=200.0)
         k = 2.0  # large gap
-        (state,) = evolve_continuous(p, 0.0, k, p.t_start, 0.0, [0.0])
+        (n,) = evolve_continuous(p, 0.0, k, p.t_start, 0.0, [0.0])
         target = ground_state_bloch(pseudo_field(k, 1.0, 1.0))
-        assert np.linalg.norm(state.n - target) < 1e-2
+        assert np.linalg.norm(n - target) < 1e-2
 
     def test_sudden_limit_freezes(self):
         # fast quench: n barely moves from its initial z-hat
         p = QuenchProtocol(tau_q=1e-3)
-        (state,) = evolve_continuous(p, 0.0, 0.3, p.t_start, 0.0, [0.0])
-        assert state.n[2] > 0.999
+        (n,) = evolve_continuous(p, 0.0, 0.3, p.t_start, 0.0, [0.0])
+        assert n[2] > 0.999
 
     def test_norm_preserved_when_unitary(self):
         p = QuenchProtocol(tau_q=2.0)
         for k in momentum_grid(16).modes:
-            (s,) = evolve_continuous(p, 0.0, float(k), p.t_start, 0.0, [0.0])
-            assert np.linalg.norm(s.n) == pytest.approx(1.0, abs=1e-8)
+            (n,) = evolve_continuous(p, 0.0, float(k), p.t_start, 0.0, [0.0])
+            assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-8)
 
     def test_decoherence_shrinks_norm(self):
         p = QuenchProtocol(tau_q=4.0)
         k = float(momentum_grid(64).modes[0])
         (unitary,) = evolve_continuous(p, 0.0, k, p.t_start, 0.0, [0.0])
         (damped,) = evolve_continuous(p, 1.0, k, p.t_start, 0.0, [0.0])
-        assert np.linalg.norm(damped.n) < np.linalg.norm(unitary.n) - 1e-3
+        assert np.linalg.norm(damped) < np.linalg.norm(unitary) - 1e-3
 
     def test_landau_zener_excitation(self):
         """Small-k modes obey the Landau-Zener formula at the QCP crossing.
@@ -64,10 +65,10 @@ class TestContinuousEvolution:
         tau_q = 4.0
         p = QuenchProtocol(tau_q=tau_q, variant=Variant.FULL_QUENCH)
         for k in [0.05, 0.1, 0.2]:
-            (s,) = evolve_continuous(p, 0.0, k, p.t_start, tau_q, [tau_q])
+            (n,) = evolve_continuous(p, 0.0, k, p.t_start, tau_q, [tau_q])
             sched = schedule_at(p, tau_q)
             target = ground_state_bloch(pseudo_field(k, sched.j, sched.h))
-            p_exc = 0.5 * (1.0 - float(np.dot(s.n, target)))
+            p_exc = 0.5 * (1.0 - float(np.dot(n, target)))
             p_lz = math.exp(-math.pi * tau_q * k * k)
             assert p_exc == pytest.approx(p_lz, abs=0.01)
 
@@ -95,16 +96,15 @@ class TestTrotterStep:
         coarse = QuenchProtocol(tau_q=tau_q)
         e_fine = run_quench(fine, 8, lam=0.0)[-1]
         e_cont = run_quench(coarse, 8, lam=0.0, sample_times=[0.0])[0]
-        for sf, sc in zip(e_fine.states, e_cont.states):
-            assert np.linalg.norm(sf.n - sc.n) < 5e-3
+        for nf, nc in zip(e_fine.states, e_cont.states):
+            assert np.linalg.norm(nf - nc) < 5e-3
 
 
 class TestRunQuench:
     def test_ensemble_shape(self, small_quench_ensemble):
         e = small_quench_ensemble
         assert e.n_sites == 8
-        assert len(e.states) == 4
-        assert e.bloch_array().shape == (4, 3)
+        assert e.states.shape == (4, 3)
         assert e.j == 1.0 and e.h == 1.0
 
     def test_mode_independence(self):
@@ -113,7 +113,7 @@ class TestRunQuench:
         e = run_quench(p, 12, lam=0.3, sample_times=[0.0])[0]
         k = float(e.grid.modes[2])
         (alone,) = evolve_continuous(p, 0.3, k, p.t_start, 0.0, [0.0])
-        np.testing.assert_array_equal(e.states[2].n, alone.n)
+        np.testing.assert_array_equal(e.states[2], alone)
 
     def test_trotter_rejects_decoherence(self, small_trotter_protocol):
         with pytest.raises(ValueError):
@@ -131,5 +131,23 @@ class TestRunQuench:
     def test_states_grid_mismatch_rejected(self):
         grid = momentum_grid(8)
         with pytest.raises(ValueError):
-            ModeEnsemble(grid=grid, states=[BlochState(k=0.1, n=np.zeros(3))],
+            ModeEnsemble(grid=grid, states=np.zeros((1, 3)),
                          t=0.0, lam=0.0, j=1.0, h=1.0)
+        with pytest.raises(ValueError):
+            ModeEnsemble(grid=grid, states=np.zeros((3, 4)),
+                         t=0.0, lam=0.0, j=1.0, h=1.0)
+
+
+class TestPhysicalInvariants:
+    @given(st.floats(0.5, 4.0),
+           st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+    @settings(max_examples=20, deadline=None)
+    def test_bloch_norm_and_residual_energy(self, tau_q, lam):
+        """|n_k| <= 1 with equality in the closed system, and E_res >= 0."""
+        p = QuenchProtocol(tau_q=tau_q, variant=Variant.FULL_QUENCH)
+        for e in run_quench(p, 12, lam=lam, sample_times=[0.0, tau_q]):
+            norms = np.linalg.norm(e.states, axis=1)
+            assert np.all(norms <= 1.0 + 1e-9)
+            if lam == 0.0:
+                np.testing.assert_allclose(norms, 1.0, atol=1e-8)
+            assert residual_energy(e) >= 0.0

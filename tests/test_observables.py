@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kzchain.correlators import fermion_correlators
-from kzchain.mode_dynamics import (BlochState, ModeEnsemble,
-                                   ground_state_bloch, run_quench)
+from kzchain.mode_dynamics import ModeEnsemble, ground_state_bloch, run_quench
 from kzchain.observables import (RunRecord, defect_density, excess_energy,
                                  magnetization_se, power_law_fit, residual_energy,
                                  run_record, shot_error_floor, total_energy)
@@ -15,10 +14,7 @@ from kzchain.protocol import QuenchProtocol, Variant, momentum_grid, pseudo_fiel
 
 def ground_state_ensemble(n, j, h):
     grid = momentum_grid(n)
-    states = [
-        BlochState(k=float(k), n=ground_state_bloch(pseudo_field(float(k), j, h)))
-        for k in grid.modes
-    ]
+    states = [ground_state_bloch(pseudo_field(float(k), j, h)) for k in grid.modes]
     return ModeEnsemble(grid=grid, states=states, t=0.0, lam=0.0, j=j, h=h)
 
 
