@@ -32,13 +32,14 @@ from .circuit import emit_program, gate_counts, to_qasm3
 from .collapse import (CollapseResult, CorrelationDataset, GridSpec,
                        QKZ_EXPONENTS, QND_EXPONENTS, exponent_sweep, rescale)
 from .config import RunConfig, load_config_file, _parse_steps
-from .io import (protocol_to_dict, read_correlators_csv, read_manifest,
-                 read_trajectories_csv, write_correlators_csv, write_manifest,
-                 write_observables_csv, write_rmse_csv, write_trajectories_csv)
+from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
+                 read_manifest, read_observables_csv, read_trajectories_csv,
+                 write_correlators_csv, write_manifest, write_observables_csv,
+                 write_rmse_csv, write_trajectories_csv)
 from .mode_dynamics import run_quench
 from .observables import RunRecord, power_law_fit, run_record
 from .oracle import evolve_lindblad, evolve_statevector, oracle_observables
-from .protocol import Evolution, QuenchProtocol, Variant
+from .protocol import Evolution, QuenchProtocol, Variant, schedule_at
 from .svg import heatmap, line_plot
 
 __all__ = ["main"]
@@ -85,8 +86,7 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
     write_trajectories_csv(out_dir / "trajectories.csv", ensembles)
 
     x_max = cfg.x_max if cfg.x_max is not None else cfg.n_sites // 2
-    rec = run_record(ensembles, p, x_max=x_max,
-                     stop_below=cfg.mask_threshold / 10.0)
+    rec = run_record(ensembles, p, x_max=x_max)
     corr_rows = [(p.tau_q, s["t"], x, c_zz, c_xx)
                  for s in rec.samples
                  for x, (c_zz, c_xx) in enumerate(zip(s["c_zz"], s["c_xx"]),
@@ -219,12 +219,10 @@ def cmd_collapse(args) -> int:
 def cmd_observables(args) -> int:
     run_dir = Path(args.run_dir)
     manifest = read_manifest(run_dir / "manifest.json")
-    from .io import protocol_from_dict
     p = protocol_from_dict(manifest["protocol"])
     ensembles = read_trajectories_csv(run_dir / "trajectories.csv", p,
                                       manifest["n_sites"], manifest["lambda"])
-    rec = run_record(ensembles, p, x_max=manifest.get("x_max"),
-                     stop_below=manifest["mask_threshold"] / 10.0)
+    rec = run_record(ensembles, p, x_max=manifest.get("x_max"))
     rows = _observable_rows(rec)
     write_observables_csv(run_dir / "observables.csv", rows)
     for row in rows:
@@ -268,7 +266,6 @@ def cmd_oracle(args) -> int:
         states = evolve_lindblad(p, args.n, args.lam)
     else:
         states = evolve_statevector(p, args.n)
-    from .protocol import schedule_at
     sched = schedule_at(p, states[-1].t)
     obs = oracle_observables(states[-1], sched.j, sched.h)
     out = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
@@ -339,7 +336,6 @@ def cmd_reproduce(args) -> int:
         dirs = _run_sweep(cfg, root / fig)
         taus, defects = [], []
         for p, d in zip(cfg.protocols(), dirs):
-            from .io import read_observables_csv
             obs = read_observables_csv(d / "observables.csv")
             end = min(obs, key=lambda r: abs(r["t"] - p.tau_q))
             taus.append(p.tau_q)
@@ -394,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--full", action="store_true", help="quench through the QCP")
     q.add_argument("--dt", type=float, help="Trotter step duration")
     q.add_argument("--steps", help="Trotter step counts, e.g. '8..32' or '6,8,10'")
-    q.add_argument("--mask", type=float, help="correlator mask threshold")
+    q.add_argument("--mask", type=float, help="correlator mask threshold, "
+                   "recorded in manifest.json and applied by collapse")
     q.add_argument("--x-max", dest="x_max", type=int)
     q.add_argument("--out", help="output root (default runs/ or $KZCHAIN_OUT)")
     q.add_argument("--serial", action="store_true", help="disable process pool")

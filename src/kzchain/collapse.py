@@ -36,7 +36,6 @@ QKZ_EXPONENTS = (0.5, 0.125)        # nu/(1+z*nu), Delta*nu/(1+z*nu)
 QND_EXPONENTS = (1.0 / 3.0, 1.0 / 12.0)  # nu/(1+2*z*nu), Delta*nu/(1+2*z*nu)
 
 DEFAULT_MASK_THEORY = 5e-4
-DEFAULT_MASK_SHOT = 1e-3
 DEFAULT_POLY_ORDER = 4
 
 
@@ -106,11 +105,6 @@ def rescale(ds: CorrelationDataset, a: float, b: float):
     y = ds.records[:, 1] / tau**a
     v = ds.records[:, 2] * tau**b
     return y, v
-
-
-def _model(params, y):
-    decay, coeffs = params[0], params[1:]
-    return np.exp(-decay * y) * np.polyval(coeffs[::-1], y)
 
 
 def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):

@@ -14,20 +14,11 @@ from typing import Dict, List, Optional
 from .collapse import DEFAULT_MASK_THEORY, GridSpec
 from .protocol import Evolution, QuenchProtocol, Variant
 
-__all__ = ["RunConfig", "load_config_file", "parse_bool"]
+__all__ = ["RunConfig", "load_config_file"]
 
 # default tau_q sweep for the large-N continuous reproduction; the source
 # figure leaves its quench times unstated
 DEFAULT_TAU_SWEEP = [8.0, 16.0, 24.0, 32.0, 48.0, 64.0]
-
-
-def parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def load_config_file(path) -> Dict[str, str]:

@@ -10,7 +10,8 @@ and every spin observable follows from them by Wick's theorem.  sigma^x
 is a one-site Majorana bilinear, so the x-magnetization is m_x = q(0) and
 the connected XX correlator is the 2x2 Pfaffian sx(x)^2 - q(x) q(-x); the
 connected ZZ correlator is the Pfaffian of a real antisymmetric string
-matrix assembled from the same two tables.
+matrix assembled from the same two tables, and one unpivoted elimination
+of that matrix yields it at every separation (zz_connected_profile).
 
 Majorana convention: a_{2m-1} = c_m^dag + c_m and a_{2m} = i(c_m - c_m^dag),
 for which every pair contraction is delta_{pq} + i * (real), so the string
@@ -35,6 +36,10 @@ __all__ = [
     "zz_connected_profile",
     "pfaffian",
 ]
+
+# largest Gauss multiplier the unpivoted profile elimination accepts; past
+# 1/sqrt(eps) its rounding is no longer negligible and zz_connected takes over
+MAX_MULTIPLIER = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -114,10 +119,7 @@ def majorana_string_matrix(fc: FermionCorrelators, x: int) -> np.ndarray:
     aa = is_a[:, None] & is_a[None, :]
     bb = ~is_a[:, None] & ~is_a[None, :]
     ab = is_a[:, None] & ~is_a[None, :]
-    g = np.where(aa, sx, 0.0)
-    g = np.where(bb, -sx, g)
-    g = np.where(ab, -q_pq, g)
-    g = np.where(~(aa | bb | ab), q_qp, g)
+    g = np.select([aa, bb, ab], [sx, -sx, -q_pq], default=q_qp)
     np.fill_diagonal(g, 0.0)
     return g
 
@@ -138,23 +140,32 @@ def zz_connected(fc: FermionCorrelators, x: int) -> float:
     return sign * float(pfaffian(gamma, skew_tol=1e-10))
 
 
-def zz_connected_profile(fc: FermionCorrelators, x_max=None,
-                         stop_below=None, stop_run: int = 5) -> np.ndarray:
-    """C^zz(t, x) for x = 1 .. x_max (default N/2).
+def zz_connected_profile(fc: FermionCorrelators, x_max=None) -> np.ndarray:
+    """C^zz(t, x) for x = 1 .. x_max (default N/2) from one elimination.
 
-    If stop_below is set, evaluation stops early after stop_run
-    consecutive values under the threshold; the remainder is zero-filled.
-    Saves the Pfaffian hot path on large chains where the correlator is
-    masked anyway.
+    The string matrix at x is the leading 2x x 2x block of the x_max one,
+    so eliminating its Majorana pairs in order without pivoting gives C(x)
+    as (-1)^x times the running product of the pivots (Wimmer, ACM TOMS 38
+    (2012)).  After a zero pivot or a multiplier above MAX_MULTIPLIER the
+    remaining separations fall back to the pivoted zz_connected.
     """
     if x_max is None:
         x_max = fc.n_sites // 2
-    out = np.zeros(x_max)
-    below = 0
+    _check_separation(fc, x_max)
+    m = majorana_string_matrix(fc, x_max)
+    out = np.empty(x_max)
+    pf = 1.0
     for x in range(1, x_max + 1):
-        out[x - 1] = zz_connected(fc, x)
-        if stop_below is not None:
-            below = below + 1 if abs(out[x - 1]) < stop_below else 0
-            if below >= stop_run:
-                break
+        i = 2 * x - 2
+        pf *= m[i, i + 1]
+        out[x - 1] = -pf if x % 2 else pf
+        if x == x_max:
+            break
+        piv = m[i + 1, i]
+        if piv == 0 or np.max(np.abs(m[i, i + 2:])) > MAX_MULTIPLIER * abs(piv):
+            out[x:] = [zz_connected(fc, y) for y in range(x + 1, x_max + 1)]
+            break
+        tau = m[i, i + 2:] * (1.0 / piv)
+        w = m[i + 1, i + 2:]
+        m[i + 2:, i + 2:] += np.outer(tau, w) - np.outer(w, tau)
     return out

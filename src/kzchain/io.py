@@ -26,15 +26,29 @@ __all__ = [
 ]
 
 
+_CORRELATORS_HEADER = ["tau_q", "t", "x", "c_zz", "c_xx"]
+_OBSERVABLES_HEADER = ["tau_q", "lambda", "t", "m_x", "n_def", "e_total",
+                       "e_res", "e_exc"]
+_TRAJECTORIES_HEADER = ["k", "t", "nx", "ny", "nz"]
+_RMSE_HEADER = ["a", "b", "rmse", "converged"]
+
+
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _check_header(path, reader, expected: List[str]):
+    header = next(reader, None)
+    if header != expected:
+        raise ValueError(f"{path}: unexpected header {header}, "
+                         f"expected {expected}")
 
 
 def write_correlators_csv(path, rows: Sequence[Tuple[float, float, int, float, float]]):
     """Rows: (tau_q, t, x, c_zz, c_xx)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["tau_q", "t", "x", "c_zz", "c_xx"])
+        w.writerow(_CORRELATORS_HEADER)
         for tau_q, t, x, c_zz, c_xx in rows:
             w.writerow([_fmt(tau_q), _fmt(t), int(x), _fmt(c_zz), _fmt(c_xx)])
 
@@ -43,9 +57,7 @@ def read_correlators_csv(path) -> List[Tuple[float, float, int, float, float]]:
     out = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        if header != ["tau_q", "t", "x", "c_zz", "c_xx"]:
-            raise ValueError(f"{path}: unexpected correlator header {header}")
+        _check_header(path, r, _CORRELATORS_HEADER)
         for lineno, row in enumerate(r, start=2):
             try:
                 out.append((float(row[0]), float(row[1]), int(row[2]),
@@ -59,7 +71,7 @@ def write_observables_csv(path, rows: Sequence[dict]):
     """Rows carry tau_q, lam, t, m_x, n_def, e_total, e_res and optional e_exc."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["tau_q", "lambda", "t", "m_x", "n_def", "e_total", "e_res", "e_exc"])
+        w.writerow(_OBSERVABLES_HEADER)
         for row in rows:
             e_exc = row.get("e_exc")
             w.writerow([
@@ -74,7 +86,7 @@ def read_observables_csv(path) -> List[dict]:
     out = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        _check_header(path, r, _OBSERVABLES_HEADER)
         for lineno, row in enumerate(r, start=2):
             try:
                 out.append({
@@ -91,7 +103,7 @@ def read_observables_csv(path) -> List[dict]:
 def write_trajectories_csv(path, ensembles: Sequence[ModeEnsemble]):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["k", "t", "nx", "ny", "nz"])
+        w.writerow(_TRAJECTORIES_HEADER)
         for e in ensembles:
             t = _fmt(e.t)
             for k, (nx, ny, nz) in zip(e.grid.modes, e.states):
@@ -106,7 +118,7 @@ def read_trajectories_csv(path, protocol: QuenchProtocol, n_sites: int,
     per_time: Dict[float, List[List[float]]] = {}
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        next(r)
+        _check_header(path, r, _TRAJECTORIES_HEADER)
         for lineno, row in enumerate(r, start=2):
             k, t = float(row[0]), float(row[1])
             modes = per_time.setdefault(t, [])
@@ -126,7 +138,7 @@ def read_trajectories_csv(path, protocol: QuenchProtocol, n_sites: int,
 def write_rmse_csv(path, a_vals, b_vals, rmse):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["a", "b", "rmse", "converged"])
+        w.writerow(_RMSE_HEADER)
         for ia, a in enumerate(a_vals):
             for ib, b in enumerate(b_vals):
                 val = rmse[ia][ib]
@@ -138,7 +150,7 @@ def read_rmse_csv(path):
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        next(r)
+        _check_header(path, r, _RMSE_HEADER)
         for row in r:
             rows.append((float(row[0]), float(row[1]),
                          float(row[2]) if row[2] else float("nan"), bool(int(row[3]))))

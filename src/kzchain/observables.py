@@ -60,10 +60,6 @@ def defect_density(fc: FermionCorrelators) -> float:
     return 0.5 * (1.0 - zz_connected(fc, 1))
 
 
-def _field_sums(e: ModeEnsemble) -> Tuple[np.ndarray, np.ndarray]:
-    return pseudo_field_components(e.grid.modes, e.j, e.h)
-
-
 def total_energy(e: ModeEnsemble) -> float:
     """Energy <H> of the reduced (even-parity) chain at the sample time.
 
@@ -71,14 +67,14 @@ def total_energy(e: ModeEnsemble) -> float:
     sign is pinned by requiring the ground-state ensemble to reproduce the
     exact vacuum energy (asserted in the test suite).
     """
-    hy, hz = _field_sums(e)
+    hy, hz = pseudo_field_components(e.grid.modes, e.j, e.h)
     dot = hy * e.states[:, 1] + hz * e.states[:, 2]
     return float(-e.n_sites * e.h + np.sum(hz) - np.sum(dot))
 
 
 def residual_energy(e: ModeEnsemble) -> float:
     """Energy above the instantaneous ground state, sum(|h_k| - h_k . n_k)."""
-    hy, hz = _field_sums(e)
+    hy, hz = pseudo_field_components(e.grid.modes, e.j, e.h)
     mod = np.sqrt(hy**2 + hz**2)
     dot = hy * e.states[:, 1] + hz * e.states[:, 2]
     return float(np.sum(mod - dot))
@@ -133,14 +129,12 @@ def magnetization_se(m: float, shots: int) -> float:
 
 def run_record(ensembles: Sequence[ModeEnsemble], protocol: QuenchProtocol,
                clean: Optional[Sequence[ModeEnsemble]] = None,
-               x_max: Optional[int] = None,
-               stop_below: Optional[float] = None) -> RunRecord:
+               x_max: Optional[int] = None) -> RunRecord:
     """Assemble the full observable record for a run.
 
     Each sample's Majorana tables are built once and feed every
-    correlator; stop_below is passed on to zz_connected_profile.  clean,
-    when given, must be the matching lam = 0 run and fills the
-    excess-energy column.
+    correlator.  clean, when given, must be the matching lam = 0 run and
+    fills the excess-energy column.
     """
     first = ensembles[0]
     if x_max is None:
@@ -157,7 +151,7 @@ def run_record(ensembles: Sequence[ModeEnsemble], protocol: QuenchProtocol,
             n_def=defect_density(fc),
             e_total=total_energy(e),
             e_res=residual_energy(e),
-            c_zz=zz_connected_profile(fc, x_max=x_max, stop_below=stop_below),
+            c_zz=zz_connected_profile(fc, x_max=x_max),
             c_xx=np.array([xx_connected(fc, x) for x in range(1, x_max + 1)]),
             e_exc=e_exc,
         )

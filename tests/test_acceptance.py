@@ -35,7 +35,7 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def _sweep_records(n, taus, lam=0.0, dt=None, mask=5e-4, variant=None):
+def _sweep_records(n, taus, lam=0.0, dt=None, variant=None):
     """Correlator records {(tau_q, x, C(0, x))} for a tau_q sweep."""
     records = []
     for tau in taus:
@@ -46,8 +46,7 @@ def _sweep_records(n, taus, lam=0.0, dt=None, mask=5e-4, variant=None):
         else:
             p = QuenchProtocol(tau_q=tau, variant=variant or Variant.TO_CRITICAL_POINT)
             e = run_quench(p, n, lam=lam, sample_times=[0.0])[0]
-        prof = zz_connected_profile(fermion_correlators(e), x_max=n // 2,
-                                    stop_below=mask / 10)
+        prof = zz_connected_profile(fermion_correlators(e), x_max=n // 2)
         records.extend((tau, x, c) for x, c in enumerate(prof, start=1))
     return np.array(records)
 
@@ -90,7 +89,7 @@ def test_03_intermediate_lambda_non_collapse(n512_lam0_result):
 
 def test_04_trotter_shifted_exponents():
     taus = [0.2 * s for s in range(2, 17, 2) if 0.2 * s >= 1.0]
-    res = _collapse(_sweep_records(120, taus, dt=0.2, mask=1e-3), mask=1e-3)
+    res = _collapse(_sweep_records(120, taus, dt=0.2), mask=1e-3)
     ok = (abs(res.best[0] - 0.45) <= 0.0251 and abs(res.best[1] - 0.15) <= 0.0251)
     _report(4, ok, f"N=120 Trotter dt=0.2 best {res.best}, target (0.45, 0.15) "
             "within one grid step")

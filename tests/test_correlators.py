@@ -8,12 +8,16 @@ and on internal consistency properties.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kzchain.correlators import (fermion_correlators, magnetization_x,
-                                 majorana_string_matrix, xx_connected,
-                                 zz_connected, zz_connected_profile)
-from kzchain.mode_dynamics import ModeEnsemble, ground_state_bloch
-from kzchain.protocol import QuenchProtocol, momentum_grid, pseudo_field
+from kzchain.correlators import (FermionCorrelators, fermion_correlators,
+                                 magnetization_x, majorana_string_matrix,
+                                 xx_connected, zz_connected,
+                                 zz_connected_profile)
+from kzchain.mode_dynamics import (ModeEnsemble, ground_state_bloch,
+                                   run_quench)
+from kzchain.protocol import (Evolution, QuenchProtocol, Variant,
+                              momentum_grid, pseudo_field)
 
 
 def ground_state_ensemble(n, j, h, t=0.0):
@@ -141,9 +145,50 @@ class TestProfile:
         for x in range(1, 5):
             assert prof[x - 1] == pytest.approx(zz_connected(fc, x), abs=1e-12)
 
-    def test_early_stop_zero_fills(self):
-        e = ground_state_ensemble(64, 0.0, 2.0)  # paramagnet: all zeros
-        prof = zz_connected_profile(fermion_correlators(e), stop_below=1e-6,
-                                    stop_run=3)
+    def test_paramagnet_profile_vanishes(self):
+        e = ground_state_ensemble(64, 0.0, 2.0)
+        prof = zz_connected_profile(fermion_correlators(e))
         assert len(prof) == 32
-        np.testing.assert_array_equal(prof[3:], 0.0)
+        np.testing.assert_allclose(prof, 0.0, atol=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_one_pass_matches_pivoted_per_x(self, data):
+        """Every separation of the one-pass profile against the pivoted
+        per-x Pfaffian, on continuous (lambda >= 0) and Trotter quenches;
+        on one drawn separation also Pf^2 = det of the string matrix."""
+        n = data.draw(st.sampled_from([16, 32, 64]))
+        variant = data.draw(st.sampled_from(list(Variant)))
+        if data.draw(st.booleans()):
+            p = QuenchProtocol(tau_q=data.draw(st.floats(0.5, 8.0)),
+                               variant=variant)
+            lam = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+        else:
+            dt = data.draw(st.floats(0.1, 0.5))
+            steps = data.draw(st.integers(2, 16))
+            tau_q = steps * dt
+            if variant is Variant.FULL_QUENCH:
+                tau_q /= 2.0
+            p = QuenchProtocol(tau_q=tau_q, variant=variant,
+                               evolution=Evolution.TROTTER, dt=dt, steps=steps)
+            lam = 0.0
+        fc = fermion_correlators(run_quench(p, n, lam=lam)[-1])
+        prof = zz_connected_profile(fc)
+        expected = [zz_connected(fc, x) for x in range(1, n // 2 + 1)]
+        np.testing.assert_allclose(prof, expected, rtol=0, atol=1e-12)
+        x = data.draw(st.integers(1, n // 2))
+        det = np.linalg.det(majorana_string_matrix(fc, x))
+        assert prof[x - 1] ** 2 == pytest.approx(det, abs=1e-12)
+
+    def test_zero_pivot_falls_back_to_pivoted(self, rng):
+        # q(1) = 0 zeroes the first unpivoted pivot while C(2) stays finite
+        n = 16
+        sx = rng.standard_normal(2 * n - 1)
+        sx = 0.5 * (sx - sx[::-1])  # sx(-d) = -sx(d)
+        q = rng.standard_normal(2 * n - 1)
+        q[n] = 0.0
+        fc = FermionCorrelators(n_sites=n, t=0.0, sx_table=sx, q_table=q)
+        prof = zz_connected_profile(fc)
+        expected = [zz_connected(fc, x) for x in range(1, n // 2 + 1)]
+        assert expected[1] != 0.0
+        np.testing.assert_allclose(prof, expected, rtol=0, atol=1e-12)

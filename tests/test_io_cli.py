@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kzchain.cli import main
-from kzchain.config import RunConfig, load_config_file, parse_bool, _parse_steps
+from kzchain.config import RunConfig, load_config_file, _parse_steps
 from kzchain.io import (protocol_from_dict, protocol_to_dict,
                         read_correlators_csv, read_manifest,
                         read_observables_csv, read_rmse_csv,
@@ -66,6 +66,27 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError):
             read_correlators_csv(path)
 
+    @pytest.mark.parametrize("kind", ["observables", "trajectories", "rmse"])
+    def test_foreign_header_rejected(self, tmp_path, kind):
+        # a well-formed file whose header is not the writer's must not parse
+        p = QuenchProtocol(tau_q=1.0)
+        path = tmp_path / f"{kind}.csv"
+        if kind == "observables":
+            write_observables_csv(path, [{
+                "tau_q": 1.0, "lam": 0.0, "t": 0.0, "m_x": 0.7, "n_def": 0.1,
+                "e_total": -3.0, "e_res": 0.4, "e_exc": None}])
+            read = read_observables_csv
+        elif kind == "trajectories":
+            write_trajectories_csv(path, run_quench(p, 8, lam=0.0))
+            read = lambda f: read_trajectories_csv(f, p, 8, 0.0)
+        else:
+            write_rmse_csv(path, [0.1], [0.3], [[0.5]])
+            read = read_rmse_csv
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("a,b,c,d,e,f,g,h\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError, match=f"{kind}.csv"):
+            read(path)
+
     def test_manifest_round_trip(self, tmp_path):
         payload = {"protocol": protocol_to_dict(
             QuenchProtocol(tau_q=2.0, evolution=Evolution.TROTTER,
@@ -106,11 +127,6 @@ class TestConfig:
         assert _parse_steps("8..12") == [8, 9, 10, 11, 12]
         assert _parse_steps("6, 8, 10") == [6, 8, 10]
         assert _parse_steps("4..6, 16") == [4, 5, 6, 16]
-
-    def test_parse_bool(self):
-        assert parse_bool("Yes") and not parse_bool("0")
-        with pytest.raises(ValueError):
-            parse_bool("maybe")
 
     def test_trotter_protocols_set_tau(self):
         cfg = RunConfig(evolution=Evolution.TROTTER, dt=0.25, steps=[8, 12])
