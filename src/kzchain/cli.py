@@ -201,7 +201,7 @@ def _write_collapse_artifacts(out_dir: Path, ds: CorrelationDataset,
 
 
 def cmd_collapse(args) -> int:
-    grid = GridSpec(spacing=args.spacing) if args.spacing else GridSpec()
+    grid = GridSpec() if args.spacing is None else GridSpec(spacing=args.spacing)
     ds, res = _collapse_from_csvs(args.csv, args.mask, args.x_max, grid,
                                   at_time=args.at_time)
     out_dir = _out_root(args.out) / "collapse"
@@ -211,6 +211,7 @@ def cmd_collapse(args) -> int:
         "best_rmse": res.best_rmse,
         "normalized_best_rmse": res.normalized_best_rmse,
         "records": int(len(ds.records)),
+        "failed_cells": int(np.isnan(res.rmse).sum()),
         "out_dir": str(out_dir),
     }, indent=2))
     return 0
@@ -258,6 +259,8 @@ def cmd_oracle(args) -> int:
             variant=Variant.FULL_QUENCH if args.full else Variant.TO_CRITICAL_POINT,
             evolution=Evolution.TROTTER, dt=args.dt, steps=args.steps)
     else:
+        if args.tau_q is None:
+            raise ValueError("continuous oracle requires --tau-q")
         p = QuenchProtocol(
             tau_q=args.tau_q,
             variant=Variant.FULL_QUENCH if args.full else Variant.TO_CRITICAL_POINT)

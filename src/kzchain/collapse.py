@@ -6,7 +6,11 @@ square (a, b) grid, fit each cell to the exponentially damped polynomial
     f(y) = exp(-p_{-1} y) * (p_0 + p_1 y + ... + p_M y^M),
 
 and pick the cell with the smallest root-mean-square residual.  The grid
-spacing is the resolution of the reported exponents.
+spacing is the resolution of the reported exponents.  Each fit is a
+variable projection (Golub & Pereyra, Inverse Problems 19 (2003) R1): a
+scan over the decay rate with a linear least-squares solve for the
+polynomial at each step.  Since y does not depend on b, the scan runs once
+per a, shared by every b.
 """
 
 from __future__ import annotations
@@ -76,6 +80,14 @@ class GridSpec:
     b_max: float = 0.75
     spacing: float = 0.025
 
+    def __post_init__(self):
+        if not self.spacing > 0:
+            raise ValueError(f"grid spacing must be > 0, got {self.spacing}")
+        if not self.a_min <= self.a_max:
+            raise ValueError(f"grid a_min {self.a_min} exceeds a_max {self.a_max}")
+        if not self.b_min <= self.b_max:
+            raise ValueError(f"grid b_min {self.b_min} exceeds b_max {self.b_max}")
+
     def a_values(self) -> np.ndarray:
         n = int(round((self.a_max - self.a_min) / self.spacing)) + 1
         return self.a_min + self.spacing * np.arange(n)
@@ -107,6 +119,46 @@ def rescale(ds: CorrelationDataset, a: float, b: float):
     return y, v
 
 
+_DECAY_SCAN = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
+
+
+def _solve(y: np.ndarray, powers: np.ndarray, v: np.ndarray, decay: float):
+    """Polynomial coefficients and RMSE of every column of v at one decay.
+
+    A fully underflowed design yields garbage coefficients; such a column
+    scores inf so the scan moves on.
+    """
+    design = np.exp(-decay * y)[:, None] * powers
+    coeffs, *_ = np.linalg.lstsq(design, v, rcond=None)
+    with np.errstate(invalid="ignore", over="ignore"):
+        resid = design @ coeffs - v
+        rmse = np.sqrt(np.mean(resid**2, axis=0))
+    usable = np.all(np.isfinite(coeffs), axis=0) & np.isfinite(rmse)
+    return coeffs, np.where(usable, rmse, np.inf)
+
+
+def _decay_scan(y: np.ndarray, powers: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """RMSE of each column of v (n, k) at every scanned decay: (62, k)."""
+    return np.array([_solve(y, powers, v, d)[1] for d in _DECAY_SCAN])
+
+
+def _refine(y: np.ndarray, powers: np.ndarray, v: np.ndarray,
+            scan_rmse: np.ndarray):
+    """Bounded refinement of one column v around its best scanned decay."""
+    i = int(np.argmin(scan_rmse))
+    lo = _DECAY_SCAN[max(i - 1, 0)]
+    hi = _DECAY_SCAN[min(i + 1, len(_DECAY_SCAN) - 1)]
+    best_decay = _DECAY_SCAN[i]
+    if hi > lo:
+        res = minimize_scalar(lambda d: float(_solve(y, powers, v, d)[1]),
+                              bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        if res.fun <= scan_rmse[i]:
+            best_decay = float(res.x)
+    coeffs, rmse = _solve(y, powers, v, best_decay)
+    return np.concatenate([[best_decay], coeffs]), float(rmse)
+
+
 def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):
     """Damped least-squares fit of the decaying-polynomial family.
 
@@ -122,42 +174,21 @@ def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):
     if len(y) < order + 2:
         return None, float("nan")
     powers = y[:, None] ** np.arange(order + 1)
-
-    def solve(decay):
-        design = np.exp(-decay * y)[:, None] * powers
-        coeffs, *_ = np.linalg.lstsq(design, v, rcond=None)
-        with np.errstate(invalid="ignore", over="ignore"):
-            resid = design @ coeffs - v
-            rmse = float(np.sqrt(np.mean(resid**2)))
-        # a fully underflowed design yields garbage coefficients; score it
-        # as unusable so the scan moves on
-        if not (np.all(np.isfinite(coeffs)) and np.isfinite(rmse)):
-            return coeffs, float("inf")
-        return coeffs, rmse
-
-    scan = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
-    scan_rmse = np.array([solve(d)[1] for d in scan])
-    i = int(np.argmin(scan_rmse))
-    lo = scan[max(i - 1, 0)]
-    hi = scan[min(i + 1, len(scan) - 1)]
-    best_decay = scan[i]
-    if hi > lo:
-        res = minimize_scalar(lambda d: solve(d)[1], bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-12})
-        if res.fun <= scan_rmse[i]:
-            best_decay = float(res.x)
-    coeffs, rmse = solve(best_decay)
-    return np.concatenate([[best_decay], coeffs]), rmse
+    scan_rmse = _decay_scan(y, powers, v[:, None])[:, 0]
+    return _refine(y, powers, v, scan_rmse)
 
 
 def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
                    order: int = DEFAULT_POLY_ORDER) -> CollapseResult:
     """Per-cell rescale-and-fit over the (a, b) grid; argmin wins.
 
-    Ties break toward smaller a, then smaller b.  Negative retained
-    values are dropped with a warning: the fit family is a positive
-    decaying envelope, and sign-flipped points only appear in the
-    finite-size boundary tail past the first zero crossing.
+    y = x / tau^a does not depend on b, so each a runs one decay scan
+    whose least-squares solves take every b column at once; each cell
+    then refines its own decay as `fit_exp_poly` does.  Ties break toward
+    smaller a, then smaller b.  Negative retained values are dropped with
+    a warning: the fit family is a positive decaying envelope, and
+    sign-flipped points only appear in the finite-size boundary tail past
+    the first zero crossing.
     """
     ds_fit = ds
     neg = ds.records[:, 2] < 0
@@ -177,15 +208,20 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
     b_vals = grid.b_values()
     rmse = np.full((len(a_vals), len(b_vals)), np.nan)
     best_cell = None
-    for ia, a in enumerate(a_vals):
+    tau, x, c = ds_fit.records.T
+    # with fewer records than order + 2 every cell is underdetermined
+    for ia, a in enumerate(a_vals if len(x) >= order + 2 else []):
+        y = x / tau**a
+        powers = y[:, None] ** np.arange(order + 1)
+        v = c[:, None] * tau[:, None] ** b_vals
+        scan_rmse = _decay_scan(y, powers, v)
         for ib, b in enumerate(b_vals):
-            y, v = rescale(ds_fit, a, b)
-            params, r = fit_exp_poly(y, v, order=order)
-            if params is None or not np.isfinite(r):
+            params, r = _refine(y, powers, v[:, ib], scan_rmse[:, ib])
+            if not np.isfinite(r):
                 continue
             rmse[ia, ib] = r
             if best_cell is None or r < best_cell[0] - 1e-15:
-                best_cell = (r, a, b, params, float(np.max(np.abs(v))))
+                best_cell = (r, a, b, params, float(np.max(np.abs(v[:, ib]))))
     if best_cell is None:
         raise RuntimeError("every grid cell failed to fit")
     r, a, b, params, peak = best_cell

@@ -75,7 +75,9 @@ class RunConfig:
 
     def apply_file(self, values: Dict[str, str]) -> "RunConfig":
         """Fold parsed file values into this config (file < CLI precedence:
-        call before applying CLI flags)."""
+        call before applying CLI flags).  Grid keys are validated together,
+        so their order in the file does not matter."""
+        grid = dict(self.grid.__dict__)
         for key, val in values.items():
             section, name = key.split(".", 1)
             if section == "protocol":
@@ -108,11 +110,12 @@ class RunConfig:
                 elif name == "x_max":
                     self.x_max = int(val)
                 elif name in ("a_min", "a_max", "b_min", "b_max", "spacing"):
-                    self.grid = GridSpec(**{**self.grid.__dict__, name: float(val)})
+                    grid[name] = float(val)
                 else:
                     raise ValueError(f"unknown collapse key {name!r}")
             else:
                 raise ValueError(f"unknown config section {section!r}")
+        self.grid = GridSpec(**grid)
         return self
 
 

@@ -100,6 +100,49 @@ class TestExponentSweep:
         assert "negative" in caplog.text
         assert res.best == pytest.approx((0.5, 0.125), abs=0.026)
 
+    def test_too_few_records_fail_every_cell(self):
+        # three quench times, but fewer records than the order-4 fit needs
+        ds = CorrelationDataset.from_records(
+            [(1.0, 1, 0.5), (2.0, 1, 0.4), (3.0, 1, 0.3), (3.0, 2, 0.1),
+             (3.0, 3, 0.05)])
+        with pytest.raises(RuntimeError, match="every grid cell failed to fit"):
+            exponent_sweep(ds)
+
+    @given(a=st.floats(0.2, 0.7), b=st.floats(0.05, 0.5),
+           decay=st.floats(0.3, 3.0), spacing=st.floats(0.1, 0.2),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_sweep_matches_per_cell_fits(self, a, b, decay, spacing, seed):
+        # the shared per-a decay scan must reproduce an independent
+        # rescale + fit_exp_poly of every cell
+        clean = planted_dataset(a, b, decay=decay)
+        rng = np.random.default_rng(seed)
+        recs = clean.records.copy()
+        recs[:, 2] *= 1.0 + 1e-3 * rng.standard_normal(len(recs))
+        tail = np.array([[tau, 45.0 + i, (-1) ** i * 2e-3]
+                         for tau in TAUS for i in range(6)])
+        ds = CorrelationDataset(records=np.vstack([recs, tail]),
+                                mask_threshold=clean.mask_threshold)
+        grid = GridSpec(spacing=spacing)
+        res = exponent_sweep(ds, grid=grid)
+
+        nonneg = CorrelationDataset(records=ds.records[ds.records[:, 2] >= 0],
+                                    mask_threshold=ds.mask_threshold)
+        ref = np.full(res.rmse.shape, np.nan)
+        best = None
+        for ia, ga in enumerate(grid.a_values()):
+            for ib, gb in enumerate(grid.b_values()):
+                params, r = fit_exp_poly(*rescale(nonneg, ga, gb))
+                if params is None or not np.isfinite(r):
+                    continue
+                ref[ia, ib] = r
+                if best is None or r < best[0] - 1e-15:
+                    best = (r, (ga, gb), params)
+        np.testing.assert_array_equal(np.isnan(res.rmse), np.isnan(ref))
+        np.testing.assert_allclose(res.rmse, ref, rtol=1e-12)
+        assert res.best == best[1]
+        np.testing.assert_allclose(res.best_params, best[2], rtol=1e-12)
+
     def test_normalization_uses_peak(self):
         ds = planted_dataset(0.45, 0.15)
         res = exponent_sweep(ds)
@@ -109,6 +152,16 @@ class TestExponentSweep:
 
 
 class TestGridSpec:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"spacing": 0.0}, "spacing"),
+        ({"spacing": -0.1}, "spacing"),
+        ({"a_min": 0.5, "a_max": 0.1}, "a_min"),
+        ({"b_min": 0.5, "b_max": 0.1}, "b_min"),
+    ])
+    def test_invalid_grid_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            GridSpec(**kwargs)
+
     def test_default_grid_contains_reference_pairs(self):
         g = GridSpec()
         a_vals, b_vals = g.a_values(), g.b_values()

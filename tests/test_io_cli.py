@@ -117,6 +117,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig().apply_file(load_config_file(cfg_file))
 
+    @pytest.mark.parametrize("text, field", [
+        ("collapse.spacing = 0\n", "spacing"),
+        ("collapse.a_min = 0.5\ncollapse.a_max = 0.1\n", "a_min"),
+        ("collapse.b_max = 0.01\n", "b_min"),
+    ])
+    def test_invalid_grid_keys_rejected(self, tmp_path, text, field):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        with pytest.raises(ValueError, match=field):
+            RunConfig().apply_file(load_config_file(cfg_file))
+
+    def test_grid_keys_order_free(self, tmp_path):
+        # a_min above the default a_max is fine once a_max follows
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("collapse.a_min = 0.8\ncollapse.a_max = 1.0\n")
+        cfg = RunConfig().apply_file(load_config_file(cfg_file))
+        assert (cfg.grid.a_min, cfg.grid.a_max) == (0.8, 1.0)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("protocol.bogus = 1\n")
@@ -149,15 +167,32 @@ class TestCli:
                          "trajectories.csv", "manifest.json"):
                 assert (d / name).exists()
 
-    def test_quench_then_collapse(self, tmp_path):
+    def test_quench_then_collapse(self, tmp_path, capsys):
         main(["quench", "--n", "8", "--tau-q", "0.5,1,2,4", "--serial",
               "--out", str(tmp_path)])
         csvs = [str(p) for p in tmp_path.glob("*/correlators.csv")]
+        capsys.readouterr()
         rc = main(["collapse", *csvs, "--out", str(tmp_path)])
         assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        rmse = read_rmse_csv(tmp_path / "collapse" / "rmse_surface.csv")
+        assert out["failed_cells"] == sum(1 for row in rmse
+                                          if math.isnan(row[2]))
         assert (tmp_path / "collapse" / "rmse_surface.csv").exists()
         assert (tmp_path / "collapse" / "rmse_surface.svg").exists()
         assert (tmp_path / "collapse" / "collapse.svg").exists()
+
+    @pytest.mark.parametrize("spacing", ["0", "-0.1"])
+    def test_collapse_rejects_bad_spacing(self, tmp_path, capsys, spacing):
+        main(["quench", "--n", "8", "--tau-q", "0.5,1,2", "--serial",
+              "--out", str(tmp_path)])
+        csvs = [str(p) for p in tmp_path.glob("*/correlators.csv")]
+        capsys.readouterr()
+        rc = main(["collapse", *csvs, "--spacing", spacing,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "spacing" in err["message"]
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         args = ["quench", "--n", "8", "--tau-q", "2", "--serial"]
@@ -192,6 +227,13 @@ class TestCli:
         ref = oracle_observables(final, sched.j, sched.h)
         assert out["n_def"] == ref["n_def"] and out["energy"] == ref["energy"]
         assert out["m_x"] == ref["m_x"].tolist()
+
+    def test_oracle_requires_tau_q(self, capsys):
+        rc = main(["oracle", "--n", "4"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "continuous oracle requires --tau-q"}
 
     def test_error_is_machine_readable(self, capsys):
         rc = main(["oracle", "--n", "3", "--tau-q", "1"])
