@@ -36,7 +36,7 @@ from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
                  read_manifest, read_observables_csv, read_trajectories_csv,
                  write_correlators_csv, write_manifest, write_observables_csv,
                  write_rmse_csv, write_trajectories_csv)
-from .mode_dynamics import run_quench
+from .mode_dynamics import integrator_stats, run_quench
 from .observables import RunRecord, power_law_fit, run_record
 from .oracle import evolve_lindblad, evolve_statevector, oracle_observables
 from .protocol import Evolution, QuenchProtocol, Variant, schedule_at
@@ -100,6 +100,7 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
         "lambda": cfg.lam,
         "rtol": cfg.rtol,
         "atol": cfg.atol,
+        "integrator": integrator_stats(p, cfg.lam, ensembles, rtol=cfg.rtol),
         "mask_threshold": cfg.mask_threshold,
         "x_max": x_max,
         "wall_time_s": round(time.time() - t_wall, 3),

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .collapse import DEFAULT_MASK_THEORY, GridSpec
+from .mode_dynamics import DEFAULT_ATOL, DEFAULT_RTOL, check_tolerance
 from .protocol import Evolution, QuenchProtocol, Variant
 
 __all__ = ["RunConfig", "load_config_file"]
@@ -49,11 +50,15 @@ class RunConfig:
     steps: Optional[List[int]] = None
     n_sites: int = 120
     lam: float = 0.0
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
     grid: GridSpec = field(default_factory=GridSpec)
     mask_threshold: float = DEFAULT_MASK_THEORY
     x_max: Optional[int] = None
+
+    def __post_init__(self):
+        self.rtol = check_tolerance("mode_dynamics.rtol", self.rtol)
+        self.atol = check_tolerance("mode_dynamics.atol", self.atol)
 
     def protocols(self) -> List[QuenchProtocol]:
         """One protocol per sweep entry (tau_q values or Trotter step counts)."""
@@ -99,9 +104,9 @@ class RunConfig:
                 elif name == "lambda":
                     self.lam = float(val)
                 elif name == "rtol":
-                    self.rtol = float(val)
+                    self.rtol = check_tolerance("mode_dynamics.rtol", val)
                 elif name == "atol":
-                    self.atol = float(val)
+                    self.atol = check_tolerance("mode_dynamics.atol", val)
                 else:
                     raise ValueError(f"unknown mode_dynamics key {name!r}")
             elif section == "collapse":

@@ -135,6 +135,16 @@ class TestConfig:
         cfg = RunConfig().apply_file(load_config_file(cfg_file))
         assert (cfg.grid.a_min, cfg.grid.a_max) == (0.8, 1.0)
 
+    @pytest.mark.parametrize("key", ["mode_dynamics.rtol", "mode_dynamics.atol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_invalid_tolerance_rejected(self, tmp_path, key, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=key):
+            RunConfig().apply_file(load_config_file(cfg_file))
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{key.split(".")[1]: float(value)})
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("protocol.bogus = 1\n")
@@ -202,6 +212,24 @@ class TestCli:
         (run_b,) = (tmp_path / "b").iterdir()
         for name in ("correlators.csv", "observables.csv", "trajectories.csv"):
             assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
+        integrator = read_manifest(run_a / "manifest.json")["integrator"]
+        assert integrator == read_manifest(run_b / "manifest.json")["integrator"]
+        # tau_q = 2 at the default rtol: dt = (10 * 1e-10 * 2) ** 0.25
+        assert integrator["method"] == "magnus4"
+        assert integrator["steps"] == math.ceil(2.0 / (2e-9) ** 0.25)
+        assert 0.0 <= integrator["max_norm_error"] < 1e-13
+
+    @pytest.mark.parametrize("args, method, steps, bound", [
+        (["--tau-q", "2", "--lambda", "0.5"], "lsoda", None, 1e-9),
+        (["--trotter", "--dt", "0.25", "--steps", "6"], "trotter", 6, 1e-13),
+    ])
+    def test_manifest_records_integrator(self, tmp_path, args, method, steps,
+                                         bound):
+        main(["quench", "--n", "8", "--serial", *args, "--out", str(tmp_path)])
+        (run,) = tmp_path.iterdir()
+        integrator = read_manifest(run / "manifest.json")["integrator"]
+        assert integrator["method"] == method and integrator["steps"] == steps
+        assert 0.0 <= integrator["max_norm_error"] < bound
 
     def test_emit_qasm_filename_pattern(self, tmp_path, capsys):
         rc = main(["emit-qasm", "--n", "6", "--dt", "0.25", "--steps", "8",

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from kzchain.mode_dynamics import (ModeEnsemble, ground_state_bloch,
-                                   evolve_continuous, run_quench,
+                                   evolve_continuous, evolve_magnus,
+                                   integrator_stats, run_quench,
                                    trotter_step_mode)
 from kzchain.observables import residual_energy
 from kzchain.protocol import (Evolution, QuenchProtocol, Variant, momentum_grid,
@@ -80,6 +82,69 @@ class TestContinuousEvolution:
             evolve_continuous(p, -0.5, 0.5, -1.0, 0.0, [0.0])
 
 
+def _lsoda_reference(p, modes, times):
+    """Per-mode LSODA at tight tolerances, shape (n_samples, n_modes, 3)."""
+    return np.stack([evolve_continuous(p, 0.0, float(k), p.t_start, p.t_end,
+                                       times, rtol=1e-13, atol=1e-15)
+                     for k in modes], axis=1)
+
+
+class TestMagnus:
+    @given(st.sampled_from([8, 16, 64]), st.floats(0.5, 16.0),
+           st.sampled_from(list(Variant)),
+           st.one_of(st.none(), st.floats(0.1, 0.9)))
+    @settings(max_examples=12, deadline=None)
+    def test_matches_tight_lsoda(self, n_sites, tau_q, variant, frac):
+        """At the default rtol the batched unitary evolution lies within
+        5e-9 of LSODA run at rtol 1e-13, at one or two sample times."""
+        p = QuenchProtocol(tau_q=tau_q, variant=variant)
+        times = [p.t_end] if frac is None else \
+            [p.t_start + frac * p.duration, p.t_end]
+        ensembles = run_quench(p, n_sites, lam=0.0, sample_times=times)
+        batched = np.stack([e.states for e in ensembles])
+        ref = _lsoda_reference(p, ensembles[0].grid.modes, times)
+        assert np.abs(batched - ref).max() < 5e-9
+
+    def test_fourth_order_convergence(self):
+        """Halving the step (rtol / 16) cuts the error by about 2^4."""
+        p = QuenchProtocol(tau_q=2.0, variant=Variant.FULL_QUENCH)
+        modes = momentum_grid(16).modes
+        ref = _lsoda_reference(p, modes, [p.t_end])
+        errors, steps = [], []
+        for rtol in (1e-6, 1e-6 / 16):
+            ensembles = run_quench(p, 16, lam=0.0, rtol=rtol)
+            errors.append(np.abs(ensembles[0].states - ref[0]).max())
+            steps.append(integrator_stats(p, 0.0, ensembles, rtol=rtol)["steps"])
+        assert steps[1] == 2 * steps[0]
+        assert errors[0] / errors[1] >= 12.0
+
+    def test_mode_independence(self):
+        # bit-identical solved alone, in a subset, or in the ensemble
+        p = QuenchProtocol(tau_q=1.5, variant=Variant.FULL_QUENCH)
+        times = [0.0, 1.5]
+        ensembles = run_quench(p, 12, lam=0.0, sample_times=times)
+        states = np.stack([e.states for e in ensembles])
+        modes = ensembles[0].grid.modes
+        alone = evolve_magnus(p, modes[2:3], times)
+        np.testing.assert_array_equal(states[:, 2:3], alone)
+        subset = evolve_magnus(p, modes[1::2], times)
+        np.testing.assert_array_equal(states[:, 1::2], subset)
+
+    def test_landau_zener_through_run_quench(self):
+        """The grid's small-k modes obey p_k = exp(-pi tau_q k^2); see
+        TestContinuousEvolution.test_landau_zener_excitation."""
+        tau_q = 4.0
+        p = QuenchProtocol(tau_q=tau_q, variant=Variant.FULL_QUENCH)
+        e = run_quench(p, 128, lam=0.0)[-1]
+        small = e.grid.modes < 0.2
+        assert small.sum() == 4
+        for k, n in zip(e.grid.modes[small], e.states[small]):
+            target = ground_state_bloch(pseudo_field(k, e.j, e.h))
+            p_exc = 0.5 * (1.0 - float(np.dot(n, target)))
+            assert p_exc == pytest.approx(math.exp(-math.pi * tau_q * k * k),
+                                          abs=0.01)
+
+
 class TestTrotterStep:
     @given(st.floats(0.05, 3.1), st.floats(0.0, 2.0), st.floats(0.01, 0.5))
     @settings(max_examples=60)
@@ -87,6 +152,31 @@ class TestTrotterStep:
         n = np.array([0.3, -0.5, math.sqrt(1 - 0.34)])
         out = trotter_step_mode(n, k, j, 2.0 - j, dt)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+
+    def test_batched_matches_scalar_and_exact_layers(self):
+        """An (M, 3) step equals M scalar steps, and each scalar step is
+        the product of the two layers' exact 3x3 rotation matrices."""
+        rng = np.random.default_rng(3)
+        modes = momentum_grid(20).modes
+        n = rng.normal(size=(len(modes), 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        j, h, dt = 0.7, 1.3, 0.25
+        batched = trotter_step_mode(n, modes, j, h, dt)
+        assert batched.shape == n.shape
+
+        def cross_matrix(v):
+            return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]],
+                             [-v[1], v[0], 0.0]])
+
+        for k, nk, out in zip(modes, n, batched):
+            scalar = trotter_step_mode(nk, float(k), j, h, dt)
+            assert scalar.shape == (3,)
+            np.testing.assert_allclose(out, scalar, rtol=0, atol=1e-14)
+            ising = expm(cross_matrix([0.0, -4 * j * dt * math.sin(k),
+                                       4 * j * dt * math.cos(k)]))
+            field = expm(cross_matrix([0.0, 0.0, -4 * h * dt]))
+            np.testing.assert_allclose(scalar, field @ ising @ nk,
+                                       rtol=0, atol=1e-13)
 
     def test_many_small_steps_approach_continuous(self):
         tau_q = 2.0
@@ -114,6 +204,23 @@ class TestRunQuench:
         k = float(e.grid.modes[2])
         (alone,) = evolve_continuous(p, 0.3, k, p.t_start, 0.0, [0.0])
         np.testing.assert_array_equal(e.states[2], alone)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("times", [[0.0, -0.5], [-0.5, -0.5],
+                                       [-1.5, 0.0], [0.0, 0.5], []])
+    def test_sample_times_checked(self, lam, times):
+        # unsorted, repeated, or outside [t_start, t_end] = [-1, 0]
+        p = QuenchProtocol(tau_q=1.0)
+        with pytest.raises(ValueError, match="sample_times"):
+            run_quench(p, 8, lam=lam, sample_times=times)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerances_checked(self, lam, key, value):
+        p = QuenchProtocol(tau_q=1.0)
+        with pytest.raises(ValueError, match=key):
+            run_quench(p, 8, lam=lam, sample_times=[0.0], **{key: value})
 
     def test_trotter_rejects_decoherence(self, small_trotter_protocol):
         with pytest.raises(ValueError):
