@@ -36,7 +36,7 @@ from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
                  read_manifest, read_observables_csv, read_trajectories_csv,
                  write_correlators_csv, write_manifest, write_observables_csv,
                  write_rmse_csv, write_trajectories_csv)
-from .mode_dynamics import integrator_stats, run_quench
+from .mode_dynamics import check_lambda, integrator_stats, run_quench
 from .observables import RunRecord, power_law_fit, run_record
 from .oracle import evolve_lindblad, evolve_statevector, oracle_observables
 from .protocol import Evolution, QuenchProtocol, Variant, schedule_at
@@ -81,7 +81,7 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
     t_wall = time.time()
     ensembles = run_quench(p, cfg.n_sites, lam=cfg.lam,
                            sample_times=_sample_times(p),
-                           rtol=cfg.rtol, atol=cfg.atol)
+                           rtol=cfg.rtol)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectories_csv(out_dir / "trajectories.csv", ensembles)
 
@@ -99,7 +99,6 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
         "n_sites": cfg.n_sites,
         "lambda": cfg.lam,
         "rtol": cfg.rtol,
-        "atol": cfg.atol,
         "integrator": integrator_stats(p, cfg.lam, ensembles, rtol=cfg.rtol),
         "mask_threshold": cfg.mask_threshold,
         "x_max": x_max,
@@ -133,7 +132,7 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "n", None) is not None:
         cfg.n_sites = args.n
     if getattr(args, "lam", None) is not None:
-        cfg.lam = args.lam
+        cfg.lam = check_lambda("--lambda", args.lam)
     if getattr(args, "tau_q", None):
         cfg.tau_sweep = [float(x) for x in args.tau_q.split(",")]
     if getattr(args, "trotter", False):
@@ -266,8 +265,9 @@ def cmd_oracle(args) -> int:
             tau_q=args.tau_q,
             variant=Variant.FULL_QUENCH if args.full else Variant.TO_CRITICAL_POINT)
     # both evolutions sample t_end by default; Trotter samples every step
-    if args.lam > 0:
-        states = evolve_lindblad(p, args.n, args.lam)
+    lam = check_lambda("--lambda", args.lam)
+    if lam > 0:
+        states = evolve_lindblad(p, args.n, lam)
     else:
         states = evolve_statevector(p, args.n)
     sched = schedule_at(p, states[-1].t)

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .collapse import DEFAULT_MASK_THEORY, GridSpec
-from .mode_dynamics import DEFAULT_ATOL, DEFAULT_RTOL, check_tolerance
+from .mode_dynamics import DEFAULT_RTOL, check_lambda, check_tolerance
 from .protocol import Evolution, QuenchProtocol, Variant
 
 __all__ = ["RunConfig", "load_config_file"]
@@ -51,14 +51,13 @@ class RunConfig:
     n_sites: int = 120
     lam: float = 0.0
     rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
     grid: GridSpec = field(default_factory=GridSpec)
     mask_threshold: float = DEFAULT_MASK_THEORY
     x_max: Optional[int] = None
 
     def __post_init__(self):
+        self.lam = check_lambda("mode_dynamics.lambda", self.lam)
         self.rtol = check_tolerance("mode_dynamics.rtol", self.rtol)
-        self.atol = check_tolerance("mode_dynamics.atol", self.atol)
 
     def protocols(self) -> List[QuenchProtocol]:
         """One protocol per sweep entry (tau_q values or Trotter step counts)."""
@@ -97,18 +96,16 @@ class RunConfig:
                 elif name == "steps":
                     self.steps = _parse_steps(val)
                 else:
-                    raise ValueError(f"unknown protocol key {name!r}")
+                    raise ValueError(f"unknown protocol key {key!r}")
             elif section == "mode_dynamics":
                 if name == "n_sites":
                     self.n_sites = int(val)
                 elif name == "lambda":
-                    self.lam = float(val)
+                    self.lam = check_lambda("mode_dynamics.lambda", val)
                 elif name == "rtol":
                     self.rtol = check_tolerance("mode_dynamics.rtol", val)
-                elif name == "atol":
-                    self.atol = check_tolerance("mode_dynamics.atol", val)
                 else:
-                    raise ValueError(f"unknown mode_dynamics key {name!r}")
+                    raise ValueError(f"unknown mode_dynamics key {key!r}")
             elif section == "collapse":
                 if name == "mask":
                     self.mask_threshold = float(val)
@@ -117,7 +114,7 @@ class RunConfig:
                 elif name in ("a_min", "a_max", "b_min", "b_max", "spacing"):
                     grid[name] = float(val)
                 else:
-                    raise ValueError(f"unknown collapse key {name!r}")
+                    raise ValueError(f"unknown collapse key {key!r}")
             else:
                 raise ValueError(f"unknown config section {section!r}")
         self.grid = GridSpec(**grid)

@@ -6,13 +6,21 @@ density matrix of its (k, -k) Nambu pair.  Continuous evolution integrates
     d/dt n = -2 h x n + 4*lam * h x (h x n),
 
 with h the pseudo-magnetic field; lam >= 0 is the nondemolition
-measurement strength (lam = 0 is unitary).
+measurement strength (lam = 0 is unitary).  The lam term dephases each
+(k, -k) pair in its own H_k, i.e. it is the per-mode channel
+-lam sum_k [H_k, [H_k, rho]]; oracle.evolve_lindblad instead applies the
+full -lam [H, [H, rho]], whose cross terms [H_k, [H_k', rho]] this module
+leaves out.
 
-Every unitary evolution is a sequence of Bloch rotations, applied to all
-modes at once by one batched Rodrigues kernel: at lam = 0 the continuous
-quench takes closed-form fourth-order Magnus steps, and a Trotterized
-quench takes one exact rotation per circuit layer.  At lam > 0 the
-dephasing term makes the flow stiff and each mode is integrated by LSODA.
+Every continuous evolution is stepped for all modes at once with
+fourth-order Magnus.  At lam = 0 a step is one closed-form Bloch rotation
+(evolve_magnus), and a Trotterized quench takes one exact rotation per
+circuit layer, all through one batched Rodrigues kernel.  At lam > 0 the
+dephasing makes the flow stiff; evolve_magnus_frame steps it in each
+mode's adiabatic frame, where the stiff part acts only on the (x, y)
+block, with 3x3 step propagators from a batched Padé exponential.
+evolve_continuous integrates one mode by LSODA; it is the slow,
+independent reference the batched paths are tested against.
 
 A sample of the whole chain is a ModeEnsemble: one (n_modes, 3) float
 array whose row i is the Bloch vector of mode grid.modes[i].
@@ -34,6 +42,7 @@ from .protocol import (
     QuenchProtocol,
     momentum_grid,
     pseudo_field,
+    pseudo_field_components,
     schedule_at,
 )
 
@@ -44,6 +53,8 @@ __all__ = [
     "evolve_continuous",
     "check_tolerance",
     "evolve_magnus",
+    "evolve_magnus_frame",
+    "check_lambda",
     "trotter_step_mode",
     "run_quench",
     "integrator_stats",
@@ -57,6 +68,17 @@ DEFAULT_ATOL = 1e-12
 # tau_q in [0.5, 200] (against LSODA at rtol 1e-13), so this rule spends
 # the error evenly across quench times at about 6 * rtol.
 MAGNUS_STEP_SCALE = 10.0
+
+# evolve_magnus_frame takes D = (FRAME_STEP_SCALE * sqrt(1 + lam tau_q +
+# (tau_q / 8)^2) / rtol)^(1/4) steps per unit of its graded time u.  At the
+# default rtol, over lam in [1e-3, 100], tau_q in [0.5, 64] and N <= 512,
+# the worst error against LSODA at rtol 1e-13 was 6e-10 at t = 0 and
+# 2.5e-9 at interior sample times.  The error falls as D^-4 at t = 0 but
+# only about as D^-2.5 at interior sample times once Gamma dt >> 1, so
+# the rule is calibrated at the default rtol rather than derived.
+FRAME_STEP_SCALE = 130.0
+# largest Gamma dt of the last step before a sample time; see _frame_nodes
+TAIL_GAMMA_DT = 0.5
 
 
 class IntegrationError(RuntimeError):
@@ -149,8 +171,7 @@ def evolve_continuous(
     Uses LSODA: the damping rate 4*lam*|h_k|^2 makes the system stiff at
     large lam and the solver switches to BDF there on its own.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    lam = check_lambda("lam", lam)
     if not (t_from < t_to):
         raise ValueError(f"need t_from < t_to, got [{t_from}, {t_to}]")
     if not (p.contains(t_from) and p.contains(t_to)):
@@ -183,6 +204,18 @@ def check_tolerance(key: str, value: float) -> float:
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{key} must be finite and positive, got {value}")
+    return value
+
+
+def check_lambda(key: str, value: float) -> float:
+    """Return value as a float if it is a finite measurement strength >= 0.
+
+    Raises ValueError naming key otherwise: a nan or infinite lam would
+    run to all-nan Bloch vectors instead of failing.
+    """
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{key} must be finite and >= 0, got {value}")
     return value
 
 
@@ -293,6 +326,213 @@ def evolve_magnus(
     return np.stack(out)
 
 
+# Padé(6, 6) coefficients of exp(x): numerator sum_j b_j x^j, denominator
+# sum_j b_j (-x)^j.  Matrices are scaled by 2^-s until their 1-norm is at
+# most PADE_THETA, where the approximant's relative backward error is below
+# the double-precision unit roundoff (Higham, SIAM J. Matrix Anal. Appl.
+# 26 (2005), Table 2.3), and squared s times afterwards.
+PADE_COEFFS = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840,
+               1.0 / 665280)
+PADE_THETA = 0.5
+
+# Most 3x3 step propagators built at once.  The exponential of a batch
+# holds about a dozen (3, 3, batch) temporaries, so 2048 matrices cost
+# about 2 MB whatever the chain length.
+FRAME_BATCH = 2048
+
+
+def _mm3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two component-major stacks of 3x3 matrices, each of
+    shape (3, 3, B); elementwise over B."""
+    return np.einsum("ijb,jkb->ikb", a, b)
+
+
+def _expm3(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a component-major (3, 3, B) stack.
+
+    Padé(6, 6) with per-matrix scaling and squaring: the denominator is
+    inverted through its adjugate, and matrix b is squared s_b times by
+    np.where, so every operation is elementwise over B and a matrix's
+    result does not depend on the rest of the batch.
+    """
+    norm = np.abs(a).sum(axis=0).max(axis=0)
+    s = np.maximum(np.frexp(norm / PADE_THETA)[1], 0)
+    a = np.ldexp(a, -s)
+    eye = np.eye(3)[:, :, None]
+    a2 = _mm3(a, a)
+    a4 = _mm3(a2, a2)
+    a6 = _mm3(a2, a4)
+    b = PADE_COEFFS
+    u = _mm3(a, b[1] * eye + b[3] * a2 + b[5] * a4)
+    v = b[0] * eye + b[2] * a2 + b[4] * a4 + b[6] * a6
+    q, r = v - u, v + u
+    adj = np.empty_like(q)
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[j, i] = q[i1, j1] * q[i2, j2] - q[i1, j2] * q[i2, j1]
+    det = q[0, 0] * adj[0, 0] + q[0, 1] * adj[1, 0] + q[0, 2] * adj[2, 0]
+    x = _mm3(adj, r) / det
+    for i in range(int(s.max())):
+        x = np.where(i < s, _mm3(x, x), x)
+    return x
+
+
+def _frame_field(p: QuenchProtocol, t, modes: np.ndarray):
+    """(h_y, h_z, |h|^2) of the modes at the times t, broadcast together."""
+    hy, hz = pseudo_field_components(modes, 1.0 + t / p.tau_q,
+                                     1.0 - t / p.tau_q)
+    return hy, hz, hy * hy + hz * hz
+
+
+def _frame_propagators(p: QuenchProtocol, lam: float, modes: np.ndarray,
+                       nodes: np.ndarray) -> np.ndarray:
+    """Magnus-4 propagators of the steps between consecutive nodes, shape
+    (3, 3, n_steps, n_modes); see evolve_magnus_frame.
+
+    With A = [[-g, w, 0], [-w, -g, -f], [0, f, 0]] at the two Gauss
+    points, the commutator [A_2, A_1] has only the entries that the
+    alpha and beta terms below fill in.
+    """
+    dt = np.diff(nodes)[:, None]
+    mid = 0.5 * (nodes[:-1] + nodes[1:])[:, None]
+    gen = []
+    for t in (mid - (math.sqrt(3.0) / 6.0) * dt,
+              mid + (math.sqrt(3.0) / 6.0) * dt):
+        _, _, h2 = _frame_field(p, t, modes)
+        gen.append((2.0 * np.sqrt(h2), 4.0 * lam * h2,
+                    8.0 * np.sin(modes) / (p.tau_q * h2)))
+    (w1, g1, f1), (w2, g2, f2) = gen
+    comm = (math.sqrt(3.0) / 12.0) * dt * dt
+    alpha = comm * (f1 * g2 - f2 * g1)
+    beta = comm * (f1 * w2 - f2 * w1)
+    half = 0.5 * dt
+    w, g, f = half * (w1 + w2), half * (g1 + g2), half * (f1 + f2)
+    omega = np.zeros((3, 3) + w.shape)
+    omega[0, 0] = omega[1, 1] = -g
+    omega[0, 1], omega[1, 0] = w, -w
+    omega[1, 2], omega[2, 1] = alpha - f, alpha + f
+    omega[0, 2], omega[2, 0] = -beta, beta
+    return _expm3(omega.reshape(3, 3, -1)).reshape(omega.shape)
+
+
+def _frame_nodes(p: QuenchProtocol, lam: float, times: np.ndarray,
+                 density: int) -> List[np.ndarray]:
+    """Step nodes of every interval between consecutive sample times,
+    starting at t_start; each array runs from one sample time to the next.
+
+    The steps are equal in u = sign(t) sqrt(|t| / tau_q), so the nodes
+    t = tau_q u |u| crowd quadratically toward t = 0, where the gap is
+    smallest, from both sides for FULL_QUENCH.  An interval spanning du
+    in u gets ceil(du * density) steps.
+
+    A step with Gamma dt >> 1 lands on the quasi-static (x, y) value of
+    its mean generator, not of the generator at its end, so the last step
+    before a sample time is halved until Gamma_max dt <= TAIL_GAMMA_DT,
+    with Gamma_max = 64 lam the largest rate on the ramp (|h| <= 4).
+    """
+    def u_of(t):
+        return math.copysign(math.sqrt(abs(t) / p.tau_q), t)
+
+    out = []
+    t = p.t_start
+    for t_next in times:
+        u_a, u_b = u_of(t), u_of(t_next)
+        steps = math.ceil((u_b - u_a) * density)
+        u = np.linspace(u_a, u_b, steps + 1)
+        nodes = p.tau_q * u * np.abs(u)
+        nodes[0], nodes[-1] = t, t_next
+        if steps:
+            last = t_next - nodes[-2]
+            stiffness = 64.0 * lam * last / TAIL_GAMMA_DT
+            halvings = math.ceil(math.log2(stiffness)) if stiffness > 1 else 0
+            tail = t_next - last * 0.5 ** np.arange(1, halvings + 1)
+            nodes = np.concatenate([nodes[:-1], tail, [t_next]])
+        out.append(nodes)
+        t = t_next
+    return out
+
+
+def _frame_density(p: QuenchProtocol, lam: float, rtol: float) -> int:
+    """Magnus steps per unit of u for evolve_magnus_frame: a function of
+    the protocol, lam and rtol only, never of the modes."""
+    tau_q = p.tau_q
+    scale = FRAME_STEP_SCALE * math.sqrt(
+        1.0 + lam * tau_q + (tau_q / 8.0) ** 2) / rtol
+    return math.ceil(scale ** 0.25)
+
+
+def _magnus_frame(p: QuenchProtocol, lam: float, modes: np.ndarray,
+                  times: np.ndarray, density: int) -> np.ndarray:
+    """evolve_magnus_frame with an explicit step density."""
+    if len(modes) > FRAME_BATCH:
+        return np.concatenate(
+            [_magnus_frame(p, lam, modes[i:i + FRAME_BATCH], times, density)
+             for i in range(0, len(modes), FRAME_BATCH)], axis=1)
+    per_batch = max(1, FRAME_BATCH // len(modes))
+    m = np.zeros((3, len(modes)))
+    m[2] = 1.0  # the ground state at t_start, where h = 4 z-hat in both frames
+    out = []
+    for nodes, t_s in zip(_frame_nodes(p, lam, times, density), times):
+        for lo in range(0, len(nodes) - 1, per_batch):
+            props = _frame_propagators(p, lam, modes,
+                                       nodes[lo:lo + per_batch + 1])
+            for step in range(props.shape[2]):
+                m = (props[:, 0, step] * m[0] + props[:, 1, step] * m[1]
+                     + props[:, 2, step] * m[2])
+        hy, hz, h2 = _frame_field(p, t_s, modes)
+        cos_phi, sin_phi = hz / np.sqrt(h2), hy / np.sqrt(h2)
+        out.append(np.stack([m[0], cos_phi * m[1] + sin_phi * m[2],
+                             cos_phi * m[2] - sin_phi * m[1]], axis=1))
+    return np.stack(out)
+
+
+def evolve_magnus_frame(
+    p: QuenchProtocol,
+    lam: float,
+    modes: Sequence[float],
+    sample_times: Sequence[float],
+    rtol: float = DEFAULT_RTOL,
+) -> np.ndarray:
+    """Dephased (lam > 0) evolution of every mode at once, from its ground
+    state at t_start, sampled at the sample times.
+
+    Returns the Bloch vectors, shape (n_samples, n_modes, 3).
+
+    Fourth-order Magnus in the adiabatic frame (Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470 (2009)).  Each mode's frame is rotated about x by
+    phi = atan2(h_y, h_z), so that h maps to |h| z-hat and the start state
+    is exactly z-hat.  There m = R_x(phi) n obeys dm/dt = A m with
+
+        A = [[-Gamma,  2|h|,    0   ],
+             [-2|h|,  -Gamma, -phidot],
+             [  0,     phidot,  0   ]],
+
+    Gamma = 4 lam |h|^2 and phidot = 8 sin(k) / (tau_q |h|^2), exact
+    because J + h = 2.  The stiff dephasing acts only on the (x, y) block,
+    which commutes with itself at all times, so the Magnus remainder comes
+    from the slow coupling phidot alone.  A step over [t, t + dt] with
+    A_1, A_2 at the Gauss points t + (1/2 -/+ sqrt(3)/6) dt applies
+
+        exp(dt/2 (A_1 + A_2) + (sqrt(3)/12) dt^2 [A_2, A_1]).
+
+    The nodes are graded toward t = 0 (_frame_nodes) and include every
+    sample time, where the state is rotated back to the lab frame.  Their
+    number depends on the protocol, lam, rtol and the sample times only.
+    The ODE is linear, so the step propagators do not depend on the state:
+    they are built FRAME_BATCH matrices at a time by _expm3 and applied
+    one step after another.  Every operation is elementwise over modes, so
+    a mode's trajectory is bit-identical whether it is solved alone, in a
+    subset or in the ensemble.
+    """
+    rtol = check_tolerance("rtol", rtol)
+    lam = check_lambda("lam", lam)
+    times = _check_sample_times(p, sample_times)
+    modes = np.asarray(modes, dtype=float).reshape(-1)
+    return _magnus_frame(p, lam, modes, times, _frame_density(p, lam, rtol))
+
+
 def trotter_step_mode(n: np.ndarray, k, j: float, h: float,
                       dt: float) -> np.ndarray:
     """One Trotter step in circuit order, on one mode or on many.
@@ -335,7 +575,6 @@ def run_quench(
     lam: float,
     sample_times: Optional[Sequence[float]] = None,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> List[ModeEnsemble]:
     """Evolve every positive mode through the quench.
 
@@ -344,17 +583,15 @@ def run_quench(
     omitted; Trotter with lam > 0 is rejected (the decoherence channel is
     defined for continuous evolution only).  Continuous sample times
     default to t_end and must be strictly increasing inside the protocol
-    interval.
+    interval.  lam must be finite and >= 0.
 
-    At lam = 0 all modes are stepped together by evolve_magnus (rtol sets
-    the step size, atol is unused); Trotter steps are batched the same
-    way.  At lam > 0 modes are solved one at a time by evolve_continuous,
-    each with its own adaptive LSODA step sequence.  Either way a mode's
-    trajectory is bit-identical whether it is solved alone or as part of
-    the ensemble.
+    All modes are stepped together: by evolve_magnus at lam = 0, by
+    evolve_magnus_frame at lam > 0 (rtol sets the step count of both), and
+    by batched Trotter rotations.  Either way a mode's trajectory is
+    bit-identical whether it is solved alone or as part of the ensemble.
     """
     rtol = check_tolerance("rtol", rtol)
-    atol = check_tolerance("atol", atol)
+    lam = check_lambda("lam", lam)
     grid = momentum_grid(n_sites)
     if p.evolution is Evolution.TROTTER:
         if lam != 0.0:
@@ -369,12 +606,7 @@ def run_quench(
         if lam == 0.0:
             states = evolve_magnus(p, grid.modes, times, rtol=rtol)
         else:
-            per_mode = [
-                evolve_continuous(p, lam, k, p.t_start, p.t_end, times,
-                                  rtol=rtol, atol=atol)
-                for k in grid.modes
-            ]
-            states = np.stack(per_mode, axis=1)  # (n_samples, n_modes, 3)
+            states = evolve_magnus_frame(p, lam, grid.modes, times, rtol=rtol)
     ensembles = []
     for t, s in zip(times, states):
         sched = schedule_at(p, t)
@@ -390,22 +622,24 @@ def integrator_stats(p: QuenchProtocol, lam: float,
                      rtol: float = DEFAULT_RTOL) -> dict:
     """How run_quench produced these ensembles, for the run manifest.
 
-    method is "trotter", "magnus4" (lam = 0) or "lsoda" (lam > 0); steps
-    is the total step count of the batched paths (None for LSODA, whose
-    steps are per mode); max_norm_error is the worst |(|n_k| - 1)| when
-    the evolution is unitary and the worst max(|n_k| - 1, 0) otherwise,
-    where |n_k| <= 1 is the invariant.
+    method is "trotter", "magnus4" (lam = 0) or "magnus4_frame" (lam > 0);
+    steps is the total step count; max_norm_error is the worst
+    |(|n_k| - 1)| when the evolution is unitary and the worst
+    max(|n_k| - 1, 0) otherwise, where |n_k| <= 1 is the invariant.
     """
     norms = np.linalg.norm(np.stack([e.states for e in ensembles]), axis=-1)
+    times = np.array([e.t for e in ensembles])
     if p.evolution is Evolution.TROTTER:
         method, steps = "trotter", p.steps
     elif lam == 0.0:
-        edges = [p.t_start] + [e.t for e in ensembles]
+        edges = [p.t_start, *times]
         method = "magnus4"
         steps = sum(_magnus_steps(p, b - a, rtol)
                     for a, b in zip(edges[:-1], edges[1:]))
     else:
-        method, steps = "lsoda", None
+        method = "magnus4_frame"
+        nodes = _frame_nodes(p, lam, times, _frame_density(p, lam, rtol))
+        steps = sum(len(x) - 1 for x in nodes)
     drift = norms - 1.0 if lam == 0.0 else np.maximum(norms - 1.0, 0.0)
     return {"method": method, "steps": steps,
             "max_norm_error": float(np.abs(drift).max())}

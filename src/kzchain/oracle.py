@@ -22,6 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
+from .mode_dynamics import check_lambda
 from .protocol import Evolution, QuenchProtocol, schedule_at
 
 __all__ = [
@@ -187,13 +188,14 @@ def evolve_lindblad(
     """Full double-commutator master equation, no mode-mixing approximation.
 
     d/dt rho = -i[H, rho] - lam [H, [H, rho]], from the paramagnetic
-    product state.  Continuous protocols only.
+    product state.  Continuous protocols only.  The mode pipeline instead
+    dephases each (k, -k) pair in its own H_k, which drops the cross terms
+    [H_k, [H_k', rho]] that this equation keeps.
     """
     _check_n(n, cap=max_n)
     if p.evolution is not Evolution.CONTINUOUS:
         raise ValueError("Lindblad evolution is defined for continuous protocols")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    lam = check_lambda("lam", lam)
     if sample_times is None:
         sample_times = [p.t_end]
     dim = 2**n

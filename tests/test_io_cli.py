@@ -138,12 +138,24 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["mode_dynamics.rtol", "mode_dynamics.atol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_invalid_tolerance_rejected(self, tmp_path, key, value):
+        # rtol is validated; atol is no longer a config key at all
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"{key} = {value}\n")
+        name = key.split(".")[1]
         with pytest.raises(ValueError, match=key):
             RunConfig().apply_file(load_config_file(cfg_file))
-        with pytest.raises(ValueError, match=key):
-            RunConfig(**{key.split(".")[1]: float(value)})
+        error = ValueError if name == "rtol" else TypeError
+        with pytest.raises(error, match=key if name == "rtol" else name):
+            RunConfig(**{name: float(value)})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_invalid_lambda_rejected(self, tmp_path, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"mode_dynamics.lambda = {value}\n")
+        with pytest.raises(ValueError, match="mode_dynamics.lambda"):
+            RunConfig().apply_file(load_config_file(cfg_file))
+        with pytest.raises(ValueError, match="mode_dynamics.lambda"):
+            RunConfig(lam=float(value))
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -220,7 +232,7 @@ class TestCli:
         assert 0.0 <= integrator["max_norm_error"] < 1e-13
 
     @pytest.mark.parametrize("args, method, steps, bound", [
-        (["--tau-q", "2", "--lambda", "0.5"], "lsoda", None, 1e-9),
+        (["--tau-q", "2", "--lambda", "0.5"], "magnus4_frame", 1169, 1e-9),
         (["--trotter", "--dt", "0.25", "--steps", "6"], "trotter", 6, 1e-13),
     ])
     def test_manifest_records_integrator(self, tmp_path, args, method, steps,
@@ -255,6 +267,22 @@ class TestCli:
         ref = oracle_observables(final, sched.j, sched.h)
         assert out["n_def"] == ref["n_def"] and out["energy"] == ref["energy"]
         assert out["m_x"] == ref["m_x"].tolist()
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    def test_quench_rejects_bad_lambda(self, tmp_path, capsys, lam):
+        rc = main(["quench", "--n", "8", "--tau-q", "2", "--serial",
+                   f"--lambda={lam}", "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "--lambda" in err["message"]
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    def test_oracle_rejects_bad_lambda(self, capsys, lam):
+        rc = main(["oracle", "--n", "4", "--tau-q", "1", f"--lambda={lam}"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "--lambda" in err["message"]
 
     def test_oracle_requires_tau_q(self, capsys):
         rc = main(["oracle", "--n", "4"])

@@ -7,8 +7,9 @@ from scipy.linalg import expm
 
 from kzchain.mode_dynamics import (ModeEnsemble, ground_state_bloch,
                                    evolve_continuous, evolve_magnus,
-                                   integrator_stats, run_quench,
-                                   trotter_step_mode)
+                                   evolve_magnus_frame, integrator_stats,
+                                   run_quench, trotter_step_mode,
+                                   _magnus_frame)
 from kzchain.observables import residual_energy
 from kzchain.protocol import (Evolution, QuenchProtocol, Variant, momentum_grid,
                               pseudo_field, schedule_at)
@@ -82,9 +83,9 @@ class TestContinuousEvolution:
             evolve_continuous(p, -0.5, 0.5, -1.0, 0.0, [0.0])
 
 
-def _lsoda_reference(p, modes, times):
+def _lsoda_reference(p, modes, times, lam=0.0):
     """Per-mode LSODA at tight tolerances, shape (n_samples, n_modes, 3)."""
-    return np.stack([evolve_continuous(p, 0.0, float(k), p.t_start, p.t_end,
+    return np.stack([evolve_continuous(p, lam, float(k), p.t_start, p.t_end,
                                        times, rtol=1e-13, atol=1e-15)
                      for k in modes], axis=1)
 
@@ -145,6 +146,41 @@ class TestMagnus:
                                           abs=0.01)
 
 
+class TestMagnusFrame:
+    @given(st.sampled_from([8, 16, 64]),
+           st.floats(0.0, 100.0, exclude_min=True),
+           st.floats(0.5, 64.0), st.sampled_from(list(Variant)),
+           st.one_of(st.none(), st.floats(0.1, 0.9)))
+    @settings(max_examples=12, deadline=None)
+    def test_matches_tight_lsoda(self, n_sites, lam, tau_q, variant, frac):
+        """At the default rtol the batched dephased evolution lies within
+        5e-9 of LSODA run at rtol 1e-13, at one or two sample times."""
+        p = QuenchProtocol(tau_q=tau_q, variant=variant)
+        times = [p.t_end] if frac is None else \
+            [p.t_start + frac * p.duration, p.t_end]
+        ensembles = run_quench(p, n_sites, lam=lam, sample_times=times)
+        batched = np.stack([e.states for e in ensembles])
+        ref = _lsoda_reference(p, ensembles[0].grid.modes, times, lam=lam)
+        assert np.abs(batched - ref).max() < 5e-9
+
+    def test_strong_measurement_sweep_point(self):
+        """The N = 192, lam = 100 case of the QND benchmark sweep."""
+        p = QuenchProtocol(tau_q=16.0)
+        (e,) = run_quench(p, 192, lam=100.0, sample_times=[0.0])
+        ref = _lsoda_reference(p, e.grid.modes, [0.0], lam=100.0)
+        assert np.abs(e.states - ref[0]).max() < 5e-9
+
+    def test_fourth_order_convergence(self):
+        """Doubling the step density cuts the error by about 2^4."""
+        p = QuenchProtocol(tau_q=4.0)
+        modes = momentum_grid(16).modes
+        times = np.array([0.0])
+        ref = _lsoda_reference(p, modes, times, lam=1.0)
+        errors = [np.abs(_magnus_frame(p, 1.0, modes, times, density)
+                         - ref).max() for density in (50, 100)]
+        assert errors[0] / errors[1] >= 12.0
+
+
 class TestTrotterStep:
     @given(st.floats(0.05, 3.1), st.floats(0.0, 2.0), st.floats(0.01, 0.5))
     @settings(max_examples=60)
@@ -198,12 +234,18 @@ class TestRunQuench:
         assert e.j == 1.0 and e.h == 1.0
 
     def test_mode_independence(self):
-        # a mode's trajectory is identical solved alone or in the ensemble
-        p = QuenchProtocol(tau_q=1.5)
-        e = run_quench(p, 12, lam=0.3, sample_times=[0.0])[0]
-        k = float(e.grid.modes[2])
-        (alone,) = evolve_continuous(p, 0.3, k, p.t_start, 0.0, [0.0])
-        np.testing.assert_array_equal(e.states[2], alone)
+        # at lam > 0 a mode's trajectory is bit-identical solved alone, in
+        # a subset, or in the ensemble (TestMagnus covers lam = 0)
+        p = QuenchProtocol(tau_q=1.5, variant=Variant.FULL_QUENCH)
+        times = [-0.5, 0.0, 1.5]
+        for lam in (0.3, 100.0):
+            ensembles = run_quench(p, 12, lam=lam, sample_times=times)
+            states = np.stack([e.states for e in ensembles])
+            modes = ensembles[0].grid.modes
+            alone = evolve_magnus_frame(p, lam, modes[2:3], times)
+            np.testing.assert_array_equal(states[:, 2:3], alone)
+            subset = evolve_magnus_frame(p, lam, modes[1::2], times)
+            np.testing.assert_array_equal(states[:, 1::2], subset)
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     @pytest.mark.parametrize("times", [[0.0, -0.5], [-0.5, -0.5],
@@ -218,9 +260,19 @@ class TestRunQuench:
     @pytest.mark.parametrize("key", ["rtol", "atol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_tolerances_checked(self, lam, key, value):
+        # rtol is validated; atol is not a run_quench parameter at all
         p = QuenchProtocol(tau_q=1.0)
-        with pytest.raises(ValueError, match=key):
+        error = ValueError if key == "rtol" else TypeError
+        with pytest.raises(error, match=key):
             run_quench(p, 8, lam=lam, sample_times=[0.0], **{key: value})
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_lambda_checked(self, lam):
+        p = QuenchProtocol(tau_q=1.0)
+        with pytest.raises(ValueError, match="lam"):
+            run_quench(p, 8, lam=lam, sample_times=[0.0])
+        with pytest.raises(ValueError, match="lam"):
+            evolve_magnus_frame(p, lam, [0.5], [0.0])
 
     def test_trotter_rejects_decoherence(self, small_trotter_protocol):
         with pytest.raises(ValueError):

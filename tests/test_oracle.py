@@ -97,6 +97,11 @@ class TestLindbladEvolution:
             psi_state.data.conj() @ (ham @ psi_state.data)))
         assert energy == pytest.approx(e_unitary, abs=5e-2)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            evolve_lindblad(QuenchProtocol(tau_q=1.0), 4, lam)
+
     def test_density_matrix_cap(self):
         with pytest.raises(ValueError):
             evolve_lindblad(QuenchProtocol(tau_q=1.0), 8, 0.1)
