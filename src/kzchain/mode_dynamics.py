@@ -55,6 +55,7 @@ __all__ = [
     "evolve_magnus",
     "evolve_magnus_frame",
     "check_lambda",
+    "check_sample_times",
     "trotter_step_mode",
     "run_quench",
     "integrator_stats",
@@ -219,7 +220,7 @@ def check_lambda(key: str, value: float) -> float:
     return value
 
 
-def _check_sample_times(p: QuenchProtocol, sample_times) -> np.ndarray:
+def check_sample_times(p: QuenchProtocol, sample_times) -> np.ndarray:
     """Sample times as an array: non-empty, strictly increasing, and inside
     the protocol interval [t_start, t_end]."""
     times = np.asarray(sample_times, dtype=float).reshape(-1)
@@ -303,7 +304,7 @@ def evolve_magnus(
     boundaries.  |n| = 1 is kept to roundoff.
     """
     rtol = check_tolerance("rtol", rtol)
-    times = _check_sample_times(p, sample_times)
+    times = check_sample_times(p, sample_times)
     modes = np.asarray(modes, dtype=float).reshape(-1)
     sin_k, cos_k = np.sin(modes), np.cos(modes)
     n = _ground_states(p, modes)
@@ -528,7 +529,7 @@ def evolve_magnus_frame(
     """
     rtol = check_tolerance("rtol", rtol)
     lam = check_lambda("lam", lam)
-    times = _check_sample_times(p, sample_times)
+    times = check_sample_times(p, sample_times)
     modes = np.asarray(modes, dtype=float).reshape(-1)
     return _magnus_frame(p, lam, modes, times, _frame_density(p, lam, rtol))
 
@@ -601,7 +602,7 @@ def run_quench(
         times = p.step_times()
         states = _evolve_trotter(p, grid.modes)
     else:
-        times = _check_sample_times(
+        times = check_sample_times(
             p, [p.t_end] if sample_times is None else sample_times)
         if lam == 0.0:
             states = evolve_magnus(p, grid.modes, times, rtol=rtol)

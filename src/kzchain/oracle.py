@@ -4,12 +4,23 @@ Dense statevector evolution of the periodic spin chain (continuous and
 Trotterized, closed system), dense density-matrix evolution of the full
 double-commutator master equation (no mode-mixing approximation), and
 direct expectation values for every spin observable the reduced pipeline
-exposes.  Everything here is deliberately simple and O(2^N); the caps are
-desk-scale memory limits, not tunables.
+exposes.  Nothing here takes a Jordan-Wigner step, a momentum
+decomposition or a Pfaffian: states live on spin configurations.
 
-For N = 2 the wraparound bond double-counts the single physical bond;
-the Hamiltonian sum is kept literal, and pipeline-equivalence tests start
-at N = 4.
+The continuous evolutions run in the symmetric sector.  H(t) commutes
+with the cyclic shift T and with the global flip F = prod sigma^x, and
+the start state |+>^N is invariant under both, so psi(t), and rho(t)
+under -i[H, rho] - lam [H, [H, rho]], stay in the span of the orbit sums
+|O> = sum_{s in O} |s> / sqrt|O| over the orbits O of basis states under
+T and F.  The reduction is exact, a change of basis that drops only
+amplitudes which are zero at every t, not a truncation.  The sector
+holds d = 4, 8, 20, 56, 180, 596 states at N = 4, 6, ..., 14, out of 2^N.
+States are returned in the full 2^N basis.  Trotter runs apply the gate
+layers to the full vector, as the circuit comparison needs.
+
+The caps are desk-scale memory limits, not tunables.  For N = 2 the
+wraparound bond double-counts the single physical bond; the Hamiltonian
+sum is kept literal, and pipeline-equivalence tests start at N = 4.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .mode_dynamics import check_lambda
+from .mode_dynamics import check_lambda, check_sample_times
 from .protocol import Evolution, QuenchProtocol, schedule_at
 
 __all__ = [
@@ -64,9 +75,17 @@ class DenseState:
                 raise ValueError("statevector norm drifted from 1")
 
 
-def _check_n(n: int, cap: int = MAX_N_STATEVECTOR):
+def _check_size(n: int, cap: int):
     if not (2 <= n <= cap):
         raise ValueError(f"N = {n} outside supported range [2, {cap}]")
+
+
+def _check_n(n: int, cap: int = MAX_N_STATEVECTOR):
+    """A quench chain: N in [2, cap] and even, like the antiperiodic
+    momentum grid of the pipeline it is compared with."""
+    _check_size(n, cap)
+    if n % 2 != 0:
+        raise ValueError("quench protocols use even N")
 
 
 def _spin_bits(n: int) -> np.ndarray:
@@ -93,10 +112,53 @@ def _sx_sum(n: int) -> sparse.csr_matrix:
 
 def dense_hamiltonian(n: int, j: float, h: float) -> sparse.csr_matrix:
     """H = -J sum sigma^z_i sigma^z_{i+1} - h sum sigma^x_i, periodic."""
-    _check_n(n)
+    _check_size(n, MAX_N_STATEVECTOR)
     dim = 2**n
     hz = sparse.diags(-j * _zz_diagonal(n), format="csr")
     return (hz - h * _sx_sum(n)).tocsr()
+
+
+def _symmetric_sector(n: int) -> sparse.csr_matrix:
+    """Isometry P, shape (2^n, d), onto the shift- and flip-invariant sector.
+
+    Column c is the orbit sum of the c-th orbit of basis states under the
+    cyclic shift and the global flip: P[s, orbit(s)] = 1/sqrt|orbit|, with
+    orbits ordered by their smallest member.
+    """
+    idx = np.arange(2**n)
+    mask = 2**n - 1
+    rot, rep = idx, np.minimum(idx, idx ^ mask)
+    for _ in range(n - 1):
+        rot = (rot >> 1) | ((rot & 1) << (n - 1))
+        rep = np.minimum(rep, np.minimum(rot, rot ^ mask))
+    _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+    return sparse.csr_matrix((1.0 / np.sqrt(size[orbit]), (idx, orbit)),
+                             shape=(idx.size, size.size))
+
+
+def _sector_terms(n: int):
+    """P with the two terms of H in the sector: the ZZ sum as a vector,
+    since P^T diag(zz) P is diagonal because the orbits are disjoint, and
+    the transverse-field sum P^T sx P as a sparse matrix."""
+    proj = _symmetric_sector(n)
+    zz = (proj.T @ sparse.diags(_zz_diagonal(n)) @ proj).diagonal()
+    sx = (proj.T @ _sx_sum(n) @ proj).tocsr()
+    return proj, zz, sx
+
+
+def _integrate(rhs, y0: np.ndarray, p: QuenchProtocol, times: np.ndarray,
+               rtol: float, atol: float, what: str) -> np.ndarray:
+    """DOP853 from p.t_start to the last sample time; the state at each
+    sample time, shape (len(times), y0.size)."""
+    if times[-1] == p.t_start:
+        # solve_ivp returns no state on a zero-length span
+        return y0[None, :]
+    sol = solve_ivp(rhs, (p.t_start, times[-1]), y0, method="DOP853",
+                    t_eval=times, rtol=rtol, atol=atol)
+    if not sol.success:
+        raise RuntimeError(f"{what} integration failed: {sol.message}")
+    # contiguous rows, so that each can be viewed as complex
+    return sol.y.T.copy()
 
 
 def _plus_state(n: int) -> np.ndarray:
@@ -142,38 +204,33 @@ def evolve_statevector(
 ) -> List[DenseState]:
     """Closed-system evolution from |+>^N through the quench.
 
-    Continuous protocols integrate the Schrodinger equation with a
-    high-order adaptive scheme; Trotter protocols apply exactly the gate
-    layers, sampling at every step boundary.
+    Continuous protocols integrate the Schrodinger equation with DOP853
+    on the d amplitudes of the symmetric sector (module docstring), from
+    t_start to the last sample time.  There the ZZ term is diagonal and
+    the transverse field is a sparse d x d matrix.  Sample times default to t_end and must be strictly
+    increasing inside the protocol interval.  Trotter protocols apply
+    exactly the gate layers to the full 2^N vector, sampling at every
+    step boundary.
     """
     _check_n(n)
-    if n % 2 != 0:
-        raise ValueError("quench protocols use even N")
     if p.evolution is Evolution.TROTTER:
         if sample_times is not None:
             raise ValueError("Trotter sample times are fixed at step boundaries")
         return _trotter_statevector(p, n)
-    if sample_times is None:
-        sample_times = [p.t_end]
-    zz = _zz_diagonal(n)
-    sx = _sx_sum(n)
+    times = check_sample_times(
+        p, [p.t_end] if sample_times is None else sample_times)
+    proj, zz, sx = _sector_terms(n)
 
     def rhs(t, y):
-        psi = y.view(complex)
+        c = y.view(complex)
         sched = schedule_at(p, float(np.clip(t, p.t_start, p.t_end)))
-        hpsi = -sched.j * (zz * psi) - sched.h * (sx @ psi)
-        return (-1j * hpsi).view(float)
+        hc = -sched.j * (zz * c) - sched.h * (sx @ c)
+        return (-1j * hc).view(float)
 
-    y0 = _plus_state(n).view(float)
-    sol = solve_ivp(rhs, (p.t_start, p.t_end), y0, method="DOP853",
-                    t_eval=np.asarray(sample_times, dtype=float),
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"statevector integration failed: {sol.message}")
-    return [
-        DenseState(n_sites=n, t=float(t), data=sol.y[:, i].copy().view(complex))
-        for i, t in enumerate(sol.t)
-    ]
+    y0 = (proj.T @ _plus_state(n)).view(float)
+    ys = _integrate(rhs, y0, p, times, rtol, atol, "statevector")
+    return [DenseState(n_sites=n, t=float(t), data=proj @ y.view(complex))
+            for t, y in zip(times, ys)]
 
 
 def evolve_lindblad(
@@ -188,44 +245,41 @@ def evolve_lindblad(
     """Full double-commutator master equation, no mode-mixing approximation.
 
     d/dt rho = -i[H, rho] - lam [H, [H, rho]], from the paramagnetic
-    product state.  Continuous protocols only.  The mode pipeline instead
-    dephases each (k, -k) pair in its own H_k, which drops the cross terms
-    [H_k, [H_k', rho]] that this equation keeps.
+    product state.  Continuous protocols only.  DOP853 runs on the d x d
+    block r of rho in the symmetric sector (module docstring), from
+    t_start to the last sample time, and each sample is returned as
+    rho = P r P^T in the full basis.  Sample times default to t_end and
+    must be strictly increasing inside the protocol interval.  The mode
+    pipeline instead dephases each (k, -k) pair in its own H_k, which
+    drops the cross terms [H_k, [H_k', rho]] that this equation keeps.
     """
     _check_n(n, cap=max_n)
     if p.evolution is not Evolution.CONTINUOUS:
         raise ValueError("Lindblad evolution is defined for continuous protocols")
     lam = check_lambda("lam", lam)
-    if sample_times is None:
-        sample_times = [p.t_end]
-    dim = 2**n
-    zz = _zz_diagonal(n)
-    sx = _sx_sum(n).toarray()
-    psi0 = _plus_state(n)
-    rho0 = np.outer(psi0, psi0.conj())
-
-    def hamiltonian(t):
-        sched = schedule_at(p, float(np.clip(t, p.t_start, p.t_end)))
-        return np.diag(-sched.j * zz) - sched.h * sx
+    times = check_sample_times(
+        p, [p.t_end] if sample_times is None else sample_times)
+    proj, zz, sx = _sector_terms(n)
+    proj, zz, sx = proj.toarray(), np.diag(zz), sx.toarray()
+    dim = zz.shape[0]
+    c0 = proj.T @ _plus_state(n)
+    rho0 = np.outer(c0, c0.conj())
 
     def rhs(t, y):
         rho = y.view(complex).reshape(dim, dim)
-        ham = hamiltonian(t)
+        sched = schedule_at(p, float(np.clip(t, p.t_start, p.t_end)))
+        ham = -sched.j * zz - sched.h * sx
         comm = ham @ rho - rho @ ham
         out = -1j * comm
         if lam != 0.0:
             out -= lam * (ham @ comm - comm @ ham)
         return out.ravel().view(float)
 
-    sol = solve_ivp(rhs, (p.t_start, p.t_end), rho0.ravel().view(float),
-                    method="DOP853",
-                    t_eval=np.asarray(sample_times, dtype=float),
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"Lindblad integration failed: {sol.message}")
+    ys = _integrate(rhs, rho0.ravel().view(float), p, times, rtol, atol,
+                    "Lindblad")
     out = []
-    for i, t in enumerate(sol.t):
-        rho = sol.y[:, i].copy().view(complex).reshape(dim, dim)
+    for t, y in zip(times, ys):
+        rho = proj @ y.view(complex).reshape(dim, dim) @ proj.T
         if abs(np.trace(rho).real - 1.0) > 1e-8:
             raise RuntimeError(f"trace drift {np.trace(rho).real - 1.0:g} at t = {t}")
         out.append(DenseState(n_sites=n, t=float(t), data=rho))

@@ -297,6 +297,13 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
 
+    def test_oracle_rejects_odd_n_with_lambda(self, capsys):
+        rc = main(["oracle", "--n", "5", "--tau-q", "1", "--lambda", "0.1"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "quench protocols use even N"}
+
     def test_output_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KZCHAIN_OUT", str(tmp_path / "envroot"))
         monkeypatch.chdir(tmp_path)

@@ -8,14 +8,15 @@ is therefore evidence for the whole free-fermion chain of reasoning.
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from kzchain.correlators import (fermion_correlators, magnetization_x,
                                  xx_connected, zz_connected)
 from kzchain.mode_dynamics import run_quench
 from kzchain.observables import defect_density, total_energy
-from kzchain.oracle import (DenseState, dense_hamiltonian, evolve_lindblad,
-                            evolve_statevector, oracle_observables,
-                            zz_correlation_se)
+from kzchain.oracle import (DenseState, _symmetric_sector, dense_hamiltonian,
+                            evolve_lindblad, evolve_statevector,
+                            oracle_observables, zz_correlation_se)
 from kzchain.protocol import Evolution, QuenchProtocol, Variant, schedule_at
 
 
@@ -39,6 +40,101 @@ class TestHamiltonian:
         expected = -sum(pseudo_field(float(k), j, h).norm
                         for k in momentum_grid(n).modes)
         assert e0 == pytest.approx(expected, abs=1e-10)
+
+
+def _plus(n):
+    return np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+
+
+def _full_space_solve(p, n, times, y0, rhs_of_ham, rtol, atol):
+    """Reference DOP853 solve in the full 2^n basis, H(t) built from the
+    public dense_hamiltonian; rhs_of_ham(ham, y) gives dy/dt."""
+    h_zz = dense_hamiltonian(n, 1.0, 0.0)
+    h_x = dense_hamiltonian(n, 0.0, 1.0)
+
+    def rhs(t, y):
+        sched = schedule_at(p, min(max(t, p.t_start), p.t_end))
+        return rhs_of_ham(sched.j * h_zz + sched.h * h_x, y)
+
+    sol = solve_ivp(rhs, (p.t_start, times[-1]), y0, method="DOP853",
+                    t_eval=times, rtol=rtol, atol=atol)
+    assert sol.success
+    return sol.y.T.copy()
+
+
+class TestSymmetricSector:
+    """The shift- and flip-invariant sector the continuous evolutions use."""
+
+    @pytest.mark.parametrize("n, dim", [(4, 4), (6, 8), (8, 20), (10, 56),
+                                        (12, 180), (14, 596)])
+    def test_isometry_invariant_under_h(self, n, dim):
+        j, h = np.random.default_rng(n).uniform(-2.0, 2.0, size=2)
+        proj = _symmetric_sector(n)
+        assert proj.shape == (2**n, dim)
+        gram = (proj.T @ proj).toarray()
+        assert np.max(np.abs(gram - np.eye(dim))) < 1e-13
+        hp = dense_hamiltonian(n, j, h) @ proj
+        assert abs(hp - proj @ (proj.T @ hp)).max() < 1e-13
+        psi0 = _plus(n)
+        assert np.max(np.abs(proj @ (proj.T @ psi0) - psi0)) < 1e-13
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_statevector_matches_full_space(self, variant):
+        n = 8
+        p = QuenchProtocol(tau_q=1.5, variant=variant)
+        times = [p.t_start + 0.4 * p.duration, p.t_end]
+
+        def rhs(ham, y):
+            return (-1j * (ham @ y.view(complex))).view(float)
+
+        ref = _full_space_solve(p, n, times, _plus(n).view(float), rhs,
+                                rtol=1e-11, atol=1e-13)
+        states = evolve_statevector(p, n, sample_times=times)
+        assert [s.t for s in states] == times
+        for s, y in zip(states, ref):
+            s.validate()
+            assert np.max(np.abs(s.data - y.view(complex))) < 1e-9
+
+    @pytest.mark.parametrize("lam", [0.2, 5.0])
+    def test_lindblad_matches_full_space(self, lam):
+        n, dim = 4, 16
+        p = QuenchProtocol(tau_q=0.25)
+        times = [-0.125, 0.0]
+
+        def rhs(ham, y):
+            rho = y.view(complex).reshape(dim, dim)
+            comm = ham @ rho - rho @ ham
+            return (-1j * comm - lam * (ham @ comm - comm @ ham)).ravel().view(float)
+
+        rho0 = np.outer(_plus(n), _plus(n).conj())
+        ref = _full_space_solve(p, n, times, rho0.ravel().view(float), rhs,
+                                rtol=1e-10, atol=1e-12)
+        states = evolve_lindblad(p, n, lam, sample_times=times)
+        for s, y in zip(states, ref):
+            s.validate()
+            assert np.max(np.abs(s.data - y.view(complex).reshape(dim, dim))) < 1e-9
+
+
+class TestSampleTimes:
+    """Both continuous evolutions integrate to the last sample time only."""
+
+    def test_sample_at_start_is_start_state(self):
+        p = QuenchProtocol(tau_q=1.0)
+        (s,) = evolve_statevector(p, 4, sample_times=[p.t_start])
+        (r,) = evolve_lindblad(p, 4, 0.5, sample_times=[p.t_start])
+        assert s.t == r.t == p.t_start
+        np.testing.assert_allclose(s.data, _plus(4), atol=1e-15)
+        np.testing.assert_allclose(r.data, np.outer(_plus(4), _plus(4)),
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("times", [[0.0, -0.5], [-0.5, -0.5], [],
+                                       [-2.0], [0.5]])
+    def test_rejects_bad_sample_times(self, times):
+        p = QuenchProtocol(tau_q=1.0)
+        with pytest.raises(ValueError, match="sample_times"):
+            evolve_statevector(p, 4, sample_times=times)
+        with pytest.raises(ValueError, match="sample_times"):
+            evolve_lindblad(p, 4, 0.1, sample_times=times)
 
 
 class TestStatevectorEvolution:
@@ -101,6 +197,10 @@ class TestLindbladEvolution:
     def test_rejects_bad_lambda(self, lam):
         with pytest.raises(ValueError, match="lam"):
             evolve_lindblad(QuenchProtocol(tau_q=1.0), 4, lam)
+
+    def test_rejects_odd_n(self):
+        with pytest.raises(ValueError, match="even N"):
+            evolve_lindblad(QuenchProtocol(tau_q=1.0), 5, 0.1)
 
     def test_density_matrix_cap(self):
         with pytest.raises(ValueError):
