@@ -7,10 +7,19 @@ square (a, b) grid, fit each cell to the exponentially damped polynomial
 
 and pick the cell with the smallest root-mean-square residual.  The grid
 spacing is the resolution of the reported exponents.  Each fit is a
-variable projection (Golub & Pereyra, Inverse Problems 19 (2003) R1): a
-scan over the decay rate with a linear least-squares solve for the
-polynomial at each step.  Since y does not depend on b, the scan runs once
-per a, shared by every b.
+variable projection (Golub & Pereyra, Inverse Problems 19 (2003) R1): for
+a fixed decay rate p_{-1} the polynomial is a linear least-squares solve,
+so the nonlinear part is a 1-D search over the decay, a scan of 62 fixed
+rates and then Brent's bounded minimiser (Brent, Algorithms for
+Minimization without Derivatives, 1973) between the neighbours of the best
+scan point.
+
+y does not depend on b, so every b cell of one a shares its designs.  The
+scan solves them for all b columns at once, as one batched SVD per chunk
+of 16 decays.  The refinement runs the Brent iteration of all b cells in
+lockstep, each lane exactly as scipy's `minimize_scalar(method="bounded")`
+would run it alone, with one batched SVD solve per iteration for the lanes
+still open.  An exponent a thus costs a few dozen LAPACK calls.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 logger = logging.getLogger(__name__)
 
@@ -120,43 +128,148 @@ def rescale(ds: CorrelationDataset, a: float, b: float):
 
 
 _DECAY_SCAN = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
+_SCAN_CHUNK = 16  # decays per batched scan solve: temporaries stay at a few MB
+
+# constants of scipy.optimize's bounded Brent minimiser
+_GOLDEN_MEAN = 0.5 * (3.0 - np.sqrt(5.0))
+_SQRT_EPS = np.sqrt(2.2e-16)
+_XATOL = 1e-12
+_MAXFUN = 500
 
 
-def _solve(y: np.ndarray, powers: np.ndarray, v: np.ndarray, decay: float):
-    """Polynomial coefficients and RMSE of every column of v at one decay.
+def _designs(y: np.ndarray, powers: np.ndarray, decays: np.ndarray) -> np.ndarray:
+    """Stacked designs exp(-d y)[:, None] * powers, one per decay: (k, n, m)."""
+    return np.exp(-decays[:, None] * y)[:, :, None] * powers
 
-    A fully underflowed design yields garbage coefficients; such a column
-    scores inf so the scan moves on.
+
+def _lstsq(design: np.ndarray, v: np.ndarray):
+    """Minimum-norm least squares of stacked designs (k, n, m) against v.
+
+    v is (n, c), shared by every design, or (k, n, c).  Returns the
+    coefficients (k, m, c) and the RMSE of each column (k, c).  As in
+    `np.linalg.lstsq`, singular values at or below eps * max(n, m) * s_max
+    count as zero.  A fully underflowed design yields garbage
+    coefficients; such a column scores inf so the search moves on.
     """
-    design = np.exp(-decay * y)[:, None] * powers
-    coeffs, *_ = np.linalg.lstsq(design, v, rcond=None)
-    with np.errstate(invalid="ignore", over="ignore"):
-        resid = design @ coeffs - v
-        rmse = np.sqrt(np.mean(resid**2, axis=0))
-    usable = np.all(np.isfinite(coeffs), axis=0) & np.isfinite(rmse)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(design.shape[-2:]) * s[..., :1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        coeffs = vt.swapaxes(-1, -2) @ (s_inv[..., None]
+                                        * (u.swapaxes(-1, -2) @ v))
+        resid = design @ coeffs
+        resid -= v
+        np.square(resid, out=resid)
+        rmse = np.sqrt(resid.mean(axis=-2))
+    usable = np.all(np.isfinite(coeffs), axis=-2) & np.isfinite(rmse)
     return coeffs, np.where(usable, rmse, np.inf)
 
 
-def _decay_scan(y: np.ndarray, powers: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """RMSE of each column of v (n, k) at every scanned decay: (62, k)."""
-    return np.array([_solve(y, powers, v, d)[1] for d in _DECAY_SCAN])
+def _brent_tol(xf: np.ndarray) -> np.ndarray:
+    """scipy's tol1: the shortest step Brent takes from xf."""
+    return _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
 
 
-def _refine(y: np.ndarray, powers: np.ndarray, v: np.ndarray,
-            scan_rmse: np.ndarray):
-    """Bounded refinement of one column v around its best scanned decay."""
-    i = int(np.argmin(scan_rmse))
-    lo = _DECAY_SCAN[max(i - 1, 0)]
-    hi = _DECAY_SCAN[min(i + 1, len(_DECAY_SCAN) - 1)]
-    best_decay = _DECAY_SCAN[i]
-    if hi > lo:
-        res = minimize_scalar(lambda d: float(_solve(y, powers, v, d)[1]),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        if res.fun <= scan_rmse[i]:
-            best_decay = float(res.x)
-    coeffs, rmse = _solve(y, powers, v, best_decay)
-    return np.concatenate([[best_decay], coeffs]), float(rmse)
+def _brent_open(a, b, xf, num) -> np.ndarray:
+    """scipy's loop test: xf is not yet within the tolerance of the middle
+    of the bracket [a, b], and the evaluation budget is not spent."""
+    return ((np.abs(xf - 0.5 * (a + b)) > 2.0 * _brent_tol(xf) - 0.5 * (b - a))
+            & (num < _MAXFUN))
+
+
+def _bounded_brent(func, lo: np.ndarray, hi: np.ndarray):
+    """Brent's bounded minimiser run on many independent lanes in lockstep.
+
+    A lane-wise port of scipy.optimize.minimize_scalar(method="bounded")
+    with xatol = 1e-12 and maxiter = 500: every lane takes the steps and
+    comparisons scipy takes on its own, so x, fun and nfev match it
+    exactly.  func(x, lanes) returns f at x[i] for lane lanes[i]; each
+    iteration calls it once, on the lanes that are still open.
+    Returns (x, fun, nfev) per lane.
+    """
+    xf = lo + _GOLDEN_MEAN * (hi - lo)
+    fx = func(xf, np.arange(len(lo)))
+    zero, one = np.zeros(len(lo)), np.ones(len(lo))
+    # one row per scipy variable, one column per lane
+    state = np.array([lo, hi, xf, xf, xf, fx, fx, fx, zero, zero, one])
+    open_ = _brent_open(lo, hi, xf, one)
+    while open_.any():
+        lanes = np.flatnonzero(open_)
+        a, b, fulc, nfc, xf, fx, ffulc, fnfc, rat, e, num = state[:, lanes]
+        xm = 0.5 * (a + b)
+        tol1 = _brent_tol(xf)
+        tol2 = 2.0 * tol1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # parabola through the three best points, where the step
+            # before last was longer than tol1
+            para = np.abs(e) > tol1
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            ok = (para & (np.abs(p) < np.abs(0.5 * q * e))
+                  & (p > q * (a - xf)) & (p < q * (b - xf)))
+            e = np.where(para, rat, e)
+            rat_para = (p + 0.0) / q
+        x_para = xf + rat_para
+        near = ((x_para - a) < tol2) | ((b - x_para) < tol2)
+        si = np.sign(xm - xf) + ((xm - xf) == 0)
+        rat = np.where(ok, np.where(near, tol1 * si, rat_para), rat)
+        # golden section into the larger part everywhere else
+        e = np.where(ok, e, np.where(xf >= xm, a - xf, b - xf))
+        rat = np.where(ok, rat, _GOLDEN_MEAN * e)
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x, lanes)
+
+        better = fu <= fx
+        worse = ~better
+        a = np.where(better & (x >= xf), xf, np.where(worse & (x < xf), x, a))
+        b = np.where(better & ~(x >= xf), xf, np.where(worse & ~(x < xf), x, b))
+        shift = worse & ((fu <= fnfc) | (nfc == xf))
+        third = worse & ~shift & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        fulc = np.where(better | shift, nfc, np.where(third, x, fulc))
+        ffulc = np.where(better | shift, fnfc, np.where(third, fu, ffulc))
+        nfc = np.where(better, xf, np.where(shift, x, nfc))
+        fnfc = np.where(better, fx, np.where(shift, fu, fnfc))
+        xf = np.where(better, x, xf)
+        fx = np.where(better, fu, fx)
+        num = num + 1
+        state[:, lanes] = (a, b, fulc, nfc, xf, fx, ffulc, fnfc, rat, e, num)
+        open_[lanes] = _brent_open(a, b, xf, num)
+    return state[4], state[5], state[10].astype(int)
+
+
+def _fit_columns(y: np.ndarray, v: np.ndarray, order: int):
+    """Variable-projection fit of every column of v (n, k) on the same y.
+
+    The decay rate is scanned over _DECAY_SCAN in chunks of batched solves
+    that take every column at once.  Each column's decay is then refined
+    by Brent's bounded method between the scan points either side of its
+    best one, all columns in lockstep, and kept if it scores no worse than
+    the scan.  Returns params (k, order + 2), rows [p_{-1}, p_0, ..., p_M],
+    and the RMSE (k,), inf where no fit is usable.
+    """
+    powers = y[:, None] ** np.arange(order + 1)
+    scan = np.concatenate([
+        _lstsq(_designs(y, powers, _DECAY_SCAN[k:k + _SCAN_CHUNK]), v)[1]
+        for k in range(0, len(_DECAY_SCAN), _SCAN_CHUNK)])
+    i = np.argmin(scan, axis=0)
+    lo = _DECAY_SCAN[np.maximum(i - 1, 0)]
+    hi = _DECAY_SCAN[np.minimum(i + 1, len(_DECAY_SCAN) - 1)]
+    decay = _DECAY_SCAN[i]
+    cols = np.flatnonzero(hi > lo)
+    if cols.size:
+        v_cols = v.T[cols, :, None]
+        x, fun, _ = _bounded_brent(
+            lambda d, lanes: _lstsq(_designs(y, powers, d), v_cols[lanes])[1][:, 0],
+            lo[cols], hi[cols])
+        take = fun <= scan[i[cols], cols]
+        decay[cols[take]] = x[take]
+    coeffs, rmse = _lstsq(_designs(y, powers, decay), v.T[:, :, None])
+    return np.column_stack([decay, coeffs[:, :, 0]]), rmse[:, 0]
 
 
 def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):
@@ -173,18 +286,17 @@ def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):
     v = np.asarray(v, dtype=float)
     if len(y) < order + 2:
         return None, float("nan")
-    powers = y[:, None] ** np.arange(order + 1)
-    scan_rmse = _decay_scan(y, powers, v[:, None])[:, 0]
-    return _refine(y, powers, v, scan_rmse)
+    params, rmse = _fit_columns(y, v[:, None], order)
+    return params[0], float(rmse[0])
 
 
 def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
                    order: int = DEFAULT_POLY_ORDER) -> CollapseResult:
     """Per-cell rescale-and-fit over the (a, b) grid; argmin wins.
 
-    y = x / tau^a does not depend on b, so each a runs one decay scan
-    whose least-squares solves take every b column at once; each cell
-    then refines its own decay as `fit_exp_poly` does.  Ties break toward
+    Each a fits all its b cells together (module docstring); every cell
+    takes the scan and Brent steps `fit_exp_poly` takes on it alone, up to
+    rounding in the batched solves.  Ties break toward
     smaller a, then smaller b.  Negative retained values are dropped with
     a warning: the fit family is a positive decaying envelope, and
     sign-flipped points only appear in the finite-size boundary tail past
@@ -207,23 +319,24 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
     a_vals = grid.a_values()
     b_vals = grid.b_values()
     rmse = np.full((len(a_vals), len(b_vals)), np.nan)
-    best_cell = None
+    params = np.full(rmse.shape + (order + 2,), np.nan)
+    peak = np.zeros(rmse.shape)
     tau, x, c = ds_fit.records.T
     # with fewer records than order + 2 every cell is underdetermined
     for ia, a in enumerate(a_vals if len(x) >= order + 2 else []):
-        y = x / tau**a
-        powers = y[:, None] ** np.arange(order + 1)
         v = c[:, None] * tau[:, None] ** b_vals
-        scan_rmse = _decay_scan(y, powers, v)
-        for ib, b in enumerate(b_vals):
-            params, r = _refine(y, powers, v[:, ib], scan_rmse[:, ib])
-            if not np.isfinite(r):
-                continue
-            rmse[ia, ib] = r
-            if best_cell is None or r < best_cell[0] - 1e-15:
-                best_cell = (r, a, b, params, float(np.max(np.abs(v[:, ib]))))
-    if best_cell is None:
+        params[ia], r = _fit_columns(x / tau**a, v, order)
+        rmse[ia] = np.where(np.isfinite(r), r, np.nan)
+        peak[ia] = np.max(np.abs(v), axis=0)
+    # scanning in (a, b) order, a cell wins only by more than 1e-15
+    flat = rmse.ravel()
+    best = None
+    for cell in np.flatnonzero(np.isfinite(flat)):
+        if best is None or flat[cell] < flat[best] - 1e-15:
+            best = cell
+    if best is None:
         raise RuntimeError("every grid cell failed to fit")
-    r, a, b, params, peak = best_cell
-    return CollapseResult(grid=grid, rmse=rmse, best=(a, b),
-                          best_params=params, best_rmse=r, peak_rescaled=peak)
+    ia, ib = np.unravel_index(best, rmse.shape)
+    return CollapseResult(grid=grid, rmse=rmse, best=(a_vals[ia], b_vals[ib]),
+                          best_params=params[ia, ib], best_rmse=float(flat[best]),
+                          peak_rescaled=float(peak[ia, ib]))

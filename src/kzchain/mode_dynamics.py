@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .protocol import (
     Evolution,
@@ -180,6 +179,8 @@ def evolve_continuous(
     sched = schedule_at(p, t_from)
     n0 = ground_state_bloch(pseudo_field(k, sched.j, sched.h))
     sample_times = np.asarray(sample_times, dtype=float)
+    from scipy.integrate import solve_ivp  # only the reference path needs it
+
     sol = solve_ivp(
         _bloch_rhs,
         (t_from, t_to),

@@ -31,7 +31,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .mode_dynamics import check_lambda, check_sample_times
 from .protocol import Evolution, QuenchProtocol, schedule_at
@@ -153,6 +152,8 @@ def _integrate(rhs, y0: np.ndarray, p: QuenchProtocol, times: np.ndarray,
     if times[-1] == p.t_start:
         # solve_ivp returns no state on a zero-length span
         return y0[None, :]
+    from scipy.integrate import solve_ivp  # only the reference paths need it
+
     sol = solve_ivp(rhs, (p.t_start, times[-1]), y0, method="DOP853",
                     t_eval=times, rtol=rtol, atol=atol)
     if not sol.success:
@@ -178,8 +179,7 @@ def _apply_rx_layer(psi: np.ndarray, n: int, phi: float) -> np.ndarray:
     return psi
 
 
-def _trotter_statevector(p: QuenchProtocol, n: int,
-                         sample_all: bool = True) -> List[DenseState]:
+def _trotter_statevector(p: QuenchProtocol, n: int) -> List[DenseState]:
     zz = _zz_diagonal(n)
     psi = _plus_state(n)
     out = []
@@ -188,10 +188,7 @@ def _trotter_statevector(p: QuenchProtocol, n: int,
         # odd/even Ising sublayers commute; their product is one diagonal phase
         psi = psi * np.exp(1j * p.dt * sched.j * zz)
         psi = _apply_rx_layer(psi, n, p.dt * sched.h)
-        if sample_all:
-            out.append(DenseState(n_sites=n, t=float(t_s), data=psi.copy()))
-    if not sample_all:
-        out.append(DenseState(n_sites=n, t=float(p.step_times()[-1]), data=psi))
+        out.append(DenseState(n_sites=n, t=float(t_s), data=psi.copy()))
     return out
 
 

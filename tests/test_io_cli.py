@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kzchain
 from kzchain.cli import main
 from kzchain.config import RunConfig, load_config_file, _parse_steps
 from kzchain.io import (protocol_from_dict, protocol_to_dict,
@@ -303,6 +308,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
                        "message": "quench protocols use even N"}
+
+    def test_import_leaves_scipy_solvers_unloaded(self):
+        # only the LSODA and DOP853 reference paths need scipy.integrate,
+        # and they import it when called
+        code = ("import sys, kzchain.cli; print([m for m in "
+                "('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+        path = [str(Path(kzchain.__file__).parents[1]),
+                os.environ.get("PYTHONPATH", "")]
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+        assert out.stdout.strip() == "[]"
 
     def test_output_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KZCHAIN_OUT", str(tmp_path / "envroot"))
