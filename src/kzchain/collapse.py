@@ -18,8 +18,11 @@ y does not depend on b, so every b cell of one a shares its designs.  The
 scan solves them for all b columns at once, as one batched SVD per chunk
 of 16 decays.  The refinement runs the Brent iteration of all b cells in
 lockstep, each lane exactly as scipy's `minimize_scalar(method="bounded")`
-would run it alone, with one batched SVD solve per iteration for the lanes
-still open.  An exponent a thus costs a few dozen LAPACK calls.
+would run it alone on the same objective, with one batched SVD solve per
+iteration for the lanes still open.  An exponent a thus costs a few dozen
+LAPACK calls.  The SVD objective agrees with a per-cell `np.linalg.lstsq`
+only to rounding, so the refined decay of the two routes may differ
+within Brent's tolerance.
 """
 
 from __future__ import annotations
@@ -260,15 +263,18 @@ def _fit_columns(y: np.ndarray, v: np.ndarray, order: int):
     lo = _DECAY_SCAN[np.maximum(i - 1, 0)]
     hi = _DECAY_SCAN[np.minimum(i + 1, len(_DECAY_SCAN) - 1)]
     decay = _DECAY_SCAN[i]
+    # one contiguous (n, 1) right-hand side per column: a column's solves
+    # then round the same however many columns are fitted with it
+    rhs = np.ascontiguousarray(v.T)[:, :, None]
     cols = np.flatnonzero(hi > lo)
     if cols.size:
-        v_cols = v.T[cols, :, None]
+        v_cols = rhs[cols]
         x, fun, _ = _bounded_brent(
             lambda d, lanes: _lstsq(_designs(y, powers, d), v_cols[lanes])[1][:, 0],
             lo[cols], hi[cols])
         take = fun <= scan[i[cols], cols]
         decay[cols[take]] = x[take]
-    coeffs, rmse = _lstsq(_designs(y, powers, decay), v.T[:, :, None])
+    coeffs, rmse = _lstsq(_designs(y, powers, decay), rhs)
     return np.column_stack([decay, coeffs[:, :, 0]]), rmse[:, 0]
 
 
@@ -294,10 +300,11 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
                    order: int = DEFAULT_POLY_ORDER) -> CollapseResult:
     """Per-cell rescale-and-fit over the (a, b) grid; argmin wins.
 
-    Each a fits all its b cells together (module docstring); every cell
-    takes the scan and Brent steps `fit_exp_poly` takes on it alone, up to
-    rounding in the batched solves.  Ties break toward
-    smaller a, then smaller b.  Negative retained values are dropped with
+    Each a fits all its b cells together (module docstring).  A cell's
+    refinement and final solve round exactly as `fit_exp_poly` on that
+    cell alone; its scan, solved with the other b columns, rounds
+    differently only in the last bits.  Ties break toward smaller a, then
+    smaller b.  Negative retained values are dropped with
     a warning: the fit family is a positive decaying envelope, and
     sign-flipped points only appear in the finite-size boundary tail past
     the first zero crossing.
@@ -319,24 +326,19 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
     a_vals = grid.a_values()
     b_vals = grid.b_values()
     rmse = np.full((len(a_vals), len(b_vals)), np.nan)
-    params = np.full(rmse.shape + (order + 2,), np.nan)
-    peak = np.zeros(rmse.shape)
+    best_cell = None
     tau, x, c = ds_fit.records.T
     # with fewer records than order + 2 every cell is underdetermined
     for ia, a in enumerate(a_vals if len(x) >= order + 2 else []):
         v = c[:, None] * tau[:, None] ** b_vals
-        params[ia], r = _fit_columns(x / tau**a, v, order)
-        rmse[ia] = np.where(np.isfinite(r), r, np.nan)
-        peak[ia] = np.max(np.abs(v), axis=0)
-    # scanning in (a, b) order, a cell wins only by more than 1e-15
-    flat = rmse.ravel()
-    best = None
-    for cell in np.flatnonzero(np.isfinite(flat)):
-        if best is None or flat[cell] < flat[best] - 1e-15:
-            best = cell
-    if best is None:
+        params, r = _fit_columns(x / tau**a, v, order)
+        for ib in np.flatnonzero(np.isfinite(r)):
+            rmse[ia, ib] = r[ib]
+            if best_cell is None or r[ib] < best_cell[0] - 1e-15:
+                best_cell = (float(r[ib]), a, b_vals[ib], params[ib],
+                             float(np.max(np.abs(v[:, ib]))))
+    if best_cell is None:
         raise RuntimeError("every grid cell failed to fit")
-    ia, ib = np.unravel_index(best, rmse.shape)
-    return CollapseResult(grid=grid, rmse=rmse, best=(a_vals[ia], b_vals[ib]),
-                          best_params=params[ia, ib], best_rmse=float(flat[best]),
-                          peak_rescaled=float(peak[ia, ib]))
+    r, a, b, params, peak = best_cell
+    return CollapseResult(grid=grid, rmse=rmse, best=(a, b),
+                          best_params=params, best_rmse=r, peak_rescaled=peak)
