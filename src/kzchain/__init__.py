@@ -24,11 +24,14 @@ from .mode_dynamics import (
 )
 from .correlators import (
     FermionCorrelators,
+    ZZProfiles,
     fermion_correlators,
     magnetization_x,
     xx_connected,
+    xx_connected_profiles,
     zz_connected,
     zz_connected_profile,
+    zz_connected_profiles,
 )
 from .pfaffian import pfaffian
 from .observables import (

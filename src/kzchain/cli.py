@@ -32,6 +32,7 @@ from .circuit import emit_program, gate_counts, to_qasm3
 from .collapse import (CollapseResult, CorrelationDataset, GridSpec,
                        QKZ_EXPONENTS, QND_EXPONENTS, exponent_sweep, rescale)
 from .config import RunConfig, load_config_file, _parse_steps
+from .correlators import xx_connected_profiles, zz_connected_profiles
 from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
                  read_manifest, read_observables_csv, read_trajectories_csv,
                  write_correlators_csv, write_manifest, write_observables_csv,
@@ -86,11 +87,12 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
     write_trajectories_csv(out_dir / "trajectories.csv", ensembles)
 
     x_max = cfg.x_max if cfg.x_max is not None else cfg.n_sites // 2
-    rec = run_record(ensembles, p, x_max=x_max)
+    rec = run_record(ensembles, p)
+    zz = zz_connected_profiles(rec.tables, x_max)
+    xx = xx_connected_profiles(rec.tables, x_max)
     corr_rows = [(p.tau_q, s["t"], x, c_zz, c_xx)
-                 for s in rec.samples
-                 for x, (c_zz, c_xx) in enumerate(zip(s["c_zz"], s["c_xx"]),
-                                                  start=1)]
+                 for s, zz_row, xx_row in zip(rec.samples, zz.c_zz, xx)
+                 for x, (c_zz, c_xx) in enumerate(zip(zz_row, xx_row), start=1)]
     write_correlators_csv(out_dir / "correlators.csv", corr_rows)
     write_observables_csv(out_dir / "observables.csv", _observable_rows(rec))
     manifest = {
@@ -100,6 +102,8 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
         "lambda": cfg.lam,
         "rtol": cfg.rtol,
         "integrator": integrator_stats(p, cfg.lam, ensembles, rtol=cfg.rtol),
+        "profile": {"max_multiplier": zz.max_multiplier,
+                    "fallbacks": zz.fallbacks},
         "mask_threshold": cfg.mask_threshold,
         "x_max": x_max,
         "wall_time_s": round(time.time() - t_wall, 3),
@@ -223,7 +227,7 @@ def cmd_observables(args) -> int:
     p = protocol_from_dict(manifest["protocol"])
     ensembles = read_trajectories_csv(run_dir / "trajectories.csv", p,
                                       manifest["n_sites"], manifest["lambda"])
-    rec = run_record(ensembles, p, x_max=manifest.get("x_max"))
+    rec = run_record(ensembles, p)
     rows = _observable_rows(rec)
     write_observables_csv(run_dir / "observables.csv", rows)
     for row in rows:

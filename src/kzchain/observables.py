@@ -14,8 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .correlators import (FermionCorrelators, fermion_correlators,
-                          magnetization_x, xx_connected, zz_connected,
-                          zz_connected_profile)
+                          magnetization_x, zz_connected)
 from .mode_dynamics import ModeEnsemble
 from .protocol import QuenchProtocol, pseudo_field_components
 
@@ -33,25 +32,23 @@ __all__ = [
 
 @dataclass
 class RunRecord:
-    """Per-sample-time observables of one quench run, including the ZZ and
-    XX correlator profiles over x = 1 .. x_max."""
+    """Per-sample-time scalar observables of one quench run, with the
+    Majorana tables of each sample for the correlator profiles."""
 
     protocol: QuenchProtocol
     n_sites: int
     lam: float
     samples: List[Dict] = field(default_factory=list)
+    tables: List[FermionCorrelators] = field(default_factory=list, repr=False)
 
     def add_sample(self, t: float, m_x: float, n_def: float,
                    e_total: float, e_res: float,
-                   c_zz: Optional[np.ndarray] = None,
-                   c_xx: Optional[np.ndarray] = None,
                    e_exc: Optional[float] = None):
         if e_res < -1e-9:
             raise ValueError(f"residual energy {e_res} below tolerance floor")
         self.samples.append({
             "t": t, "m_x": m_x, "n_def": n_def,
-            "e_total": e_total, "e_res": e_res,
-            "c_zz": c_zz, "c_xx": c_xx, "e_exc": e_exc,
+            "e_total": e_total, "e_res": e_res, "e_exc": e_exc,
         })
 
 
@@ -128,17 +125,16 @@ def magnetization_se(m: float, shots: int) -> float:
 
 
 def run_record(ensembles: Sequence[ModeEnsemble], protocol: QuenchProtocol,
-               clean: Optional[Sequence[ModeEnsemble]] = None,
-               x_max: Optional[int] = None) -> RunRecord:
-    """Assemble the full observable record for a run.
+               clean: Optional[Sequence[ModeEnsemble]] = None) -> RunRecord:
+    """Assemble the scalar observable record for a run.
 
-    Each sample's Majorana tables are built once and feed every
-    correlator.  clean, when given, must be the matching lam = 0 run and
-    fills the excess-energy column.
+    Each sample's Majorana tables are built once; they give m_x and the
+    defect density here and are kept on the record (tables) for the
+    correlator profiles, which this function does not compute.  clean,
+    when given, must be the matching lam = 0 run and fills the
+    excess-energy column.
     """
     first = ensembles[0]
-    if x_max is None:
-        x_max = first.n_sites // 2
     rec = RunRecord(protocol=protocol, n_sites=first.n_sites, lam=first.lam)
     for i, e in enumerate(ensembles):
         fc = fermion_correlators(e)
@@ -151,8 +147,7 @@ def run_record(ensembles: Sequence[ModeEnsemble], protocol: QuenchProtocol,
             n_def=defect_density(fc),
             e_total=total_energy(e),
             e_res=residual_energy(e),
-            c_zz=zz_connected_profile(fc, x_max=x_max),
-            c_xx=np.array([xx_connected(fc, x) for x in range(1, x_max + 1)]),
             e_exc=e_exc,
         )
+        rec.tables.append(fc)
     return rec

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kzchain.correlators import (FermionCorrelators, fermion_correlators,
-                                 magnetization_x, majorana_string_matrix,
-                                 xx_connected, zz_connected,
-                                 zz_connected_profile)
+import kzchain.correlators
+from kzchain.correlators import (MAX_MULTIPLIER, FermionCorrelators,
+                                 fermion_correlators, magnetization_x,
+                                 majorana_string_matrix, xx_connected,
+                                 xx_connected_profiles, zz_connected,
+                                 zz_connected_profile, zz_connected_profiles)
 from kzchain.mode_dynamics import (ModeEnsemble, ground_state_bloch,
                                    run_quench)
 from kzchain.protocol import (Evolution, QuenchProtocol, Variant,
@@ -192,3 +194,120 @@ class TestProfile:
         expected = [zz_connected(fc, x) for x in range(1, n // 2 + 1)]
         assert expected[1] != 0.0
         np.testing.assert_allclose(prof, expected, rtol=0, atol=1e-12)
+
+
+def trotter_tables(n, steps, dt=0.25, variant=Variant.FULL_QUENCH):
+    """Majorana tables of every step boundary of a Trotter quench."""
+    tau_q = steps * dt / (2.0 if variant is Variant.FULL_QUENCH else 1.0)
+    p = QuenchProtocol(tau_q=tau_q, variant=variant,
+                       evolution=Evolution.TROTTER, dt=dt, steps=steps)
+    return [fermion_correlators(e) for e in run_quench(p, n, lam=0.0)]
+
+
+def zero_pivot_tables(rng, n):
+    """Hand-built tables with q(1) = 0: the first unpivoted pivot is zero
+    while C(2) stays finite (as in test_zero_pivot_falls_back_to_pivoted)."""
+    sx = rng.standard_normal(2 * n - 1)
+    sx = 0.5 * (sx - sx[::-1])  # sx(-d) = -sx(d)
+    q = rng.standard_normal(2 * n - 1)
+    q[n] = 0.0
+    return FermionCorrelators(n_sites=n, t=0.0, sx_table=sx, q_table=q)
+
+
+class TestRunProfiles:
+    """The batched elimination over all samples of a run."""
+
+    def test_sample_independence(self):
+        # bit-identical alone, in a subset, or in the whole run's batch
+        fcs = trotter_tables(32, 14)
+        assert len(fcs) >= 8
+        batch = zz_connected_profiles(fcs)
+        assert batch.c_zz.shape == (len(fcs), 16)
+        for i, fc in enumerate(fcs):
+            np.testing.assert_array_equal(zz_connected_profile(fc),
+                                          batch.c_zz[i])
+        subset = zz_connected_profiles(fcs[1::3]).c_zz
+        np.testing.assert_array_equal(subset, batch.c_zz[1::3])
+        shuffled = zz_connected_profiles(fcs[::-1]).c_zz
+        np.testing.assert_array_equal(shuffled, batch.c_zz[::-1])
+
+    @pytest.mark.parametrize("batch_bytes", [1, 3 * 8 * 24 ** 2])
+    def test_sample_batches_do_not_change_profiles(self, monkeypatch,
+                                                   batch_bytes):
+        # a run longer than BATCH_BYTES allows is split into batches of
+        # 1 and of 3 samples here; the profiles and telemetry are the same
+        fcs = trotter_tables(24, 10)
+        whole = zz_connected_profiles(fcs)
+        monkeypatch.setattr(kzchain.correlators, "BATCH_BYTES", batch_bytes)
+        split = zz_connected_profiles(fcs)
+        np.testing.assert_array_equal(split.c_zz, whole.c_zz)
+        assert split.max_multiplier == whole.max_multiplier
+        assert split.fallbacks == whole.fallbacks == 0
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_batch_matches_pivoted_per_x(self, data):
+        """Every sample and separation of a Trotter run's batch against the
+        pivoted per-x Pfaffian."""
+        n = data.draw(st.sampled_from([16, 32, 64]))
+        variant = data.draw(st.sampled_from(list(Variant)))
+        fcs = trotter_tables(n, data.draw(st.integers(8, 16)),
+                             dt=data.draw(st.floats(0.1, 0.5)),
+                             variant=variant)
+        assert len(fcs) >= 8
+        x_max = data.draw(st.integers(1, n // 2))
+        prof = zz_connected_profiles(fcs, x_max)
+        expected = [[zz_connected(fc, x) for x in range(1, x_max + 1)]
+                    for fc in fcs]
+        np.testing.assert_allclose(prof.c_zz, expected, rtol=0, atol=1e-12)
+        # the guard acts per sample: the batch's telemetry sums and maxes
+        # what each sample reports alone
+        alone = [zz_connected_profiles([fc], x_max) for fc in fcs]
+        assert prof.fallbacks == sum(a.fallbacks for a in alone)
+        assert prof.max_multiplier == max(a.max_multiplier for a in alone)
+        assert 0.0 <= prof.max_multiplier <= MAX_MULTIPLIER
+
+    def test_fallback_lane_leaves_others_unaffected(self, rng):
+        n = 16
+        fcs = trotter_tables(n, 8)
+        bad = zero_pivot_tables(rng, n)
+        mixed = fcs[:3] + [bad] + fcs[3:]
+        prof = zz_connected_profiles(mixed)
+        assert prof.fallbacks == 1
+        expected = [zz_connected(bad, x) for x in range(1, n // 2 + 1)]
+        np.testing.assert_allclose(prof.c_zz[3], expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(prof.c_zz[3], zz_connected_profile(bad))
+        alone = zz_connected_profiles(fcs)
+        np.testing.assert_array_equal(np.delete(prof.c_zz, 3, axis=0),
+                                      alone.c_zz)
+        assert prof.max_multiplier == alone.max_multiplier
+
+    def test_xx_profiles_match_per_x(self):
+        fcs = trotter_tables(32, 12)
+        xx = xx_connected_profiles(fcs, 16)
+        expected = [[xx_connected(fc, x) for x in range(1, 17)] for fc in fcs]
+        np.testing.assert_array_equal(xx, expected)
+
+    def test_rejects_mixed_sizes_and_empty_runs(self):
+        fcs = trotter_tables(16, 8)[:1] + trotter_tables(32, 8)[:1]
+        for profiles in (zz_connected_profiles, xx_connected_profiles):
+            with pytest.raises(ValueError, match="share N"):
+                profiles(fcs)
+            with pytest.raises(ValueError, match="no samples"):
+                profiles([])
+            with pytest.raises(ValueError, match="separation"):
+                profiles(fcs[:1], 9)
+
+    def test_tables_use_exact_phases(self):
+        # sin(kd) and cos(kd) are computed once per grid and shared; each
+        # sample's tables equal a build from freshly computed phases
+        p = QuenchProtocol(tau_q=1.0, evolution=Evolution.TROTTER,
+                           dt=0.25, steps=4)
+        for e in run_quench(p, 20, lam=0.0):
+            kd = np.outer(np.arange(-19, 20), e.grid.modes)
+            nx, ny, nz = e.states.T
+            fc = fermion_correlators(e)
+            np.testing.assert_array_equal(fc.sx_table,
+                                          2.0 * (np.sin(kd) @ nx) / 20)
+            np.testing.assert_array_equal(
+                fc.q_table, 2.0 * (np.cos(kd) @ nz - np.sin(kd) @ ny) / 20)

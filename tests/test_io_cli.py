@@ -11,6 +11,7 @@ import pytest
 import kzchain
 from kzchain.cli import main
 from kzchain.config import RunConfig, load_config_file, _parse_steps
+from kzchain.correlators import MAX_MULTIPLIER
 from kzchain.io import (protocol_from_dict, protocol_to_dict,
                         read_correlators_csv, read_manifest,
                         read_observables_csv, read_rmse_csv,
@@ -231,6 +232,14 @@ class TestCli:
             assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
         integrator = read_manifest(run_a / "manifest.json")["integrator"]
         assert integrator == read_manifest(run_b / "manifest.json")["integrator"]
+        profile = read_manifest(run_a / "manifest.json")["profile"]
+        assert profile == read_manifest(run_b / "manifest.json")["profile"]
+        assert profile["fallbacks"] == 0
+        assert 0.0 < profile["max_multiplier"] < MAX_MULTIPLIER
+        # diagnostics stay in the manifest, never in a CSV
+        for name in ("correlators.csv", "observables.csv", "trajectories.csv"):
+            header = (run_a / name).read_text().splitlines()[0]
+            assert "multiplier" not in header and "fallback" not in header
         # tau_q = 2 at the default rtol: dt = (10 * 1e-10 * 2) ** 0.25
         assert integrator["method"] == "magnus4"
         assert integrator["steps"] == math.ceil(2.0 / (2e-9) ** 0.25)
@@ -335,4 +344,26 @@ class TestCli:
         before = (run_dir / "observables.csv").read_bytes()
         rc = main(["observables", str(run_dir)])
         assert rc == 0
+        assert (run_dir / "observables.csv").read_bytes() == before
+
+    def test_observables_builds_no_profiles(self, tmp_path, monkeypatch, capsys):
+        # the observables table has scalar columns only; the correlator
+        # profiles belong to correlators.csv, which quench writes
+        main(["quench", "--n", "8", "--tau-q", "2", "--serial",
+              "--out", str(tmp_path)])
+        (run_dir,) = tmp_path.iterdir()
+        before = (run_dir / "observables.csv").read_bytes()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("observables reached a correlator profile")
+
+        import kzchain.cli
+        import kzchain.correlators
+        import kzchain.observables
+        for mod in (kzchain.cli, kzchain.correlators, kzchain.observables):
+            for name in ("zz_connected_profiles", "zz_connected_profile",
+                         "xx_connected_profiles", "xx_connected"):
+                monkeypatch.setattr(mod, name, forbidden, raising=False)
+        rc = main(["observables", str(run_dir)])
+        assert rc == 0, capsys.readouterr().err
         assert (run_dir / "observables.csv").read_bytes() == before
