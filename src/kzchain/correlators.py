@@ -52,8 +52,8 @@ __all__ = [
 # 1/sqrt(eps) its rounding is no longer negligible and zz_connected takes over
 MAX_MULTIPLIER = 1.0 / np.sqrt(np.finfo(float).eps)
 
-# bytes of multiplier storage, 8 (2 x_max)^2 per sample, one elimination
-# holds at most; longer runs are eliminated in batches of samples
+# most bytes of multiplier storage, 8 (2 x_max)^2 per sample, that one
+# elimination holds; a run needing more is eliminated in batches of samples
 BATCH_BYTES = 1 << 24
 
 
@@ -98,7 +98,8 @@ def fermion_correlators(e: ModeEnsemble) -> FermionCorrelators:
     """Build both separation tables from the ensemble's Bloch vectors."""
     n = e.n_sites
     nx, ny, nz = e.states.T
-    sin_kd, cos_kd = _phases(n, np.asarray(e.grid.modes, dtype=float).tobytes())
+    modes = np.asarray(e.grid.modes, dtype=float)
+    sin_kd, cos_kd = _phases(n, modes.tobytes())
     sx = 2.0 * (sin_kd @ nx) / n
     q = 2.0 * (cos_kd @ nz - sin_kd @ ny) / n
     return FermionCorrelators(n_sites=n, t=e.t, sx_table=sx, q_table=q)
