@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -165,9 +166,12 @@ def cmd_quench(args) -> int:
     return 0
 
 
-def _collapse_from_csvs(paths, mask: float, x_max: Optional[int],
-                        grid: GridSpec, at_time: float = 0.0) -> Tuple[
-                            CorrelationDataset, CollapseResult]:
+def _collapse(paths, mask: float, x_max: Optional[int], grid: GridSpec,
+              out_dir: Path, at_time: float = 0.0) -> Tuple[
+                  CorrelationDataset, CollapseResult]:
+    """Sweep the grid over the t = at_time correlators of the CSVs and
+    write the surface, the plots and manifest.json into out_dir."""
+    t_read = time.perf_counter()
     records = []
     for path in paths:
         for tau_q, t, x, c_zz, _ in read_correlators_csv(path):
@@ -176,7 +180,29 @@ def _collapse_from_csvs(paths, mask: float, x_max: Optional[int],
     ds = CorrelationDataset.from_records(
         records, mask_threshold=mask, x_max=x_max,
         source_tag=",".join(str(p) for p in paths))
-    return ds, exponent_sweep(ds, grid=grid)
+    t_sweep = time.perf_counter()
+    res = exponent_sweep(ds, grid=grid)
+    t_write = time.perf_counter()
+    _write_collapse_artifacts(out_dir, ds, res)
+    t_end = time.perf_counter()
+    write_manifest(out_dir / "manifest.json", {
+        "version": __version__,
+        "grid": dataclasses.asdict(grid),
+        "mask_threshold": mask,
+        "x_max": x_max,
+        "at_time": at_time,
+        "records": int(len(ds.records)),
+        "failed_cells": int(np.isnan(res.rmse).sum()),
+        "best": {"a": float(res.best[0]), "b": float(res.best[1]),
+                 "rmse": res.best_rmse,
+                 "normalized_rmse": res.normalized_best_rmse,
+                 "params": res.best_params.tolist()},
+        "threads": res.threads,
+        "timings": {"read_s": round(t_sweep - t_read, 3),
+                    "sweep_s": round(t_write - t_sweep, 3),
+                    "write_s": round(t_end - t_write, 3)},
+    })
+    return ds, res
 
 
 def _write_collapse_artifacts(out_dir: Path, ds: CorrelationDataset,
@@ -206,10 +232,9 @@ def _write_collapse_artifacts(out_dir: Path, ds: CorrelationDataset,
 
 def cmd_collapse(args) -> int:
     grid = GridSpec() if args.spacing is None else GridSpec(spacing=args.spacing)
-    ds, res = _collapse_from_csvs(args.csv, args.mask, args.x_max, grid,
-                                  at_time=args.at_time)
     out_dir = _out_root(args.out) / "collapse"
-    _write_collapse_artifacts(out_dir, ds, res)
+    ds, res = _collapse(args.csv, args.mask, args.x_max, grid, out_dir,
+                        at_time=args.at_time)
     print(json.dumps({
         "best_a": res.best[0], "best_b": res.best[1],
         "best_rmse": res.best_rmse,
@@ -295,9 +320,8 @@ def _recipe_collapse(cfg: RunConfig, root: Path, tag: str) -> Tuple[
         CorrelationDataset, CollapseResult]:
     dirs = _run_sweep(cfg, root / tag)
     csvs = [d / "correlators.csv" for d in dirs]
-    ds, res = _collapse_from_csvs(csvs, cfg.mask_threshold, cfg.x_max, cfg.grid)
-    _write_collapse_artifacts(root / tag / "collapse", ds, res)
-    return ds, res
+    return _collapse(csvs, cfg.mask_threshold, cfg.x_max, cfg.grid,
+                     root / tag / "collapse")
 
 
 def _trotter_steps(dt: float, max_steps: int = 16,

@@ -16,18 +16,24 @@ scan point.
 
 y does not depend on b, so every b cell of one a shares its designs.  The
 scan solves them for all b columns at once, as one batched SVD per chunk
-of 16 decays.  The refinement runs the Brent iteration of all b cells in
-lockstep, each lane exactly as scipy's `minimize_scalar(method="bounded")`
-would run it alone on the same objective, with one batched SVD solve per
-iteration for the lanes still open.  An exponent a thus costs a few dozen
-LAPACK calls.  The SVD objective agrees with a per-cell `np.linalg.lstsq`
-only to rounding, so the refined decay of the two routes may differ
-within Brent's tolerance.
+of 16 decays.  The refinement then runs the Brent iteration of every cell
+of the grid in one lockstep pass, each lane exactly as scipy's
+`minimize_scalar(method="bounded")` would run it alone on the same
+objective.  Each iteration solves the lanes still open, whatever their a,
+in batched SVDs of 32 cells gathered by index, so the whole 30 x 30 grid
+takes a few dozen iterations and about 500 LAPACK calls.  The a values are
+split over threads (`exponent_sweep`), since LAPACK releases the
+interpreter lock; no cell's result depends on the split or the batching.
+The SVD objective agrees with a per-cell `np.linalg.lstsq` only to
+rounding, so the refined decay of the two routes may differ within
+Brent's tolerance.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -116,6 +122,7 @@ class CollapseResult:
     best_params: np.ndarray       # p_{-1} .. p_M of the best cell
     best_rmse: float
     peak_rescaled: float          # max |v| at the best cell, for normalization
+    threads: int                  # threads the sweep was split over
 
     @property
     def normalized_best_rmse(self) -> float:
@@ -132,6 +139,7 @@ def rescale(ds: CorrelationDataset, a: float, b: float):
 
 _DECAY_SCAN = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
 _SCAN_CHUNK = 16  # decays per batched scan solve: temporaries stay at a few MB
+_LANE_CHUNK = 32  # cells per batched refinement or final solve, likewise
 
 # constants of scipy.optimize's bounded Brent minimiser
 _GOLDEN_MEAN = 0.5 * (3.0 - np.sqrt(5.0))
@@ -245,37 +253,57 @@ def _bounded_brent(func, lo: np.ndarray, hi: np.ndarray):
     return state[4], state[5], state[10].astype(int)
 
 
-def _fit_columns(y: np.ndarray, v: np.ndarray, order: int):
-    """Variable-projection fit of every column of v (n, k) on the same y.
+def _solve_cells(ys, powers, rhs, decay, ia, ib):
+    """`_lstsq` of the cells (ia[k], ib[k]) at decay[k]: designs from
+    ys[ia[k]] and powers[ia[k]] against rhs[ib[k]], gathered by index,
+    _LANE_CHUNK cells per batched solve.  Returns the coefficients (k, m)
+    and the RMSE (k,)."""
+    coeffs, rmse = [], []
+    for s in range(0, len(decay), _LANE_CHUNK):
+        a, b = ia[s:s + _LANE_CHUNK], ib[s:s + _LANE_CHUNK]
+        c, r = _lstsq(_designs(ys[a], powers[a], decay[s:s + _LANE_CHUNK]), rhs[b])
+        coeffs.append(c[:, :, 0])
+        rmse.append(r[:, 0])
+    return np.concatenate(coeffs), np.concatenate(rmse)
 
-    The decay rate is scanned over _DECAY_SCAN in chunks of batched solves
-    that take every column at once.  Each column's decay is then refined
-    by Brent's bounded method between the scan points either side of its
-    best one, all columns in lockstep, and kept if it scores no worse than
-    the scan.  Returns params (k, order + 2), rows [p_{-1}, p_0, ..., p_M],
-    and the RMSE (k,), inf where no fit is usable.
+
+def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
+              a_vals: np.ndarray, order: int):
+    """Variable-projection fit of every (a, b) cell of a share of the grid.
+
+    Cell (i, j) fits column j of v (n, n_b) against y = x / tau**a_vals[i].
+    Each a scans the decay rate over _DECAY_SCAN in chunks of batched
+    solves that take every b column at once.  Each cell's decay is then
+    refined by Brent's bounded method between the scan points either side
+    of its best one, every cell of the share in one lockstep run, and kept
+    if it scores no worse than the scan.  Returns params (n_a, n_b,
+    order + 2), rows [p_{-1}, p_0, ..., p_M], and the RMSE (n_a, n_b), inf
+    where no fit is usable.
     """
-    powers = y[:, None] ** np.arange(order + 1)
-    scan = np.concatenate([
-        _lstsq(_designs(y, powers, _DECAY_SCAN[k:k + _SCAN_CHUNK]), v)[1]
+    ys = np.array([x / tau**a for a in a_vals])
+    powers = ys[:, :, None] ** np.arange(order + 1)
+    scan = np.array([np.concatenate([
+        _lstsq(_designs(y, p, _DECAY_SCAN[k:k + _SCAN_CHUNK]), v)[1]
         for k in range(0, len(_DECAY_SCAN), _SCAN_CHUNK)])
-    i = np.argmin(scan, axis=0)
+        for y, p in zip(ys, powers)])
+    i = np.argmin(scan, axis=1)
     lo = _DECAY_SCAN[np.maximum(i - 1, 0)]
     hi = _DECAY_SCAN[np.minimum(i + 1, len(_DECAY_SCAN) - 1)]
     decay = _DECAY_SCAN[i]
-    # one contiguous (n, 1) right-hand side per column: a column's solves
-    # then round the same however many columns are fitted with it
+    # one contiguous (n, 1) right-hand side per b column: a cell's solves
+    # then round the same whichever cells share their batch
     rhs = np.ascontiguousarray(v.T)[:, :, None]
-    cols = np.flatnonzero(hi > lo)
-    if cols.size:
-        v_cols = rhs[cols]
-        x, fun, _ = _bounded_brent(
-            lambda d, lanes: _lstsq(_designs(y, powers, d), v_cols[lanes])[1][:, 0],
-            lo[cols], hi[cols])
-        take = fun <= scan[i[cols], cols]
-        decay[cols[take]] = x[take]
-    coeffs, rmse = _lstsq(_designs(y, powers, decay), rhs)
-    return np.column_stack([decay, coeffs[:, :, 0]]), rmse[:, 0]
+    ia, ib = np.nonzero(hi > lo)
+    if ia.size:
+        x_opt, fun, _ = _bounded_brent(
+            lambda d, lanes: _solve_cells(ys, powers, rhs, d, ia[lanes], ib[lanes])[1],
+            lo[ia, ib], hi[ia, ib])
+        take = fun <= np.min(scan, axis=1)[ia, ib]
+        decay[ia[take], ib[take]] = x_opt[take]
+    coeffs, rmse = _solve_cells(ys, powers, rhs, decay.ravel(),
+                                *np.indices(decay.shape).reshape(2, -1))
+    params = np.column_stack([decay.ravel(), coeffs])
+    return params.reshape(*decay.shape, -1), rmse.reshape(decay.shape)
 
 
 def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):
@@ -286,28 +314,32 @@ def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):
     a 1-D search over p_{-1} >= 0 (coarse log-spaced scan, then a bounded
     refinement around the best bracket).  Returns (params, rmse) with
     params = [p_{-1}, p_0, ..., p_M], or (None, nan) when the system is
-    underdetermined.
+    underdetermined.  Runs the sweep's kernel on a one-cell grid (tau = 1,
+    a = 0).
     """
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     if len(y) < order + 2:
         return None, float("nan")
-    params, rmse = _fit_columns(y, v[:, None], order)
-    return params[0], float(rmse[0])
+    params, rmse = _fit_grid(np.ones_like(y), y, v[:, None], np.zeros(1), order)
+    return params[0, 0], float(rmse[0, 0])
 
 
 def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
                    order: int = DEFAULT_POLY_ORDER) -> CollapseResult:
-    """Per-cell rescale-and-fit over the (a, b) grid; argmin wins.
+    """Rescale-and-fit of every (a, b) grid cell; argmin wins.
 
-    Each a fits all its b cells together (module docstring).  A cell's
-    refinement and final solve round exactly as `fit_exp_poly` on that
-    cell alone; its scan, solved with the other b columns, rounds
-    differently only in the last bits.  Ties break toward smaller a, then
-    smaller b.  Negative retained values are dropped with
-    a warning: the fit family is a positive decaying envelope, and
-    sign-flipped points only appear in the finite-size boundary tail past
-    the first zero crossing.
+    The a values are dealt out in turn to min(n_a, os.cpu_count()) threads,
+    each of which fits all its cells in one `_fit_grid` pass (module
+    docstring); numpy's LAPACK calls release the interpreter lock, so the
+    threads overlap.  A cell's result does not depend on the thread count
+    or on which other cells share its batches.  Its refinement and final
+    solve round exactly as `fit_exp_poly` on that cell alone; its scan,
+    solved with the other b columns, rounds differently only in the last
+    bits.  Ties break toward smaller a, then smaller b.  Negative retained
+    values are dropped with a warning: the fit family is a positive
+    decaying envelope, and sign-flipped points only appear in the
+    finite-size boundary tail past the first zero crossing.
     """
     ds_fit = ds
     neg = ds.records[:, 2] < 0
@@ -325,20 +357,27 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
         )
     a_vals = grid.a_values()
     b_vals = grid.b_values()
-    rmse = np.full((len(a_vals), len(b_vals)), np.nan)
-    best_cell = None
     tau, x, c = ds_fit.records.T
+    v = c[:, None] * tau[:, None] ** b_vals
+    threads = min(len(a_vals), os.cpu_count() or 1)
+    params = np.full((len(a_vals), len(b_vals), order + 2), np.nan)
+    r = np.full((len(a_vals), len(b_vals)), np.inf)
     # with fewer records than order + 2 every cell is underdetermined
-    for ia, a in enumerate(a_vals if len(x) >= order + 2 else []):
-        v = c[:, None] * tau[:, None] ** b_vals
-        params, r = _fit_columns(x / tau**a, v, order)
-        for ib in np.flatnonzero(np.isfinite(r)):
-            rmse[ia, ib] = r[ib]
-            if best_cell is None or r[ib] < best_cell[0] - 1e-15:
-                best_cell = (float(r[ib]), a, b_vals[ib], params[ib],
-                             float(np.max(np.abs(v[:, ib]))))
+    if len(x) >= order + 2:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            shares = [pool.submit(_fit_grid, tau, x, v, a_vals[t::threads], order)
+                      for t in range(threads)]
+            for t, share in enumerate(shares):
+                params[t::threads], r[t::threads] = share.result()
+    best_cell = None
+    for ia, ib in zip(*np.nonzero(np.isfinite(r))):
+        if best_cell is None or r[ia, ib] < best_cell[0] - 1e-15:
+            best_cell = (float(r[ia, ib]), ia, ib)
     if best_cell is None:
         raise RuntimeError("every grid cell failed to fit")
-    r, a, b, params, peak = best_cell
-    return CollapseResult(grid=grid, rmse=rmse, best=(a, b),
-                          best_params=params, best_rmse=r, peak_rescaled=peak)
+    best_rmse, ia, ib = best_cell
+    return CollapseResult(grid=grid, rmse=np.where(np.isfinite(r), r, np.nan),
+                          best=(a_vals[ia], b_vals[ib]), best_params=params[ia, ib],
+                          best_rmse=best_rmse,
+                          peak_rescaled=float(np.max(np.abs(v[:, ib]))),
+                          threads=threads)

@@ -120,13 +120,17 @@ def read_trajectories_csv(path, protocol: QuenchProtocol, n_sites: int,
         r = csv.reader(fh)
         _check_header(path, r, _TRAJECTORIES_HEADER)
         for lineno, row in enumerate(r, start=2):
-            k, t = float(row[0]), float(row[1])
+            try:
+                k, t = float(row[0]), float(row[1])
+                state = [float(row[2]), float(row[3]), float(row[4])]
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad row {row}") from exc
             modes = per_time.setdefault(t, [])
             # states carry no k, so the rows must follow the grid exactly
             if len(modes) >= len(grid) or k != grid.modes[len(modes)]:
                 raise ValueError(f"{path}:{lineno}: k = {k} breaks the "
                                  f"N = {n_sites} momentum grid order")
-            modes.append([float(row[2]), float(row[3]), float(row[4])])
+            modes.append(state)
     out = []
     for t, states in per_time.items():
         sched = schedule_at(protocol, t)
@@ -151,9 +155,13 @@ def read_rmse_csv(path):
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         _check_header(path, r, _RMSE_HEADER)
-        for row in r:
-            rows.append((float(row[0]), float(row[1]),
-                         float(row[2]) if row[2] else float("nan"), bool(int(row[3]))))
+        for lineno, row in enumerate(r, start=2):
+            try:
+                rows.append((float(row[0]), float(row[1]),
+                             float(row[2]) if row[2] else float("nan"),
+                             bool(int(row[3]))))
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad row {row}") from exc
     return rows
 
 

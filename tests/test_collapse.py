@@ -1,10 +1,12 @@
 import logging
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+import kzchain.collapse
 from kzchain.collapse import (CorrelationDataset, GridSpec, QKZ_EXPONENTS,
                               QND_EXPONENTS, _bounded_brent, exponent_sweep,
                               fit_exp_poly, rescale)
@@ -291,6 +293,51 @@ class TestExponentSweep:
         y, v = rescale(nonneg, *res.best)
         assert abs(model_rmse(y, v, res.best_params) - best[0]) <= \
             rmse_tolerance(y, res.best_params, best[0])
+
+    @staticmethod
+    def _assert_same_result(res, ref):
+        assert np.array_equal(res.rmse, ref.rmse, equal_nan=True)
+        assert res.best == ref.best and res.best_rmse == ref.best_rmse
+        assert np.array_equal(res.best_params, ref.best_params)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_sweep_independent_of_thread_count(self, monkeypatch, cpus):
+        # 15 a values dealt to 1, 2 or 3 threads: every cell bit for bit
+        ds, _ = self._noisy_planted(0.45, 0.15, 1.2, seed=5)
+        grid = GridSpec(spacing=0.05)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        ref = exponent_sweep(ds, grid=grid)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        res = exponent_sweep(ds, grid=grid)
+        assert (ref.threads, res.threads) == (1, cpus)
+        self._assert_same_result(res, ref)
+
+    def test_rows_match_single_a_sweeps(self):
+        # a cell's lanes share batches with other a values in the full
+        # sweep and with its own a only in a one-row sweep
+        ds, _ = self._noisy_planted(0.3, 0.2, 0.8, seed=9)
+        grid = GridSpec(spacing=0.1)
+        res = exponent_sweep(ds, grid=grid)
+        for ia, a in enumerate(grid.a_values()):
+            row = exponent_sweep(ds, grid=GridSpec(a_min=a, a_max=a, spacing=0.1))
+            assert np.array_equal(res.rmse[ia], row.rmse[0], equal_nan=True), a
+            if a == res.best[0]:
+                assert row.best == res.best and row.best_rmse == res.best_rmse
+                assert np.array_equal(row.best_params, res.best_params)
+
+    def test_sweep_workers_skip_traced_functions(self, monkeypatch):
+        # the sweep's threads may run private helpers only: public names are
+        # wrapped by single-threaded span tracers
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exponent_sweep went through fit_exp_poly")
+
+        ds, grid = planted_dataset(0.5, 0.125), GridSpec(spacing=0.1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ref = exponent_sweep(ds, grid=grid)
+        monkeypatch.setattr(kzchain.collapse, "fit_exp_poly", forbidden)
+        res = exponent_sweep(ds, grid=grid)
+        assert res.threads == 2
+        self._assert_same_result(res, ref)
 
     def test_normalization_uses_peak(self):
         ds = planted_dataset(0.45, 0.15)

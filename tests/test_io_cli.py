@@ -93,6 +93,25 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match=f"{kind}.csv"):
             read(path)
 
+    @pytest.mark.parametrize("kind", ["trajectories", "rmse"])
+    @pytest.mark.parametrize("damage", ["short", "unparsable"])
+    def test_bad_row_names_file_and_line(self, tmp_path, kind, damage):
+        p = QuenchProtocol(tau_q=1.0)
+        path = tmp_path / f"{kind}.csv"
+        if kind == "trajectories":
+            write_trajectories_csv(path, run_quench(p, 8, lam=0.0))
+            read = lambda f: read_trajectories_csv(f, p, 8, 0.0)
+        else:
+            write_rmse_csv(path, [0.1, 0.2], [0.3], [[0.5], [0.25]])
+            read = read_rmse_csv
+        lines = path.read_text().splitlines(keepends=True)
+        cols = lines[2].rstrip("\r\n").split(",")
+        cols = cols[:-1] if damage == "short" else cols[:2] + ["x"] + cols[3:]
+        lines[2] = ",".join(cols) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"{kind}\.csv:3: bad row"):
+            read(path)
+
     def test_manifest_round_trip(self, tmp_path):
         payload = {"protocol": protocol_to_dict(
             QuenchProtocol(tau_q=2.0, evolution=Evolution.TROTTER,
@@ -209,6 +228,48 @@ class TestCli:
         assert (tmp_path / "collapse" / "rmse_surface.csv").exists()
         assert (tmp_path / "collapse" / "rmse_surface.svg").exists()
         assert (tmp_path / "collapse" / "collapse.svg").exists()
+
+    def test_collapse_writes_manifest(self, tmp_path, capsys):
+        main(["quench", "--n", "8", "--tau-q", "0.5,1,2,4", "--serial",
+              "--out", str(tmp_path)])
+        csvs = [str(p) for p in tmp_path.glob("*/correlators.csv")]
+        manifests = []
+        for run in ("a", "b"):
+            capsys.readouterr()
+            assert main(["collapse", *csvs, "--spacing", "0.1",
+                         "--out", str(tmp_path / run)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            manifests.append(read_manifest(tmp_path / run / "collapse" / "manifest.json"))
+        first, second = manifests
+        assert set(first.pop("timings")) == {"read_s", "sweep_s", "write_s"}
+        second.pop("timings")
+        assert first == second
+        assert first["grid"]["spacing"] == 0.1 and first["threads"] >= 1
+        assert (first["records"], first["failed_cells"]) == \
+            (out["records"], out["failed_cells"])
+        assert (first["best"]["a"], first["best"]["b"], first["best"]["rmse"]) == \
+            (out["best_a"], out["best_b"], out["best_rmse"])
+        assert (tmp_path / "a" / "collapse" / "rmse_surface.csv").read_bytes() == \
+            (tmp_path / "b" / "collapse" / "rmse_surface.csv").read_bytes()
+
+    def test_reproduce_writes_collapse_manifest(self, tmp_path, capsys):
+        assert main(["reproduce", "figS1a", "--out", str(tmp_path)]) == 0
+        manifest = read_manifest(tmp_path / "figS1a" / "collapse" / "manifest.json")
+        assert (manifest["best"]["a"], manifest["best"]["b"]) == (0.5, 0.125)
+        assert manifest["records"] > 0 and manifest["failed_cells"] == 0
+
+    def test_observables_names_bad_trajectories_row(self, tmp_path, capsys):
+        main(["quench", "--n", "8", "--tau-q", "2", "--serial",
+              "--out", str(tmp_path)])
+        (run_dir,) = tmp_path.iterdir()
+        path = run_dir / "trajectories.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2]) + "0.39269908169872414,0.0\n")
+        capsys.readouterr()
+        assert main(["observables", str(run_dir)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"{path}:3: bad row" in err["message"]
 
     @pytest.mark.parametrize("spacing", ["0", "-0.1"])
     def test_collapse_rejects_bad_spacing(self, tmp_path, capsys, spacing):
