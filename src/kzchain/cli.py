@@ -40,7 +40,6 @@ from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
                  write_rmse_csv, write_trajectories_csv)
 from .mode_dynamics import check_lambda, integrator_stats, run_quench
 from .observables import RunRecord, power_law_fit, run_record
-from .oracle import evolve_lindblad, evolve_statevector, oracle_observables
 from .protocol import Evolution, QuenchProtocol, Variant, schedule_at
 from .svg import heatmap, line_plot
 
@@ -114,9 +113,18 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
 
 
 def _run_sweep(cfg: RunConfig, root: Path, parallel: bool = True) -> List[Path]:
-    """Run every protocol in the sweep, each in its own directory."""
+    """Run every protocol in the sweep, each in its own directory.
+
+    Raises ValueError before any run starts if two protocols would share
+    a directory (their tau_q format alike in the run tag)."""
     protocols = cfg.protocols()
     dirs = [root / _run_tag(p, cfg.n_sites, cfg.lam) for p in protocols]
+    seen = {}
+    for p, d in zip(protocols, dirs):
+        if d in seen:
+            raise ValueError(f"tau_q values {seen[d]} and {p.tau_q} would "
+                             f"share the run directory {d.name}")
+        seen[d] = p.tau_q
     if parallel and len(protocols) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(len(protocols), os.cpu_count() or 1)) as ex:
@@ -193,7 +201,7 @@ def _collapse(paths, mask: float, x_max: Optional[int], grid: GridSpec,
         "at_time": at_time,
         "records": int(len(ds.records)),
         "failed_cells": int(np.isnan(res.rmse).sum()),
-        "best": {"a": float(res.best[0]), "b": float(res.best[1]),
+        "best": {"a": res.best[0], "b": res.best[1],
                  "rmse": res.best_rmse,
                  "normalized_rmse": res.normalized_best_rmse,
                  "params": res.best_params.tolist()},
@@ -278,6 +286,9 @@ def cmd_emit_qasm(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # imported here: oracle loads scipy.sparse, which no other command needs
+    from .oracle import evolve_lindblad, evolve_statevector, oracle_observables
+
     if args.trotter:
         if args.dt is None or args.steps is None:
             raise ValueError("--trotter oracle requires --dt and --steps")

@@ -377,7 +377,8 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
         raise RuntimeError("every grid cell failed to fit")
     best_rmse, ia, ib = best_cell
     return CollapseResult(grid=grid, rmse=np.where(np.isfinite(r), r, np.nan),
-                          best=(a_vals[ia], b_vals[ib]), best_params=params[ia, ib],
+                          best=(float(a_vals[ia]), float(b_vals[ib])),
+                          best_params=params[ia, ib],
                           best_rmse=best_rmse,
                           peak_rescaled=float(np.max(np.abs(v[:, ib]))),
                           threads=threads)

@@ -19,8 +19,9 @@ circuit layer, all through one batched Rodrigues kernel.  At lam > 0 the
 dephasing makes the flow stiff; evolve_magnus_frame steps it in each
 mode's adiabatic frame, where the stiff part acts only on the (x, y)
 block, with 3x3 step propagators from a batched Padé exponential.
-evolve_continuous integrates one mode by LSODA; it is the slow,
-independent reference the batched paths are tested against.
+evolve_continuous integrates all modes in one LSODA solve; it is the
+slow, independent reference the batched paths are tested against, and
+it takes their signature and returns their (n_samples, n_modes, 3).
 
 A sample of the whole chain is a ModeEnsemble: one (n_modes, 3) float
 array whose row i is the Bloch vector of mode grid.modes[i].
@@ -40,14 +41,12 @@ from .protocol import (
     PseudoField,
     QuenchProtocol,
     momentum_grid,
-    pseudo_field,
     pseudo_field_components,
     schedule_at,
 )
 
 __all__ = [
     "ModeEnsemble",
-    "IntegrationError",
     "ground_state_bloch",
     "evolve_continuous",
     "check_tolerance",
@@ -79,15 +78,6 @@ MAGNUS_STEP_SCALE = 10.0
 FRAME_STEP_SCALE = 130.0
 # largest Gamma dt of the last step before a sample time; see _frame_nodes
 TAIL_GAMMA_DT = 0.5
-
-
-class IntegrationError(RuntimeError):
-    """Raised when the per-mode ODE integration fails."""
-
-    def __init__(self, message: str, k: float, t: float):
-        super().__init__(f"{message} (k = {k}, t = {t})")
-        self.k = k
-        self.t = t
 
 
 @dataclass(frozen=True)
@@ -130,70 +120,59 @@ def ground_state_bloch(f: PseudoField) -> np.ndarray:
     return f.as_array() / norm
 
 
-def _bloch_rhs(t, n, k, tau_q, lam):
-    j = 1.0 + t / tau_q
-    h = 1.0 - t / tau_q
-    hy = 2.0 * j * math.sin(k)
-    hz = 2.0 * h - 2.0 * j * math.cos(k)
-    nx, ny, nz = n
-    # c = h x n with hx = 0
-    cx = hy * nz - hz * ny
-    cy = hz * nx
-    cz = -hy * nx
-    out_x = -2.0 * cx
-    out_y = -2.0 * cy
-    out_z = -2.0 * cz
-    if lam != 0.0:
-        # d = h x c
-        dx = hy * cz - hz * cy
-        dy = hz * cx
-        dz = -hy * cx
-        out_x += 4.0 * lam * dx
-        out_y += 4.0 * lam * dy
-        out_z += 4.0 * lam * dz
-    return (out_x, out_y, out_z)
-
-
 def evolve_continuous(
     p: QuenchProtocol,
     lam: float,
-    k: float,
-    t_from: float,
-    t_to: float,
+    modes: Sequence[float],
     sample_times: Sequence[float],
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> np.ndarray:
-    """Integrate one mode from its ground state at t_from, sampling n(t).
+    """Reference evolution of every mode at once, from its ground state at
+    t_start, sampled at the sample times.
 
-    Returns the Bloch vectors at the sample times, shape (n_samples, 3).
+    Returns the Bloch vectors, shape (n_samples, n_modes, 3).
 
-    Uses LSODA: the damping rate 4*lam*|h_k|^2 makes the system stiff at
-    large lam and the solver switches to BDF there on its own.
+    One LSODA solve (Petzold, SIAM J. Sci. Stat. Comput. 4, 136 (1983))
+    of the 3M-dimensional system from t_start to the last sample time: the
+    damping rate 4*lam*|h_k|^2 makes it stiff at large lam, and the solver
+    switches to BDF there on its own.  The state is mode-major, [x, y, z]
+    of mode 0, then of mode 1, and so on, so the Jacobian is
+    block-diagonal with 3x3 blocks and a band of width 2 on either side
+    holds it; LSODA builds it by finite differences.  Error-controlled
+    Adams/BDF shares nothing with the Magnus paths it is tested against.
     """
     lam = check_lambda("lam", lam)
-    if not (t_from < t_to):
-        raise ValueError(f"need t_from < t_to, got [{t_from}, {t_to}]")
-    if not (p.contains(t_from) and p.contains(t_to)):
-        raise ValueError(f"[{t_from}, {t_to}] outside protocol interval")
-    sched = schedule_at(p, t_from)
-    n0 = ground_state_bloch(pseudo_field(k, sched.j, sched.h))
-    sample_times = np.asarray(sample_times, dtype=float)
+    rtol = check_tolerance("rtol", rtol)
+    atol = check_tolerance("atol", atol)
+    times = check_sample_times(p, sample_times)
+    modes = np.asarray(modes, dtype=float).reshape(-1)
+    n0 = _ground_states(modes)
+    if times[-1] == p.t_start:
+        # solve_ivp returns no state on a zero-length span
+        return n0[None]
+    sin_k, cos_k = np.sin(modes), np.cos(modes)
+
+    def rhs(t, y):
+        # dn/dt = -2 c + 4 lam h x c with c = h x n and h_x = 0
+        j, h = 1.0 + t / p.tau_q, 1.0 - t / p.tau_q
+        hy, hz = (2.0 * j) * sin_k, 2.0 * h - (2.0 * j) * cos_k
+        nx, ny, nz = y.reshape(-1, 3).T
+        cx, cy, cz = hy * nz - hz * ny, hz * nx, -hy * nx
+        out = np.empty_like(n0)
+        out[:, 0] = (4.0 * lam) * (hy * cz - hz * cy) - 2.0 * cx
+        out[:, 1] = (4.0 * lam) * (hz * cx) - 2.0 * cy
+        out[:, 2] = (-4.0 * lam) * (hy * cx) - 2.0 * cz
+        return out.reshape(-1)
+
     from scipy.integrate import solve_ivp  # only the reference path needs it
 
-    sol = solve_ivp(
-        _bloch_rhs,
-        (t_from, t_to),
-        n0,
-        method="LSODA",
-        t_eval=sample_times,
-        rtol=rtol,
-        atol=atol,
-        args=(k, p.tau_q, lam),
-    )
+    sol = solve_ivp(rhs, (p.t_start, times[-1]), n0.reshape(-1),
+                    method="LSODA", t_eval=times, rtol=rtol, atol=atol,
+                    lband=2, uband=2)
     if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}", k=k, t=t_from)
-    return sol.y.T
+        raise RuntimeError(f"LSODA reference integration failed: {sol.message}")
+    return sol.y.T.reshape(len(times), len(modes), 3)
 
 
 def check_tolerance(key: str, value: float) -> float:
@@ -235,12 +214,13 @@ def check_sample_times(p: QuenchProtocol, sample_times) -> np.ndarray:
     return times
 
 
-def _ground_states(p: QuenchProtocol, modes: np.ndarray) -> np.ndarray:
+def _ground_states(modes: np.ndarray) -> np.ndarray:
     """Ground-state Bloch vectors of the modes at the start of the quench,
-    shape (n_modes, 3)."""
-    sched = schedule_at(p, p.t_start)
-    return np.array([ground_state_bloch(pseudo_field(k, sched.j, sched.h))
-                     for k in modes]).reshape(-1, 3)
+    shape (n_modes, 3).  There J = 0 and h = 2, so every mode's field is
+    exactly (0, 0, 4) and its ground state is exactly z-hat."""
+    n = np.zeros((len(modes), 3))
+    n[:, 2] = 1.0
+    return n
 
 
 def _rodrigues(n: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -308,7 +288,7 @@ def evolve_magnus(
     times = check_sample_times(p, sample_times)
     modes = np.asarray(modes, dtype=float).reshape(-1)
     sin_k, cos_k = np.sin(modes), np.cos(modes)
-    n = _ground_states(p, modes)
+    n = _ground_states(modes)
     w = np.empty_like(n)
     out = []
     t = p.t_start
@@ -473,8 +453,7 @@ def _magnus_frame(p: QuenchProtocol, lam: float, modes: np.ndarray,
             [_magnus_frame(p, lam, modes[i:i + FRAME_BATCH], times, density)
              for i in range(0, len(modes), FRAME_BATCH)], axis=1)
     per_batch = max(1, FRAME_BATCH // len(modes))
-    m = np.zeros((3, len(modes)))
-    m[2] = 1.0  # the ground state at t_start, where h = 4 z-hat in both frames
+    m = _ground_states(modes).T  # z-hat: h = 4 z-hat in both frames there
     out = []
     for nodes, t_s in zip(_frame_nodes(p, lam, times, density), times):
         for lo in range(0, len(nodes) - 1, per_batch):
@@ -562,7 +541,7 @@ def trotter_step_mode(n: np.ndarray, k, j: float, h: float,
 
 def _evolve_trotter(p: QuenchProtocol, modes: np.ndarray) -> np.ndarray:
     """Bloch vectors of all modes after every Trotter step, (steps, M, 3)."""
-    n = _ground_states(p, modes)
+    n = _ground_states(modes)
     out = []
     for t_s in p.step_times():
         sched = schedule_at(p, t_s)

@@ -182,6 +182,7 @@ class TestExponentSweep:
         ds = planted_dataset(*planted)
         res = exponent_sweep(ds)
         assert res.best == pytest.approx(planted, abs=1e-12)
+        assert all(type(v) is float for v in res.best)
 
     def test_rmse_surface_shape_and_minimum(self):
         ds = planted_dataset(0.5, 0.125)

@@ -352,6 +352,16 @@ class TestCli:
         assert err["error"] == "ValueError" and "--lambda" in err["message"]
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
+    def test_quench_rejects_clashing_run_directories(self, tmp_path, capsys):
+        # both tau_q format as "1" in the run tag
+        rc = main(["quench", "--n", "8", "--tau-q", "1.0000001,1.0000002",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "1.0000001" in err["message"] and "1.0000002" in err["message"]
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
     def test_oracle_rejects_bad_lambda(self, capsys, lam):
         rc = main(["oracle", "--n", "4", "--tau-q", "1", f"--lambda={lam}"])
@@ -381,9 +391,9 @@ class TestCli:
 
     def test_import_leaves_scipy_solvers_unloaded(self):
         # only the LSODA and DOP853 reference paths need scipy.integrate,
-        # and they import it when called
-        code = ("import sys, kzchain.cli; print([m for m in "
-                "('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+        # only the oracle needs scipy.sparse, and each imports it when called
+        code = ("import sys, kzchain.cli; print([m for m in ('scipy.integrate',"
+                " 'scipy.optimize', 'scipy.sparse') if m in sys.modules])")
         path = [str(Path(kzchain.__file__).parents[1]),
                 os.environ.get("PYTHONPATH", "")]
         out = subprocess.run([sys.executable, "-c", code], check=True,

@@ -33,27 +33,35 @@ class TestContinuousEvolution:
         # slow quench on a gapped mode: n(t) stays close to h(t)/|h(t)|
         p = QuenchProtocol(tau_q=200.0)
         k = 2.0  # large gap
-        (n,) = evolve_continuous(p, 0.0, k, p.t_start, 0.0, [0.0])
+        n = evolve_continuous(p, 0.0, [k], [0.0])[0, 0]
         target = ground_state_bloch(pseudo_field(k, 1.0, 1.0))
         assert np.linalg.norm(n - target) < 1e-2
 
     def test_sudden_limit_freezes(self):
         # fast quench: n barely moves from its initial z-hat
         p = QuenchProtocol(tau_q=1e-3)
-        (n,) = evolve_continuous(p, 0.0, 0.3, p.t_start, 0.0, [0.0])
+        n = evolve_continuous(p, 0.0, [0.3], [0.0])[0, 0]
         assert n[2] > 0.999
+
+    def test_sample_at_start_is_ground_state(self):
+        # a sample at t_start alone spans no time, and the solver is skipped
+        p = QuenchProtocol(tau_q=1.0)
+        (start,) = evolve_continuous(p, 0.3, [0.5, 2.0], [p.t_start])
+        np.testing.assert_array_equal(start, [[0.0, 0.0, 1.0]] * 2)
+        both = evolve_continuous(p, 0.3, [0.5, 2.0], [p.t_start, 0.0])
+        np.testing.assert_allclose(both[0], start, rtol=0, atol=1e-15)
 
     def test_norm_preserved_when_unitary(self):
         p = QuenchProtocol(tau_q=2.0)
-        for k in momentum_grid(16).modes:
-            (n,) = evolve_continuous(p, 0.0, float(k), p.t_start, 0.0, [0.0])
-            assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-8)
+        (states,) = evolve_continuous(p, 0.0, momentum_grid(16).modes, [0.0])
+        np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0,
+                                   atol=1e-8)
 
     def test_decoherence_shrinks_norm(self):
         p = QuenchProtocol(tau_q=4.0)
-        k = float(momentum_grid(64).modes[0])
-        (unitary,) = evolve_continuous(p, 0.0, k, p.t_start, 0.0, [0.0])
-        (damped,) = evolve_continuous(p, 1.0, k, p.t_start, 0.0, [0.0])
+        k = momentum_grid(64).modes[:1]
+        unitary = evolve_continuous(p, 0.0, k, [0.0])[0, 0]
+        damped = evolve_continuous(p, 1.0, k, [0.0])[0, 0]
         assert np.linalg.norm(damped) < np.linalg.norm(unitary) - 1e-3
 
     def test_landau_zener_excitation(self):
@@ -67,27 +75,20 @@ class TestContinuousEvolution:
         """
         tau_q = 4.0
         p = QuenchProtocol(tau_q=tau_q, variant=Variant.FULL_QUENCH)
-        for k in [0.05, 0.1, 0.2]:
-            (n,) = evolve_continuous(p, 0.0, k, p.t_start, tau_q, [tau_q])
-            sched = schedule_at(p, tau_q)
+        modes = [0.05, 0.1, 0.2]
+        (states,) = evolve_continuous(p, 0.0, modes, [tau_q])
+        sched = schedule_at(p, tau_q)
+        for k, n in zip(modes, states):
             target = ground_state_bloch(pseudo_field(k, sched.j, sched.h))
             p_exc = 0.5 * (1.0 - float(np.dot(n, target)))
             p_lz = math.exp(-math.pi * tau_q * k * k)
             assert p_exc == pytest.approx(p_lz, abs=0.01)
 
-    def test_interval_validation(self):
-        p = QuenchProtocol(tau_q=1.0)
-        with pytest.raises(ValueError):
-            evolve_continuous(p, 0.0, 0.5, 0.0, -1.0, [0.0])
-        with pytest.raises(ValueError):
-            evolve_continuous(p, -0.5, 0.5, -1.0, 0.0, [0.0])
-
 
 def _lsoda_reference(p, modes, times, lam=0.0):
-    """Per-mode LSODA at tight tolerances, shape (n_samples, n_modes, 3)."""
-    return np.stack([evolve_continuous(p, lam, float(k), p.t_start, p.t_end,
-                                       times, rtol=1e-13, atol=1e-15)
-                     for k in modes], axis=1)
+    """One LSODA solve over all modes at tight tolerances, shape
+    (n_samples, n_modes, 3)."""
+    return evolve_continuous(p, lam, modes, times, rtol=1e-13, atol=1e-15)
 
 
 class TestMagnus:
@@ -255,16 +256,21 @@ class TestRunQuench:
         p = QuenchProtocol(tau_q=1.0)
         with pytest.raises(ValueError, match="sample_times"):
             run_quench(p, 8, lam=lam, sample_times=times)
+        with pytest.raises(ValueError, match="sample_times"):
+            evolve_continuous(p, lam, [0.5], times)
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     @pytest.mark.parametrize("key", ["rtol", "atol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_tolerances_checked(self, lam, key, value):
-        # rtol is validated; atol is not a run_quench parameter at all
+        # run_quench validates rtol and takes no atol; the LSODA reference
+        # validates both
         p = QuenchProtocol(tau_q=1.0)
         error = ValueError if key == "rtol" else TypeError
         with pytest.raises(error, match=key):
             run_quench(p, 8, lam=lam, sample_times=[0.0], **{key: value})
+        with pytest.raises(ValueError, match=key):
+            evolve_continuous(p, lam, [0.5], [0.0], **{key: value})
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
     def test_lambda_checked(self, lam):
@@ -273,6 +279,8 @@ class TestRunQuench:
             run_quench(p, 8, lam=lam, sample_times=[0.0])
         with pytest.raises(ValueError, match="lam"):
             evolve_magnus_frame(p, lam, [0.5], [0.0])
+        with pytest.raises(ValueError, match="lam"):
+            evolve_continuous(p, lam, [0.5], [0.0])
 
     def test_trotter_rejects_decoherence(self, small_trotter_protocol):
         with pytest.raises(ValueError):

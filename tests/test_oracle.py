@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 from kzchain.correlators import (fermion_correlators, magnetization_x,
                                  xx_connected, zz_connected)
 from kzchain.mode_dynamics import run_quench
-from kzchain.observables import defect_density, total_energy
+from kzchain.observables import defect_density, run_record, total_energy
 from kzchain.oracle import (DenseState, _symmetric_sector, dense_hamiltonian,
                             evolve_lindblad, evolve_statevector,
                             oracle_observables, zz_correlation_se)
@@ -249,6 +249,31 @@ class TestPipelineAgainstOracle:
         assert defect_density(fc) == pytest.approx(obs["n_def"], abs=1e-10)
         for x in range(1, n // 2 + 1):
             assert zz_connected(fc, x) == pytest.approx(obs["c_zz"][x], abs=1e-10)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_dephased_observables_match_lindblad(self, n, lam, variant):
+        """At lam > 0 the pipeline's m_x, n_def and energy follow the full
+        master equation, at an interior sample and at t_end.
+
+        Both sides report the total energy <H> of the chain, not E/N.
+        C_zz(x >= 2) and C_xx are deliberately not compared: the pipeline
+        dephases each (k, -k) pair in its own H_k, while evolve_lindblad
+        keeps the cross terms [H_k, [H_k', rho]].  Those leave every
+        quadratic expectation's equation of motion unchanged but make rho
+        non-Gaussian, so the longer Jordan-Wigner strings differ.
+        """
+        p = QuenchProtocol(tau_q=2.0, variant=variant)
+        times = [p.t_start + 0.4 * p.duration, p.t_end]
+        rec = run_record(run_quench(p, n, lam=lam, sample_times=times), p)
+        rhos = evolve_lindblad(p, n, lam, sample_times=times)
+        for sample, rho in zip(rec.samples, rhos):
+            sched = schedule_at(p, rho.t)
+            obs = oracle_observables(rho, sched.j, sched.h)
+            assert sample["m_x"] == pytest.approx(np.mean(obs["m_x"]), abs=1e-8)
+            assert sample["n_def"] == pytest.approx(obs["n_def"], abs=1e-8)
+            assert sample["e_total"] == pytest.approx(obs["energy"], abs=1e-8)
 
 
 class TestShotError:
