@@ -55,7 +55,7 @@ class TestContinuousEvolution:
         p = QuenchProtocol(tau_q=2.0)
         (states,) = evolve_continuous(p, 0.0, momentum_grid(16).modes, [0.0])
         np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0,
-                                   atol=1e-8)
+                                   rtol=0, atol=1e-8)
 
     def test_decoherence_shrinks_norm(self):
         p = QuenchProtocol(tau_q=4.0)
