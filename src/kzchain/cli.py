@@ -39,8 +39,9 @@ from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
                  write_correlators_csv, write_manifest, write_observables_csv,
                  write_rmse_csv, write_trajectories_csv)
 from .mode_dynamics import check_lambda, integrator_stats, run_quench
-from .observables import RunRecord, power_law_fit, run_record
-from .protocol import Evolution, QuenchProtocol, Variant, schedule_at
+from .observables import power_law_fit, run_record
+from .protocol import (Evolution, QuenchProtocol, Variant, schedule_at,
+                       trotter_protocol)
 from .svg import heatmap, line_plot
 
 __all__ = ["main"]
@@ -70,13 +71,6 @@ def _sample_times(p: QuenchProtocol) -> Optional[List[float]]:
     return [0.0]
 
 
-def _observable_rows(rec: RunRecord) -> List[dict]:
-    return [{"tau_q": rec.protocol.tau_q, "lam": rec.lam, "t": s["t"],
-             "m_x": s["m_x"], "n_def": s["n_def"], "e_total": s["e_total"],
-             "e_res": s["e_res"], "e_exc": s["e_exc"]}
-            for s in rec.samples]
-
-
 def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
     """One (tau_q, lambda) run: dynamics, correlators, observables, files."""
     t_wall = time.time()
@@ -90,11 +84,12 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
     rec = run_record(ensembles, p)
     zz = zz_connected_profiles(rec.tables, x_max)
     xx = xx_connected_profiles(rec.tables, x_max)
-    corr_rows = [(p.tau_q, s["t"], x, c_zz, c_xx)
-                 for s, zz_row, xx_row in zip(rec.samples, zz.c_zz, xx)
-                 for x, (c_zz, c_xx) in enumerate(zip(zz_row, xx_row), start=1)]
-    write_correlators_csv(out_dir / "correlators.csv", corr_rows)
-    write_observables_csv(out_dir / "observables.csv", _observable_rows(rec))
+    # correlator rows (tau_q, t, x, c_zz, c_xx), sample by sample
+    t = np.array([s["t"] for s in rec.samples])[:, None]
+    x = np.arange(1, x_max + 1)
+    rows = np.stack(np.broadcast_arrays(p.tau_q, t, x, zz.c_zz, xx), axis=-1)
+    write_correlators_csv(out_dir / "correlators.csv", rows.reshape(-1, 5))
+    write_observables_csv(out_dir / "observables.csv", rec.samples)
     manifest = {
         "version": __version__,
         "protocol": protocol_to_dict(p),
@@ -261,20 +256,18 @@ def cmd_observables(args) -> int:
     ensembles = read_trajectories_csv(run_dir / "trajectories.csv", p,
                                       manifest["n_sites"], manifest["lambda"])
     rec = run_record(ensembles, p)
-    rows = _observable_rows(rec)
-    write_observables_csv(run_dir / "observables.csv", rows)
-    for row in rows:
+    write_observables_csv(run_dir / "observables.csv", rec.samples)
+    for row in rec.samples:
         print(json.dumps(row))
     return 0
 
 
+def _variant(args) -> Variant:
+    return Variant.FULL_QUENCH if args.full else Variant.TO_CRITICAL_POINT
+
+
 def cmd_emit_qasm(args) -> int:
-    duration = args.steps * args.dt
-    tau_q = duration / 2.0 if args.full else duration
-    p = QuenchProtocol(
-        tau_q=tau_q,
-        variant=Variant.FULL_QUENCH if args.full else Variant.TO_CRITICAL_POINT,
-        evolution=Evolution.TROTTER, dt=args.dt, steps=args.steps)
+    p = trotter_protocol(args.dt, args.steps, _variant(args))
     prog = emit_program(p, args.n, measure_basis=args.basis)
     root = _out_root(args.out)
     root.mkdir(parents=True, exist_ok=True)
@@ -292,18 +285,11 @@ def cmd_oracle(args) -> int:
     if args.trotter:
         if args.dt is None or args.steps is None:
             raise ValueError("--trotter oracle requires --dt and --steps")
-        duration = args.steps * args.dt
-        tau_q = duration / 2.0 if args.full else duration
-        p = QuenchProtocol(
-            tau_q=tau_q,
-            variant=Variant.FULL_QUENCH if args.full else Variant.TO_CRITICAL_POINT,
-            evolution=Evolution.TROTTER, dt=args.dt, steps=args.steps)
+        p = trotter_protocol(args.dt, args.steps, _variant(args))
     else:
         if args.tau_q is None:
             raise ValueError("continuous oracle requires --tau-q")
-        p = QuenchProtocol(
-            tau_q=args.tau_q,
-            variant=Variant.FULL_QUENCH if args.full else Variant.TO_CRITICAL_POINT)
+        p = QuenchProtocol(tau_q=args.tau_q, variant=_variant(args))
     # both evolutions sample t_end by default; Trotter samples every step
     lam = check_lambda("--lambda", args.lam)
     if lam > 0:

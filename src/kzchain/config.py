@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from .collapse import DEFAULT_MASK_THEORY, GridSpec
 from .mode_dynamics import DEFAULT_RTOL, check_lambda, check_tolerance
-from .protocol import Evolution, QuenchProtocol, Variant
+from .protocol import Evolution, QuenchProtocol, Variant, trotter_protocol
 
 __all__ = ["RunConfig", "load_config_file"]
 
@@ -64,15 +64,8 @@ class RunConfig:
         if self.evolution is Evolution.TROTTER:
             if self.dt is None or not self.steps:
                 raise ValueError("Trotter config requires dt and a steps list")
-            out = []
-            for steps in self.steps:
-                duration = steps * self.dt
-                tau_q = duration if self.variant is Variant.TO_CRITICAL_POINT \
-                    else duration / 2.0
-                out.append(QuenchProtocol(tau_q=tau_q, variant=self.variant,
-                                          evolution=Evolution.TROTTER,
-                                          dt=self.dt, steps=steps))
-            return out
+            return [trotter_protocol(self.dt, steps, self.variant)
+                    for steps in self.steps]
         if not self.tau_sweep:
             raise ValueError("empty tau_q sweep")
         return [QuenchProtocol(tau_q=t, variant=self.variant) for t in self.tau_sweep]

@@ -1,16 +1,27 @@
 """CSV and manifest persistence for run directories.
 
-All floats are written with repr so that re-running a manifest reproduces
-every file byte-identically, and every writer has a matching reader that
-round-trips losslessly.
+Every CSV goes through one writer and one reader.  `_write_table` writes
+the header and then the rows block by block (a trajectory sample, an
+a-row of the rmse grid, a fixed number of correlator rows, or the few
+observable rows of a run), so no whole-file string is built.  The writers format each row with an f-string over Python floats
+(`.tolist()` of an array): a float as its `repr`, a separation or a flag
+as an integer, a missing value as an empty cell, and `\r\n` after every
+row: the bytes `csv.writer` writes for the same cells, as
+`TestCsvFormat` in tests/test_io_cli.py checks.  `_read_table` checks
+the header, parses each row with a callback and reports a row that does
+not parse as `<path>:<lineno>: bad row [...]`.
+
+Re-running a manifest therefore reproduces every file byte-identically,
+and every writer has a matching reader that round-trips losslessly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,107 +43,104 @@ _OBSERVABLES_HEADER = ["tau_q", "lambda", "t", "m_x", "n_def", "e_total",
 _TRAJECTORIES_HEADER = ["k", "t", "nx", "ny", "nz"]
 _RMSE_HEADER = ["a", "b", "rmse", "converged"]
 
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _check_header(path, reader, expected: List[str]):
-    header = next(reader, None)
-    if header != expected:
-        raise ValueError(f"{path}: unexpected header {header}, "
-                         f"expected {expected}")
+# correlator rows formatted and written per block
+_BLOCK_ROWS = 4096
 
 
-def write_correlators_csv(path, rows: Sequence[Tuple[float, float, int, float, float]]):
-    """Rows: (tau_q, t, x, c_zz, c_xx)."""
+def _write_table(path, header: List[str], blocks: Iterable[Iterable[str]]):
+    """Write the header, then each block of formatted lines in one call."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CORRELATORS_HEADER)
-        for tau_q, t, x, c_zz, c_xx in rows:
-            w.writerow([_fmt(tau_q), _fmt(t), int(x), _fmt(c_zz), _fmt(c_xx)])
+        fh.write(",".join(header) + "\r\n")
+        for lines in blocks:
+            fh.write("".join(lines))
+
+
+def _read_table(path, header: List[str],
+                parse: Callable[[List[str]], object]) -> list:
+    """Rows after a header that must equal `header`, each through parse;
+    a ValueError or IndexError from parse names the file and line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ValueError(f"{path}: unexpected header {found}, "
+                             f"expected {header}")
+        out = []
+        for row in reader:
+            try:
+                out.append(parse(row))
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad row {row}") from exc
+    return out
+
+
+def write_correlators_csv(path, rows):
+    """Rows: (tau_q, t, x, c_zz, c_xx), as an (R, 5) array or sequence."""
+    rows = np.asarray(rows, dtype=float)
+    _write_table(path, _CORRELATORS_HEADER, (
+        (f"{tau_q!r},{t!r},{int(x)},{c_zz!r},{c_xx!r}\r\n"
+         for tau_q, t, x, c_zz, c_xx in rows[i:i + _BLOCK_ROWS].tolist())
+        for i in range(0, len(rows), _BLOCK_ROWS)))
 
 
 def read_correlators_csv(path) -> List[Tuple[float, float, int, float, float]]:
-    out = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        _check_header(path, r, _CORRELATORS_HEADER)
-        for lineno, row in enumerate(r, start=2):
-            try:
-                out.append((float(row[0]), float(row[1]), int(row[2]),
-                            float(row[3]), float(row[4])))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad row {row}") from exc
-    return out
+    return _read_table(path, _CORRELATORS_HEADER, lambda row: (
+        float(row[0]), float(row[1]), int(row[2]), float(row[3]), float(row[4])))
 
 
 def write_observables_csv(path, rows: Sequence[dict]):
     """Rows carry tau_q, lam, t, m_x, n_def, e_total, e_res and optional e_exc."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_OBSERVABLES_HEADER)
-        for row in rows:
-            e_exc = row.get("e_exc")
-            w.writerow([
-                _fmt(row["tau_q"]), _fmt(row["lam"]), _fmt(row["t"]),
-                _fmt(row["m_x"]), _fmt(row["n_def"]),
-                _fmt(row["e_total"]), _fmt(row["e_res"]),
-                "" if e_exc is None else _fmt(e_exc),
-            ])
+    table = np.array([[r["tau_q"], r["lam"], r["t"], r["m_x"], r["n_def"],
+                       r["e_total"], r["e_res"]] for r in rows], dtype=float)
+    e_exc = ["" if r.get("e_exc") is None else repr(float(r["e_exc"]))
+             for r in rows]
+    _write_table(path, _OBSERVABLES_HEADER, [[
+        ",".join(map(repr, vals)) + f",{e}\r\n"
+        for vals, e in zip(table.tolist(), e_exc)]])
 
 
 def read_observables_csv(path) -> List[dict]:
-    out = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        _check_header(path, r, _OBSERVABLES_HEADER)
-        for lineno, row in enumerate(r, start=2):
-            try:
-                out.append({
-                    "tau_q": float(row[0]), "lam": float(row[1]), "t": float(row[2]),
-                    "m_x": float(row[3]), "n_def": float(row[4]),
-                    "e_total": float(row[5]), "e_res": float(row[6]),
-                    "e_exc": float(row[7]) if row[7] else None,
-                })
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad row {row}") from exc
-    return out
+    return _read_table(path, _OBSERVABLES_HEADER, lambda row: {
+        "tau_q": float(row[0]), "lam": float(row[1]), "t": float(row[2]),
+        "m_x": float(row[3]), "n_def": float(row[4]),
+        "e_total": float(row[5]), "e_res": float(row[6]),
+        "e_exc": float(row[7]) if row[7] else None,
+    })
 
 
 def write_trajectories_csv(path, ensembles: Sequence[ModeEnsemble]):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_TRAJECTORIES_HEADER)
+    def blocks():
         for e in ensembles:
-            t = _fmt(e.t)
-            for k, (nx, ny, nz) in zip(e.grid.modes, e.states):
-                w.writerow([_fmt(k), t, _fmt(nx), _fmt(ny), _fmt(nz)])
+            t = repr(float(e.t))
+            yield (f"{k!r},{t},{nx!r},{ny!r},{nz!r}\r\n" for k, (nx, ny, nz)
+                   in zip(e.grid.modes.tolist(), e.states.tolist()))
+
+    _write_table(path, _TRAJECTORIES_HEADER, blocks())
 
 
 def read_trajectories_csv(path, protocol: QuenchProtocol, n_sites: int,
                           lam: float) -> List[ModeEnsemble]:
     """Rebuild the ensemble sequence; rows must be grouped by sample time
-    in grid order, as written."""
+    in grid order, as written, and every sample must hold the whole grid."""
     grid = momentum_grid(n_sites)
+    rows = _read_table(path, _TRAJECTORIES_HEADER, lambda row: (
+        float(row[0]), float(row[1]),
+        [float(row[2]), float(row[3]), float(row[4])]))
     per_time: Dict[float, List[List[float]]] = {}
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        _check_header(path, r, _TRAJECTORIES_HEADER)
-        for lineno, row in enumerate(r, start=2):
-            try:
-                k, t = float(row[0]), float(row[1])
-                state = [float(row[2]), float(row[3]), float(row[4])]
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad row {row}") from exc
-            modes = per_time.setdefault(t, [])
-            # states carry no k, so the rows must follow the grid exactly
-            if len(modes) >= len(grid) or k != grid.modes[len(modes)]:
-                raise ValueError(f"{path}:{lineno}: k = {k} breaks the "
-                                 f"N = {n_sites} momentum grid order")
-            modes.append(state)
+    for lineno, (k, t, state) in enumerate(rows, start=2):
+        modes = per_time.setdefault(t, [])
+        # states carry no k, so the rows must follow the grid exactly
+        if len(modes) >= len(grid) or k != grid.modes[len(modes)]:
+            raise ValueError(f"{path}:{lineno}: k = {k} breaks the "
+                             f"N = {n_sites} momentum grid order")
+        modes.append(state)
+    if not per_time:
+        raise ValueError(f"{path}: no samples")
     out = []
     for t, states in per_time.items():
+        if len(states) != len(grid):
+            raise ValueError(f"{path}: sample t = {t} has {len(states)} of "
+                             f"the {len(grid)} modes of the N = {n_sites} grid")
         sched = schedule_at(protocol, t)
         out.append(ModeEnsemble(grid=grid, states=np.array(states), t=t, lam=lam,
                                 j=sched.j, h=sched.h, protocol=protocol))
@@ -140,29 +148,19 @@ def read_trajectories_csv(path, protocol: QuenchProtocol, n_sites: int,
 
 
 def write_rmse_csv(path, a_vals, b_vals, rmse):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_RMSE_HEADER)
-        for ia, a in enumerate(a_vals):
-            for ib, b in enumerate(b_vals):
-                val = rmse[ia][ib]
-                ok = not np.isnan(val)
-                w.writerow([_fmt(a), _fmt(b), _fmt(val) if ok else "", int(ok)])
+    """One row per (a, b) cell; a NaN cell has an empty rmse and flag 0."""
+    b_vals = np.asarray(b_vals, dtype=float).tolist()
+    _write_table(path, _RMSE_HEADER, (
+        (f"{a!r},{b!r},,0\r\n" if math.isnan(val) else f"{a!r},{b!r},{val!r},1\r\n"
+         for b, val in zip(b_vals, row))
+        for a, row in zip(np.asarray(a_vals, dtype=float).tolist(),
+                          np.asarray(rmse, dtype=float).tolist())))
 
 
 def read_rmse_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        _check_header(path, r, _RMSE_HEADER)
-        for lineno, row in enumerate(r, start=2):
-            try:
-                rows.append((float(row[0]), float(row[1]),
-                             float(row[2]) if row[2] else float("nan"),
-                             bool(int(row[3]))))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad row {row}") from exc
-    return rows
+    return _read_table(path, _RMSE_HEADER, lambda row: (
+        float(row[0]), float(row[1]),
+        float(row[2]) if row[2] else float("nan"), bool(int(row[3]))))
 
 
 def protocol_to_dict(p: QuenchProtocol) -> dict:

@@ -33,7 +33,8 @@ __all__ = [
 @dataclass
 class RunRecord:
     """Per-sample-time scalar observables of one quench run, with the
-    Majorana tables of each sample for the correlator profiles."""
+    Majorana tables of each sample for the correlator profiles.  Each
+    sample dict holds the columns of observables.csv in their order."""
 
     protocol: QuenchProtocol
     n_sites: int
@@ -47,6 +48,7 @@ class RunRecord:
         if e_res < -1e-9:
             raise ValueError(f"residual energy {e_res} below tolerance floor")
         self.samples.append({
+            "tau_q": self.protocol.tau_q, "lam": self.lam,
             "t": t, "m_x": m_x, "n_def": n_def,
             "e_total": e_total, "e_res": e_res, "e_exc": e_exc,
         })

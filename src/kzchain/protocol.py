@@ -27,6 +27,7 @@ __all__ = [
     "PseudoField",
     "Schedule",
     "schedule_at",
+    "trotter_protocol",
     "momentum_grid",
     "pseudo_field",
 ]
@@ -109,6 +110,16 @@ class QuenchProtocol:
 
     def contains(self, t: float, slack: float = 1e-12) -> bool:
         return self.t_start - slack <= t <= self.t_end + slack
+
+
+def trotter_protocol(dt: float, steps: int,
+                     variant: Variant = Variant.TO_CRITICAL_POINT) -> QuenchProtocol:
+    """The Trotter quench of `steps` steps of length dt.  Its duration
+    steps * dt is tau_q up to the critical point and 2 tau_q through it."""
+    duration = steps * dt
+    tau_q = duration if variant is Variant.TO_CRITICAL_POINT else duration / 2.0
+    return QuenchProtocol(tau_q=tau_q, variant=variant,
+                          evolution=Evolution.TROTTER, dt=dt, steps=steps)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -10,8 +12,11 @@ import pytest
 
 import kzchain
 from kzchain.cli import main
+from kzchain.collapse import CorrelationDataset, GridSpec, exponent_sweep
 from kzchain.config import RunConfig, load_config_file, _parse_steps
-from kzchain.correlators import MAX_MULTIPLIER
+from kzchain.correlators import (MAX_MULTIPLIER, fermion_correlators,
+                                 xx_connected_profiles, zz_connected_profile,
+                                 zz_connected_profiles)
 from kzchain.io import (protocol_from_dict, protocol_to_dict,
                         read_correlators_csv, read_manifest,
                         read_observables_csv, read_rmse_csv,
@@ -19,6 +24,7 @@ from kzchain.io import (protocol_from_dict, protocol_to_dict,
                         write_manifest, write_observables_csv, write_rmse_csv,
                         write_trajectories_csv)
 from kzchain.mode_dynamics import run_quench
+from kzchain.observables import run_record
 from kzchain.oracle import evolve_statevector, oracle_observables
 from kzchain.protocol import Evolution, QuenchProtocol, Variant, schedule_at
 
@@ -56,6 +62,18 @@ class TestCsvRoundTrips:
         write_trajectories_csv(path, run_quench(p, 8, lam=0.0))
         with pytest.raises(ValueError):
             read_trajectories_csv(path, p, 10, 0.0)
+
+    @pytest.mark.parametrize("keep", ["header", "truncated"])
+    def test_incomplete_trajectories_name_file(self, tmp_path, keep):
+        # a header-only file, or one cut at a line end inside the last sample
+        p = QuenchProtocol(tau_q=1.0)
+        path = tmp_path / "trajectories.csv"
+        write_trajectories_csv(path, run_quench(p, 8, lam=0.0,
+                                                sample_times=[-0.5, 0.0]))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] if keep == "header" else lines[:-1]))
+        with pytest.raises(ValueError, match=r"trajectories\.csv"):
+            read_trajectories_csv(path, p, 8, 0.0)
 
     def test_rmse_surface_with_nan(self, tmp_path):
         a, b = [0.1, 0.2], [0.3]
@@ -122,6 +140,96 @@ class TestCsvRoundTrips:
         assert back == json.loads(path.read_text())
         p = protocol_from_dict(back["protocol"])
         assert p.steps == 8 and p.evolution is Evolution.TROTTER
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """What csv.writer writes for the header and rows, the format the
+    library writers must keep byte for byte."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _f(x) -> str:
+    return repr(float(x))
+
+
+class TestCsvFormat:
+    """The library writers against csv.writer on real data."""
+
+    def test_trotter_run_files(self, tmp_path):
+        # a full Trotter quench sampled at every step: its c_xx reaches
+        # about 1e-33 outside the light cone
+        main(["quench", "--n", "8", "--trotter", "--full", "--dt", "0.5",
+              "--steps", "8", "--serial", "--out", str(tmp_path)])
+        (run_dir,) = tmp_path.iterdir()
+        p = QuenchProtocol(tau_q=2.0, variant=Variant.FULL_QUENCH,
+                           evolution=Evolution.TROTTER, dt=0.5, steps=8)
+        ensembles = run_quench(p, 8, lam=0.0)
+        rec = run_record(ensembles, p)
+        c_zz = zz_connected_profiles(rec.tables, 4).c_zz
+        c_xx = xx_connected_profiles(rec.tables, 4)
+        assert np.min(np.abs(c_xx)) < 1e-32
+
+        trajectories = [[_f(k), _f(e.t), _f(nx), _f(ny), _f(nz)]
+                        for e in ensembles
+                        for k, (nx, ny, nz) in zip(e.grid.modes, e.states)]
+        correlators = [[_f(p.tau_q), _f(e.t), x, _f(zz), _f(xx)]
+                       for e, zz_row, xx_row in zip(ensembles, c_zz, c_xx)
+                       for x, (zz, xx) in enumerate(zip(zz_row, xx_row), start=1)]
+        observables = [[_f(p.tau_q), _f(0.0), _f(s["t"]), _f(s["m_x"]),
+                        _f(s["n_def"]), _f(s["e_total"]), _f(s["e_res"]), ""]
+                       for s in rec.samples]
+        expected = {
+            "trajectories.csv": _csv_writer_bytes(
+                ["k", "t", "nx", "ny", "nz"], trajectories),
+            "correlators.csv": _csv_writer_bytes(
+                ["tau_q", "t", "x", "c_zz", "c_xx"], correlators),
+            "observables.csv": _csv_writer_bytes(
+                ["tau_q", "lambda", "t", "m_x", "n_def", "e_total", "e_res",
+                 "e_exc"], observables),
+        }
+        for name, data in expected.items():
+            assert (run_dir / name).read_bytes() == data, name
+
+    def test_observables_with_and_without_excess(self, tmp_path):
+        p = QuenchProtocol(tau_q=2.0)
+        clean = run_quench(p, 16, lam=0.0, sample_times=[-1.0, 0.0])
+        noisy = run_quench(p, 16, lam=0.3, sample_times=[-1.0, 0.0])
+        rows = [{"tau_q": p.tau_q, "lam": rec.lam, **s}
+                for rec in (run_record(noisy, p, clean=clean),
+                            run_record(noisy, p))
+                for s in rec.samples]
+        assert [r["e_exc"] is None for r in rows] == [False, False, True, True]
+        path = tmp_path / "observables.csv"
+        write_observables_csv(path, rows)
+        assert path.read_bytes() == _csv_writer_bytes(
+            ["tau_q", "lambda", "t", "m_x", "n_def", "e_total", "e_res", "e_exc"],
+            [[_f(r["tau_q"]), _f(r["lam"]), _f(r["t"]), _f(r["m_x"]),
+              _f(r["n_def"]), _f(r["e_total"]), _f(r["e_res"]),
+              "" if r["e_exc"] is None else _f(r["e_exc"])] for r in rows])
+
+    def test_rmse_surface_with_failed_cells(self, tmp_path):
+        records = [(tau, x, c)
+                   for tau in (1.0, 2.0, 4.0)
+                   for x, c in enumerate(zz_connected_profile(fermion_correlators(
+                       run_quench(QuenchProtocol(tau_q=tau), 16, lam=0.0)[0])),
+                       start=1)]
+        res = exponent_sweep(CorrelationDataset.from_records(records),
+                             grid=GridSpec(spacing=0.1))
+        a_vals, b_vals = res.grid.a_values(), res.grid.b_values()
+        # a failed fit leaves its cell NaN
+        rmse = res.rmse.copy()
+        rmse[::2, 1::3] = np.nan
+        path = tmp_path / "rmse_surface.csv"
+        write_rmse_csv(path, a_vals, b_vals, rmse)
+        assert path.read_bytes() == _csv_writer_bytes(
+            ["a", "b", "rmse", "converged"],
+            [[_f(a), _f(b), "" if np.isnan(rmse[ia, ib]) else _f(rmse[ia, ib]),
+              int(not np.isnan(rmse[ia, ib]))]
+             for ia, a in enumerate(a_vals) for ib, b in enumerate(b_vals)])
 
 
 class TestConfig:
@@ -271,6 +379,17 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert f"{path}:3: bad row" in err["message"]
 
+    def test_observables_names_empty_trajectories(self, tmp_path, capsys):
+        main(["quench", "--n", "8", "--tau-q", "2", "--serial",
+              "--out", str(tmp_path)])
+        (run_dir,) = tmp_path.iterdir()
+        path = run_dir / "trajectories.csv"
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        capsys.readouterr()
+        assert main(["observables", str(run_dir)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": f"{path}: no samples"}
+
     @pytest.mark.parametrize("spacing", ["0", "-0.1"])
     def test_collapse_rejects_bad_spacing(self, tmp_path, capsys, spacing):
         main(["quench", "--n", "8", "--tau-q", "0.5,1,2", "--serial",
@@ -413,9 +532,16 @@ class TestCli:
               "--out", str(tmp_path)])
         (run_dir,) = tmp_path.iterdir()
         before = (run_dir / "observables.csv").read_bytes()
+        rows = read_observables_csv(run_dir / "observables.csv")
+        capsys.readouterr()
         rc = main(["observables", str(run_dir)])
         assert rc == 0
         assert (run_dir / "observables.csv").read_bytes() == before
+        # one JSON line per row, keys in the column order of the file
+        assert capsys.readouterr().out.splitlines() == \
+            [json.dumps(row) for row in rows]
+        assert list(rows[0]) == ["tau_q", "lam", "t", "m_x", "n_def",
+                                 "e_total", "e_res", "e_exc"]
 
     def test_observables_builds_no_profiles(self, tmp_path, monkeypatch, capsys):
         # the observables table has scalar columns only; the correlator
