@@ -175,9 +175,26 @@ def parse_qasm3(text: str) -> GateProgram:
     return GateProgram(n_qubits=n, gates=tuple(gates), measure_basis=basis)
 
 
+def _cx(psi: np.ndarray, n: int, control: int, target: int):
+    """CX in place: swap the target-bit halves inside the control = 1 slice."""
+    hi, lo = max(control, target), min(control, target)
+    bits = psi.reshape(2 ** (n - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2**lo)
+    if control == hi:
+        zero, one = bits[:, 1, :, 0], bits[:, 1, :, 1]
+    else:
+        zero, one = bits[:, 0, :, 1], bits[:, 1, :, 1]
+    swap = zero.copy()
+    zero[...] = one
+    one[...] = swap
+
+
 def simulate_program(g: GateProgram, max_n: int = 14) -> np.ndarray:
     """Apply the gate list to |+>^N and return the statevector.
 
+    Every gate acts in place on reshaped views of the vector: a one-qubit
+    gate on qubit i sees shape (2^(N-1-i), 2, 2^i), whose middle axis is
+    bit i.  RZ multiplies the two halves by one phase each, RX and H mix
+    them, and CX swaps the target halves inside the control = 1 slice.
     Basis-change Hadamards are part of the gate list, so an X-basis
     program returns the rotated state.
     """
@@ -185,34 +202,31 @@ def simulate_program(g: GateProgram, max_n: int = 14) -> np.ndarray:
     if n > max_n:
         raise ValueError(f"N = {n} exceeds statevector budget {max_n}")
     psi = np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex)
-    idx = np.arange(2**n)
-    spins = 1 - 2 * ((idx[:, None] >> np.arange(n)) & 1)
     for gate in g.gates:
+        if gate.kind == "cx":
+            _cx(psi, n, *gate.qubits)
+            continue
+        i = gate.qubits[0]
+        shaped = psi.reshape(2 ** (n - 1 - i), 2, 2**i)
+        a, b = shaped[:, 0, :], shaped[:, 1, :]
         if gate.kind == "rz":
-            i = gate.qubits[0]
-            psi = psi * np.exp(-0.5j * gate.angle * spins[:, i])
+            # exp(-i angle Z / 2): bit 0 has Z = +1, bit 1 has Z = -1
+            phase = np.exp(-0.5j * gate.angle * np.array([1, -1]))
+            a *= phase[0]
+            b *= phase[1]
         elif gate.kind == "rx":
-            i = gate.qubits[0]
-            shaped = psi.reshape(2 ** (n - 1 - i), 2, 2**i)
-            a = shaped[:, 0, :].copy()
-            b = shaped[:, 1, :].copy()
             c = math.cos(gate.angle / 2.0)
             s = -1j * math.sin(gate.angle / 2.0)
-            shaped[:, 0, :] = c * a + s * b
-            shaped[:, 1, :] = s * a + c * b
-        elif gate.kind == "h":
-            i = gate.qubits[0]
-            shaped = psi.reshape(2 ** (n - 1 - i), 2, 2**i)
-            a = shaped[:, 0, :].copy()
-            b = shaped[:, 1, :].copy()
+            a_old = a.copy()
+            a *= c
+            a += s * b
+            b *= c
+            b += s * a_old
+        else:  # h
             r = 1.0 / math.sqrt(2.0)
-            shaped[:, 0, :] = r * (a + b)
-            shaped[:, 1, :] = r * (a - b)
-        else:  # cx
-            control, target = gate.qubits
-            mask_c = 1 << control
-            mask_t = 1 << target
-            sel = (idx & mask_c) != 0
-            perm = np.where(sel, idx ^ mask_t, idx)
-            psi = psi[perm]
+            a_old = a.copy()
+            a += b
+            a *= r
+            np.subtract(a_old, b, out=b)
+            b *= r
     return psi

@@ -16,7 +16,10 @@ T and F.  The reduction is exact, a change of basis that drops only
 amplitudes which are zero at every t, not a truncation.  The sector
 holds d = 4, 8, 20, 56, 180, 596 states at N = 4, 6, ..., 14, out of 2^N.
 States are returned in the full 2^N basis.  Trotter runs apply the gate
-layers to the full vector, as the circuit comparison needs.
+layers to the full vector, as the circuit comparison needs.  The sector
+operators are built from orbit labels by index arithmetic, and the
+expectation values of `oracle_observables` are a few contractions over
+the basis, not one sum per Pauli string.
 
 The caps are desk-scale memory limits, not tunables.  For N = 2 the
 wraparound bond double-counts the single physical bond; the Hamiltonian
@@ -90,13 +93,20 @@ def _check_n(n: int, cap: int = MAX_N_STATEVECTOR):
 def _spin_bits(n: int) -> np.ndarray:
     """sigma^z eigenvalues s_i = +/-1 per basis index, shape (2^n, n)."""
     idx = np.arange(2**n)
-    bits = (idx[:, None] >> np.arange(n)) & 1
-    return 1 - 2 * bits
+    return 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
+
+
+def _shift(states: np.ndarray, n: int) -> np.ndarray:
+    """Basis indices cyclically shifted by one site: bit i + 1 moves to i."""
+    return (states >> 1) | ((states & 1) << (n - 1))
 
 
 def _zz_diagonal(n: int) -> np.ndarray:
-    s = _spin_bits(n)
-    return np.sum(s * np.roll(s, -1, axis=1), axis=1).astype(float)
+    """sum_i s_i s_{i+1} per basis index: n bonds minus twice the domain
+    walls, the bits where a state differs from its shift."""
+    idx = np.arange(2**n)
+    walls = idx ^ _shift(idx, n)
+    return n - 2.0 * np.sum((walls[:, None] >> np.arange(n)) & 1, axis=1)
 
 
 def _sx_sum(n: int) -> sparse.csr_matrix:
@@ -128,7 +138,7 @@ def _symmetric_sector(n: int) -> sparse.csr_matrix:
     mask = 2**n - 1
     rot, rep = idx, np.minimum(idx, idx ^ mask)
     for _ in range(n - 1):
-        rot = (rot >> 1) | ((rot & 1) << (n - 1))
+        rot = _shift(rot, n)
         rep = np.minimum(rep, np.minimum(rot, rot ^ mask))
     _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
     return sparse.csr_matrix((1.0 / np.sqrt(size[orbit]), (idx, orbit)),
@@ -136,12 +146,28 @@ def _symmetric_sector(n: int) -> sparse.csr_matrix:
 
 
 def _sector_terms(n: int):
-    """P with the two terms of H in the sector: the ZZ sum as a vector,
-    since P^T diag(zz) P is diagonal because the orbits are disjoint, and
-    the transverse-field sum P^T sx P as a sparse matrix."""
+    """P with the two terms of H in the sector, built from orbit labels.
+
+    The ZZ sum is a vector: P^T diag(zz) P is diagonal because the orbits
+    are disjoint, and zz is constant on each orbit.  The transverse-field
+    sum P^T sx P is a sparse d x d matrix: its entry (a, b) sums
+    P[s, a] P[s ^ 2^i, b] = 1/sqrt(|O_a||O_b|) over every state s in orbit
+    a and site i with s ^ 2^i in orbit b, so it is the number of such
+    pairs over sqrt(|O_a||O_b|).  One bincount over all n 2^n pairs
+    (orbit(s), orbit(s ^ 2^i)) gives every count.
+    """
     proj = _symmetric_sector(n)
-    zz = (proj.T @ sparse.diags(_zz_diagonal(n)) @ proj).diagonal()
-    sx = (proj.T @ _sx_sum(n) @ proj).tocsr()
+    # P holds one entry per row, so its column indices are the orbit labels
+    orbit = proj.indices
+    size = np.bincount(orbit)
+    d = size.size
+    zz = np.bincount(orbit, weights=_zz_diagonal(n)) / size
+    flipped = orbit[np.arange(2**n) ^ (1 << np.arange(n))[:, None]]
+    pairs = np.bincount((orbit * d + flipped).ravel(), minlength=d * d)
+    key = np.flatnonzero(pairs)
+    a, b = np.divmod(key, d)
+    sx = sparse.csr_matrix((pairs[key] / np.sqrt(size[a] * size[b]), (a, b)),
+                           shape=(d, d))
     return proj, zz, sx
 
 
@@ -204,10 +230,12 @@ def evolve_statevector(
     Continuous protocols integrate the Schrodinger equation with DOP853
     on the d amplitudes of the symmetric sector (module docstring), from
     t_start to the last sample time.  There the ZZ term is diagonal and
-    the transverse field is a sparse d x d matrix.  Sample times default to t_end and must be strictly
-    increasing inside the protocol interval.  Trotter protocols apply
-    exactly the gate layers to the full 2^N vector, sampling at every
-    step boundary.
+    the transverse field is a sparse d x d matrix; both are real, so the
+    solver state is the 2d reals [Re c; Im c] and each right-hand side
+    is one real sparse product plus the diagonal term.  Sample times
+    default to t_end and must be strictly increasing inside the protocol
+    interval.  Trotter protocols apply exactly the gate layers to the
+    full 2^N vector, sampling at every step boundary.
     """
     _check_n(n)
     if p.evolution is Evolution.TROTTER:
@@ -217,16 +245,27 @@ def evolve_statevector(
     times = check_sample_times(
         p, [p.t_end] if sample_times is None else sample_times)
     proj, zz, sx = _sector_terms(n)
+    d = zz.size
+    # y = [a; b] for c = a + ib, and -iHc = Hb - iHa, so with H = -J zz
+    # - h sx, dy/dt = h [-sx b; sx a] + J [-zz b; zz a]
+    rot = sparse.bmat([[None, -sx], [sx, None]], format="csr")
+    signed_zz = np.stack([-zz, zz])
+    zz_term = np.empty((2, d))
+    t_start, t_end = p.t_start, p.t_end
 
     def rhs(t, y):
-        c = y.view(complex)
-        sched = schedule_at(p, float(np.clip(t, p.t_start, p.t_end)))
-        hc = -sched.j * (zz * c) - sched.h * (sx @ c)
-        return (-1j * hc).view(float)
+        sched = schedule_at(p, min(max(t, t_start), t_end))
+        out = rot @ y
+        out *= sched.h
+        np.multiply(signed_zz, y.reshape(2, d)[::-1], out=zz_term)
+        np.multiply(zz_term, sched.j, out=zz_term)
+        out += zz_term.ravel()
+        return out
 
-    y0 = (proj.T @ _plus_state(n)).view(float)
-    ys = _integrate(rhs, y0, p, times, rtol, atol, "statevector")
-    return [DenseState(n_sites=n, t=float(t), data=proj @ y.view(complex))
+    c0 = proj.T @ _plus_state(n)
+    ys = _integrate(rhs, np.concatenate([c0.real, c0.imag]), p, times,
+                    rtol, atol, "statevector")
+    return [DenseState(n_sites=n, t=float(t), data=proj @ (y[:d] + 1j * y[d:]))
             for t, y in zip(times, ys)]
 
 
@@ -245,8 +284,10 @@ def evolve_lindblad(
     product state.  Continuous protocols only.  DOP853 runs on the d x d
     block r of rho in the symmetric sector (module docstring), from
     t_start to the last sample time, and each sample is returned as
-    rho = P r P^T in the full basis.  Sample times default to t_end and
-    must be strictly increasing inside the protocol interval.  The mode
+    rho = P r P^T in the full basis.  H is real and r Hermitian, so each
+    right-hand side takes two real d x d products, H r and H [H, r].
+    Sample times default to t_end and must be strictly increasing inside
+    the protocol interval.  The mode
     pipeline instead dephases each (k, -k) pair in its own H_k, which
     drops the cross terms [H_k, [H_k', rho]] that this equation keeps.
     """
@@ -261,16 +302,23 @@ def evolve_lindblad(
     dim = zz.shape[0]
     c0 = proj.T @ _plus_state(n)
     rho0 = np.outer(c0, c0.conj())
+    t_start, t_end = p.t_start, p.t_end
 
     def rhs(t, y):
-        rho = y.view(complex).reshape(dim, dim)
-        sched = schedule_at(p, float(np.clip(t, p.t_start, p.t_end)))
+        sched = schedule_at(p, min(max(t, t_start), t_end))
         ham = -sched.j * zz - sched.h * sx
-        comm = ham @ rho - rho @ ham
-        out = -1j * comm
+        # H is real: H rho acts on the rows of rho's float view.  rho is
+        # Hermitian, so rho H = (H rho)^H, and the commutator C is
+        # anti-Hermitian, so [H, C] = HC + (HC)^H.
+        h_rho = (ham @ y.reshape(dim, 2 * dim)).view(complex)
+        comm = h_rho - h_rho.conj().T
+        out = comm * -1j
         if lam != 0.0:
-            out -= lam * (ham @ comm - comm @ ham)
-        return out.ravel().view(float)
+            h_comm = (ham @ comm.view(float)).view(complex)
+            h_comm += h_comm.conj().T
+            h_comm *= lam
+            out -= h_comm
+        return out.view(float).ravel()
 
     ys = _integrate(rhs, rho0.ravel().view(float), p, times, rtol, atol,
                     "Lindblad")
@@ -289,38 +337,53 @@ def _probabilities(s: DenseState) -> np.ndarray:
     return np.abs(s.data) ** 2
 
 
-def _offdiag_expectation(s: DenseState, flip_mask: int) -> float:
-    """<X-string> for the product of sigma^x over the bits in flip_mask."""
-    idx = np.arange(2**s.n_sites)
+def _x_moments(s: DenseState):
+    """<x_i>, shape (n,), and the matrix of <x_i x_j>, shape (n, n), whose
+    diagonal is not used.
+
+    A statevector gives <x_i x_j> = Re <X_i psi|X_j psi>: one Gram product
+    of the n vectors X_i psi, each psi with its bit-i axis reversed.  A
+    density matrix gives Tr(rho X_m) = sum_s rho[s, s ^ m] for every mask
+    m = 2^i | 2^j at once, which is 2^i, and so <x_i>, on the diagonal.
+    """
+    n = s.n_sites
     if s.is_density_matrix:
-        return float(np.real(np.sum(s.data[idx, idx ^ flip_mask])))
-    psi = s.data
-    return float(np.real(np.sum(psi.conj()[idx ^ flip_mask] * psi)))
+        idx = np.arange(2**n)
+        bits = 1 << np.arange(n)
+        masks = bits[:, None] | bits
+        moments = np.real(np.sum(s.data[idx, idx ^ masks[..., None]], axis=-1))
+        return np.diag(moments).copy(), moments
+    psi = np.ascontiguousarray(s.data, dtype=complex)
+    flipped = np.stack([psi.reshape(2 ** (n - 1 - i), 2, 2**i)[:, ::-1].ravel()
+                        for i in range(n)])
+    # Re <u|v> is the dot product of the float views of u and v
+    flipped = flipped.view(float)
+    return flipped @ psi.view(float), flipped @ flipped.T
 
 
 def oracle_observables(s: DenseState, j: float, h: float) -> dict:
-    """Direct expectation values: site-resolved and site-averaged."""
+    """Direct expectation values: site-resolved and site-averaged.
+
+    All two-point moments come from two contractions over the basis:
+    <z_i z_j> = sum_s p(s) s_i s_j as one product of the spin table with
+    itself weighted by the probabilities p, and <x_i x_j> from
+    `_x_moments`.  The energy is -J sum_i <z_i z_{i+1}> - h sum_i <x_i>.
+    """
     n = s.n_sites
     p = _probabilities(s)
     spins = _spin_bits(n)
     sz = p @ spins
-    sx = np.array([_offdiag_expectation(s, 1 << i) for i in range(n)])
-    zz_bond = np.array([
-        p @ (spins[:, i] * spins[:, (i + 1) % n]) for i in range(n)
-    ])
+    zz = spins.T @ (p[:, None] * spins)
+    sx, xx = _x_moments(s)
+    sites = np.arange(n)
+    zz_bond = zz[sites, (sites + 1) % n]
     n_def = float(np.mean(1.0 - zz_bond) / 2.0)
     c_zz, c_xx = {}, {}
     for x in range(1, n // 2 + 1):
-        zz_x = np.array([
-            p @ (spins[:, i] * spins[:, (i + x) % n]) for i in range(n)
-        ])
-        c_zz[x] = float(np.mean(zz_x - sz * np.roll(sz, -x)))
-        xx_x = np.array([
-            _offdiag_expectation(s, (1 << i) | (1 << ((i + x) % n)))
-            for i in range(n)
-        ])
-        c_xx[x] = float(np.mean(xx_x - sx * np.roll(sx, -x)))
-    energy = float(-j * (p @ _zz_diagonal(n)) - h * np.sum(sx))
+        pair = (sites, (sites + x) % n)
+        c_zz[x] = float(np.mean(zz[pair] - sz * np.roll(sz, -x)))
+        c_xx[x] = float(np.mean(xx[pair] - sx * np.roll(sx, -x)))
+    energy = float(-j * np.sum(zz_bond) - h * np.sum(sx))
     return {
         "m_x": sx, "m_z": sz, "c_zz": c_zz, "c_xx": c_xx,
         "n_def": n_def, "energy": energy,
@@ -330,8 +393,9 @@ def oracle_observables(s: DenseState, j: float, h: float) -> dict:
 def zz_correlation_se(s: DenseState, x: int, shots: int) -> float:
     """Shot-noise standard error of the site-averaged ZZ correlator.
 
-    Evaluates the full four-point variance term; only feasible at oracle
-    scale.
+    Evaluates the full four-point variance term, every <z_i z_{i+x} z_j
+    z_{j+x}> as one weighted Gram product of the pair strings; only
+    feasible at oracle scale.
     """
     n = s.n_sites
     if not (1 <= x <= n // 2):
@@ -340,12 +404,8 @@ def zz_correlation_se(s: DenseState, x: int, shots: int) -> float:
         raise ValueError("shots must be >= 1")
     p = _probabilities(s)
     spins = _spin_bits(n)
-    pair = np.stack([spins[:, i] * spins[:, (i + x) % n] for i in range(n)])
+    pair = (spins * np.roll(spins, -x, axis=1)).T
     two_pt = pair @ p
-    var = 0.0
-    for i in range(n):
-        for jj in range(n):
-            four = float(p @ (pair[i] * pair[jj]))
-            var += four - two_pt[i] * two_pt[jj]
-    var /= n * n
+    four_pt = pair @ (p * pair).T
+    var = float(np.sum(four_pt - np.outer(two_pt, two_pt))) / (n * n)
     return math.sqrt(max(var, 0.0) / shots)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from kzchain.circuit import (Gate, GateProgram, emit_program, gate_counts,
                              parse_qasm3, simulate_program, to_qasm3)
@@ -105,6 +106,42 @@ class TestSimulation:
         out = simulate_program(prog)
         rel = out[1] / out[0]
         assert rel == pytest.approx(np.exp(1j * math.pi / 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dense_gate_matrices(self, n):
+        """Each gate as a dense 2^N matrix: one-qubit gates as kron
+        products, RZ and RX as expm(-i angle P / 2), and CX as the basis
+        permutation, for every ordered (control, target) pair."""
+        rng = np.random.default_rng(n)
+        gates = []
+        for c in range(n):
+            for t in range(n):
+                if c != t:
+                    q = int(rng.integers(n))
+                    gates += [Gate("rx", (q,), float(rng.uniform(-3, 3))),
+                              Gate("h", (int(rng.integers(n)),)),
+                              Gate("rz", (q,), float(rng.uniform(-3, 3))),
+                              Gate("cx", (c, t))]
+        x = np.array([[0, 1], [1, 0]])
+        z = np.diag([1.0, -1.0])
+        one_qubit = {"rx": lambda a: expm(-0.5j * a * x),
+                     "rz": lambda a: expm(-0.5j * a * z),
+                     "h": lambda a: (x + z) / math.sqrt(2.0)}
+        psi = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+        for gate in gates:
+            if gate.kind == "cx":
+                c, t = gate.qubits
+                u = np.zeros((2**n, 2**n))
+                for s in range(2**n):
+                    u[s ^ (1 << t) if s >> c & 1 else s, s] = 1.0
+            else:
+                (q,) = gate.qubits
+                u = np.kron(np.kron(np.eye(2 ** (n - 1 - q)),
+                                    one_qubit[gate.kind](gate.angle)),
+                            np.eye(2**q))
+            psi = u @ psi
+        out = simulate_program(GateProgram(n_qubits=n, gates=tuple(gates)))
+        assert np.max(np.abs(out - psi)) < 1e-13
 
     def test_matches_oracle_trotter(self):
         """Gate-by-gate simulation reproduces the layered Trotter oracle."""

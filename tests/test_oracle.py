@@ -8,13 +8,15 @@ is therefore evidence for the whole free-fermion chain of reasoning.
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from kzchain.correlators import (fermion_correlators, magnetization_x,
                                  xx_connected, zz_connected)
 from kzchain.mode_dynamics import run_quench
 from kzchain.observables import defect_density, run_record, total_energy
-from kzchain.oracle import (DenseState, _symmetric_sector, dense_hamiltonian,
+from kzchain.oracle import (DenseState, _sector_terms, _sx_sum,
+                            _symmetric_sector, dense_hamiltonian,
                             evolve_lindblad, evolve_statevector,
                             oracle_observables, zz_correlation_se)
 from kzchain.protocol import Evolution, QuenchProtocol, Variant, schedule_at
@@ -77,6 +79,20 @@ class TestSymmetricSector:
         assert abs(hp - proj @ (proj.T @ hp)).max() < 1e-13
         psi0 = _plus(n)
         assert np.max(np.abs(proj @ (proj.T @ psi0) - psi0)) < 1e-13
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_sector_terms_match_projected_operators(self, n):
+        """The index-built sector terms equal P^T H P formed by sparse
+        products with the full-space operators."""
+        _, zz, sx = _sector_terms(n)
+        ref_proj = _symmetric_sector(n)
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        spins = 1 - 2 * bits
+        zz_full = np.sum(spins * np.roll(spins, -1, axis=1), axis=1)
+        ref_zz = ref_proj.T @ sparse.diags(zz_full.astype(float)) @ ref_proj
+        assert np.max(np.abs(zz - ref_zz.diagonal())) < 1e-13
+        ref_sx = (ref_proj.T @ _sx_sum(n) @ ref_proj).toarray()
+        assert np.max(np.abs(sx.toarray() - ref_sx)) < 1e-13
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_statevector_matches_full_space(self, variant):
@@ -274,6 +290,96 @@ class TestPipelineAgainstOracle:
             assert sample["m_x"] == pytest.approx(np.mean(obs["m_x"]), abs=1e-8)
             assert sample["n_def"] == pytest.approx(obs["n_def"], abs=1e-8)
             assert sample["e_total"] == pytest.approx(obs["energy"], abs=1e-8)
+
+
+def _observables_by_string(s, j, h):
+    """Every expectation value as its own sum over the basis, one Pauli
+    string at a time: the route oracle_observables' contractions replace."""
+    n = s.n_sites
+    idx = np.arange(2**n)
+    spins = 1 - 2 * ((idx[:, None] >> np.arange(n)) & 1)
+    rho = s.data if s.is_density_matrix else None
+    p = np.real(np.diag(rho)) if rho is not None else np.abs(s.data) ** 2
+
+    def x_string(mask):
+        if rho is not None:
+            return float(np.real(np.sum(rho[idx, idx ^ mask])))
+        return float(np.real(np.sum(s.data.conj()[idx ^ mask] * s.data)))
+
+    def zz(i, x):
+        return p @ (spins[:, i] * spins[:, (i + x) % n])
+
+    sz = p @ spins
+    sx = np.array([x_string(1 << i) for i in range(n)])
+    zz_bond = np.array([zz(i, 1) for i in range(n)])
+    c_zz, c_xx = {}, {}
+    for x in range(1, n // 2 + 1):
+        zz_x = np.array([zz(i, x) for i in range(n)])
+        c_zz[x] = float(np.mean(zz_x - sz * np.roll(sz, -x)))
+        xx_x = np.array([x_string((1 << i) | (1 << ((i + x) % n)))
+                         for i in range(n)])
+        c_xx[x] = float(np.mean(xx_x - sx * np.roll(sx, -x)))
+    zz_sum = np.sum(spins * np.roll(spins, -1, axis=1), axis=1)
+    return {"m_x": sx, "m_z": sz, "c_zz": c_zz, "c_xx": c_xx,
+            "n_def": float(np.mean(1.0 - zz_bond) / 2.0),
+            "energy": float(-j * (p @ zz_sum) - h * np.sum(sx))}
+
+
+def _zz_se_by_pairs(s, x, shots):
+    """zz_correlation_se with the four-point terms summed pair by pair."""
+    n = s.n_sites
+    idx = np.arange(2**n)
+    spins = 1 - 2 * ((idx[:, None] >> np.arange(n)) & 1)
+    p = (np.real(np.diag(s.data)) if s.is_density_matrix
+         else np.abs(s.data) ** 2)
+    pair = np.stack([spins[:, i] * spins[:, (i + x) % n] for i in range(n)])
+    two_pt = pair @ p
+    var = 0.0
+    for i in range(n):
+        for k in range(n):
+            var += float(p @ (pair[i] * pair[k])) - two_pt[i] * two_pt[k]
+    return np.sqrt(max(var / (n * n), 0.0) / shots)
+
+
+def _test_states(n):
+    """Random and evolved states at N = n, statevectors and density
+    matrices."""
+    rng = np.random.default_rng(n)
+    dim = 2**n
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    p = QuenchProtocol(tau_q=1.0, variant=Variant.FULL_QUENCH)
+    evolved = evolve_statevector(p, n, sample_times=[0.3])[0]
+    mixed = evolve_lindblad(p, n, 0.5, sample_times=[0.3], max_n=8)[0]
+    return [DenseState(n, 0.3, psi), DenseState(n, 0.3, rho), evolved, mixed]
+
+
+class TestObservablesAgainstStrings:
+    """oracle_observables and zz_correlation_se against one sum per
+    Pauli string."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_matches_per_string_sums(self, n):
+        for s in _test_states(n):
+            for j, h in [(1.0, 1.0), (0.7, 1.3)]:
+                got = oracle_observables(s, j, h)
+                ref = _observables_by_string(s, j, h)
+                for key in ("m_x", "m_z"):
+                    np.testing.assert_allclose(got[key], ref[key], rtol=0,
+                                               atol=1e-13)
+                for key in ("n_def", "energy"):
+                    assert got[key] == pytest.approx(ref[key], abs=1e-13)
+                for key in ("c_zz", "c_xx"):
+                    assert got[key].keys() == ref[key].keys()
+                    for x in ref[key]:
+                        assert got[key][x] == pytest.approx(ref[key][x],
+                                                            abs=1e-13)
+            for x in range(1, n // 2 + 1):
+                assert zz_correlation_se(s, x, 100) == pytest.approx(
+                    _zz_se_by_pairs(s, x, 100), abs=1e-13)
 
 
 class TestShotError:
