@@ -28,6 +28,9 @@ __all__ = [
     "gate_counts",
 ]
 
+# largest program simulate_program runs: 2^14 amplitudes
+MAX_QUBITS = 14
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -188,7 +191,7 @@ def _cx(psi: np.ndarray, n: int, control: int, target: int):
     one[...] = swap
 
 
-def simulate_program(g: GateProgram, max_n: int = 14) -> np.ndarray:
+def simulate_program(g: GateProgram) -> np.ndarray:
     """Apply the gate list to |+>^N and return the statevector.
 
     Every gate acts in place on reshaped views of the vector: a one-qubit
@@ -199,8 +202,8 @@ def simulate_program(g: GateProgram, max_n: int = 14) -> np.ndarray:
     program returns the rotated state.
     """
     n = g.n_qubits
-    if n > max_n:
-        raise ValueError(f"N = {n} exceeds statevector budget {max_n}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"N = {n} exceeds statevector budget {MAX_QUBITS}")
     psi = np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex)
     for gate in g.gates:
         if gate.kind == "cx":

@@ -32,7 +32,7 @@ from . import __version__
 from .circuit import emit_program, gate_counts, to_qasm3
 from .collapse import (CollapseResult, CorrelationDataset, GridSpec,
                        QKZ_EXPONENTS, QND_EXPONENTS, exponent_sweep, rescale)
-from .config import RunConfig, load_config_file, _parse_steps
+from .config import SETTINGS, RunConfig, load_config_file
 from .correlators import xx_connected_profiles, zz_connected_profiles
 from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
                  read_manifest, read_observables_csv, read_trajectories_csv,
@@ -134,30 +134,11 @@ def _run_sweep(cfg: RunConfig, root: Path, parallel: bool = True) -> List[Path]:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg.apply_file(load_config_file(args.config))
-    if getattr(args, "n", None) is not None:
-        cfg.n_sites = args.n
-    if getattr(args, "lam", None) is not None:
-        cfg.lam = check_lambda("--lambda", args.lam)
-    if getattr(args, "tau_q", None):
-        cfg.tau_sweep = [float(x) for x in args.tau_q.split(",")]
-    if getattr(args, "trotter", False):
-        cfg.evolution = Evolution.TROTTER
-    if getattr(args, "continuous", False):
-        cfg.evolution = Evolution.CONTINUOUS
-    if getattr(args, "full", False):
-        cfg.variant = Variant.FULL_QUENCH
-    if getattr(args, "dt", None) is not None:
-        cfg.dt = args.dt
-    if getattr(args, "steps", None):
-        cfg.steps = _parse_steps(args.steps)
-    if getattr(args, "mask", None) is not None:
-        cfg.mask_threshold = args.mask
-    if getattr(args, "x_max", None) is not None:
-        cfg.x_max = args.x_max
-    return cfg
+    """The config file's values overridden by the quench flags given."""
+    values = load_config_file(args.config) if args.config else {}
+    values.update((key, text) for key, text in vars(args).items()
+                  if key in SETTINGS and text is not None)
+    return RunConfig().apply(values)
 
 
 def cmd_quench(args) -> int:
@@ -180,6 +161,9 @@ def _collapse(paths, mask: float, x_max: Optional[int], grid: GridSpec,
         for tau_q, t, x, c_zz, _ in read_correlators_csv(path):
             if abs(t - at_time) < 1e-9:
                 records.append((tau_q, x, c_zz))
+    if not records:
+        raise ValueError(f"no correlator row at t = {at_time:g} in "
+                         f"{', '.join(str(p) for p in paths)}")
     ds = CorrelationDataset.from_records(
         records, mask_threshold=mask, x_max=x_max,
         source_tag=",".join(str(p) for p in paths))
@@ -317,7 +301,7 @@ def _recipe_collapse(cfg: RunConfig, root: Path, tag: str) -> Tuple[
         CorrelationDataset, CollapseResult]:
     dirs = _run_sweep(cfg, root / tag)
     csvs = [d / "correlators.csv" for d in dirs]
-    return _collapse(csvs, cfg.mask_threshold, cfg.x_max, cfg.grid,
+    return _collapse(csvs, cfg.mask_threshold, cfg.x_max, GridSpec(),
                      root / tag / "collapse")
 
 
@@ -411,17 +395,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("quench", help="run the mode pipeline for a sweep")
     q.add_argument("--config", help="key-value config file")
-    q.add_argument("--n", type=int, help="number of sites")
-    q.add_argument("--tau-q", dest="tau_q", help="comma list of quench times")
-    q.add_argument("--lambda", dest="lam", type=float, help="QND coupling")
-    q.add_argument("--continuous", action="store_true")
-    q.add_argument("--trotter", action="store_true")
-    q.add_argument("--full", action="store_true", help="quench through the QCP")
-    q.add_argument("--dt", type=float, help="Trotter step duration")
-    q.add_argument("--steps", help="Trotter step counts, e.g. '8..32' or '6,8,10'")
-    q.add_argument("--mask", type=float, help="correlator mask threshold, "
-                   "recorded in manifest.json and applied by collapse")
-    q.add_argument("--x-max", dest="x_max", type=int)
+    for s in SETTINGS.values():
+        if s.flag:
+            q.add_argument(s.flag, dest=s.key, help=s.help)
+    q.add_argument("--continuous", dest="protocol.evolution",
+                   action="store_const", const=Evolution.CONTINUOUS.value)
+    q.add_argument("--trotter", dest="protocol.evolution",
+                   action="store_const", const=Evolution.TROTTER.value)
+    q.add_argument("--full", dest="protocol.variant", action="store_const",
+                   const=Variant.FULL_QUENCH.value, help="quench through the QCP")
     q.add_argument("--out", help="output root (default runs/ or $KZCHAIN_OUT)")
     q.add_argument("--serial", action="store_true", help="disable process pool")
     q.set_defaults(func=cmd_quench)

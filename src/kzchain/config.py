@@ -1,21 +1,22 @@
-"""Run configuration: a flat key-value file with dotted section names.
+"""Run configuration: one table of settings for `kzchain quench`.
 
-The file format is deliberately dumb: one `section.key = value` per line,
-`#` comments, sections mirroring module names (protocol, mode_dynamics,
-collapse).  CLI flags override file values.
+`SETTINGS` maps each `section.key` to its `RunConfig` field, the parser of
+its text and its quench flag, if any.  Config files hold one `section.key =
+value` per line, with `#` comments.  File entries and flags are both text
+and reach `RunConfig` through `RunConfig.apply`; flags override the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
-from .collapse import DEFAULT_MASK_THEORY, GridSpec
+from .collapse import DEFAULT_MASK_THEORY
 from .mode_dynamics import DEFAULT_RTOL, check_lambda, check_tolerance
 from .protocol import Evolution, QuenchProtocol, Variant, trotter_protocol
 
-__all__ = ["RunConfig", "load_config_file"]
+__all__ = ["RunConfig", "SETTINGS", "load_config_file"]
 
 # default tau_q sweep for the large-N continuous reproduction; the source
 # figure leaves its quench times unstated
@@ -39,6 +40,50 @@ def load_config_file(path) -> Dict[str, str]:
     return out
 
 
+def _parse_steps(text: str) -> List[int]:
+    """Step counts: comma list and/or a..b ranges ('8..32' is inclusive)."""
+    out: List[int] = []
+    for part in text.split(","):
+        part = part.strip()
+        if ".." in part:
+            lo, hi = part.split("..", 1)
+            out.extend(range(int(lo), int(hi) + 1))
+        else:
+            out.append(int(part))
+    return out
+
+
+class Setting(NamedTuple):
+    """One settable value.  flag is None for a file-only key; the switches
+    `--full`, `--trotter` and `--continuous` set variant and evolution."""
+
+    key: str
+    field: str
+    parse: Callable[[str], object]
+    flag: Optional[str] = None
+    help: Optional[str] = None
+
+
+SETTINGS: Dict[str, Setting] = {s.key: s for s in (
+    Setting("protocol.tau_sweep", "tau_sweep",
+            lambda text: [float(x) for x in text.split(",")], "--tau-q",
+            "comma list of quench times"),
+    Setting("protocol.variant", "variant", Variant),
+    Setting("protocol.evolution", "evolution", Evolution),
+    Setting("protocol.dt", "dt", float, "--dt", "Trotter step duration"),
+    Setting("protocol.steps", "steps", _parse_steps, "--steps",
+            "Trotter step counts, e.g. '8..32' or '6,8,10'"),
+    Setting("mode_dynamics.n_sites", "n_sites", int, "--n", "number of sites"),
+    Setting("mode_dynamics.lambda", "lam", float, "--lambda", "QND coupling"),
+    Setting("mode_dynamics.rtol", "rtol", float),
+    Setting("collapse.mask", "mask_threshold", float, "--mask",
+            "correlator mask threshold, recorded in manifest.json"),
+    Setting("collapse.x_max", "x_max", int, "--x-max"),
+)}
+_NAMES = {s.field: f"{s.key} ({s.flag})" if s.flag else s.key
+          for s in SETTINGS.values()}
+
+
 @dataclass
 class RunConfig:
     """Everything one pipeline invocation needs."""
@@ -51,77 +96,48 @@ class RunConfig:
     n_sites: int = 120
     lam: float = 0.0
     rtol: float = DEFAULT_RTOL
-    grid: GridSpec = field(default_factory=GridSpec)
     mask_threshold: float = DEFAULT_MASK_THEORY
     x_max: Optional[int] = None
 
     def __post_init__(self):
-        self.lam = check_lambda("mode_dynamics.lambda", self.lam)
-        self.rtol = check_tolerance("mode_dynamics.rtol", self.rtol)
+        self.lam = check_lambda(_NAMES["lam"], self.lam)
+        self.rtol = check_tolerance(_NAMES["rtol"], self.rtol)
+        if not (self.n_sites >= 2 and self.n_sites % 2 == 0):
+            raise ValueError(f"{_NAMES['n_sites']} must be even and >= 2, "
+                             f"got {self.n_sites}")
+        if self.x_max is not None and not 1 <= self.x_max <= self.n_sites // 2:
+            raise ValueError(f"{_NAMES['x_max']} must lie in [1, N/2] = "
+                             f"[1, {self.n_sites // 2}], got {self.x_max}")
+        if self.evolution is Evolution.TROTTER:
+            if self.dt is None or not self.steps:
+                raise ValueError(f"a Trotter run needs {_NAMES['dt']} and "
+                                 f"{_NAMES['steps']}")
+        else:
+            for name in ("dt", "steps"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{_NAMES[name]} applies only to "
+                                     f"Trotter runs (--trotter)")
+            if not self.tau_sweep:
+                raise ValueError(f"{_NAMES['tau_sweep']} is empty")
+
+    def apply(self, values: Dict[str, str]) -> "RunConfig":
+        """A copy with each `section.key: text` entry of values parsed into
+        its field; the copy's __post_init__ checks the merged result."""
+        fields = {}
+        for key, text in values.items():
+            if key not in SETTINGS:
+                raise ValueError(f"unknown config key {key!r}")
+            s = SETTINGS[key]
+            try:
+                fields[s.field] = s.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{_NAMES[s.field]}: cannot parse {text!r} "
+                                 f"({exc})") from None
+        return replace(self, **fields)
 
     def protocols(self) -> List[QuenchProtocol]:
         """One protocol per sweep entry (tau_q values or Trotter step counts)."""
         if self.evolution is Evolution.TROTTER:
-            if self.dt is None or not self.steps:
-                raise ValueError("Trotter config requires dt and a steps list")
             return [trotter_protocol(self.dt, steps, self.variant)
                     for steps in self.steps]
-        if not self.tau_sweep:
-            raise ValueError("empty tau_q sweep")
         return [QuenchProtocol(tau_q=t, variant=self.variant) for t in self.tau_sweep]
-
-    def apply_file(self, values: Dict[str, str]) -> "RunConfig":
-        """Fold parsed file values into this config (file < CLI precedence:
-        call before applying CLI flags).  Grid keys are validated together,
-        so their order in the file does not matter."""
-        grid = dict(self.grid.__dict__)
-        for key, val in values.items():
-            section, name = key.split(".", 1)
-            if section == "protocol":
-                if name == "tau_sweep":
-                    self.tau_sweep = [float(x) for x in val.split(",")]
-                elif name == "variant":
-                    self.variant = Variant(val)
-                elif name == "evolution":
-                    self.evolution = Evolution(val)
-                elif name == "dt":
-                    self.dt = float(val)
-                elif name == "steps":
-                    self.steps = _parse_steps(val)
-                else:
-                    raise ValueError(f"unknown protocol key {key!r}")
-            elif section == "mode_dynamics":
-                if name == "n_sites":
-                    self.n_sites = int(val)
-                elif name == "lambda":
-                    self.lam = check_lambda("mode_dynamics.lambda", val)
-                elif name == "rtol":
-                    self.rtol = check_tolerance("mode_dynamics.rtol", val)
-                else:
-                    raise ValueError(f"unknown mode_dynamics key {key!r}")
-            elif section == "collapse":
-                if name == "mask":
-                    self.mask_threshold = float(val)
-                elif name == "x_max":
-                    self.x_max = int(val)
-                elif name in ("a_min", "a_max", "b_min", "b_max", "spacing"):
-                    grid[name] = float(val)
-                else:
-                    raise ValueError(f"unknown collapse key {key!r}")
-            else:
-                raise ValueError(f"unknown config section {section!r}")
-        self.grid = GridSpec(**grid)
-        return self
-
-
-def _parse_steps(text: str) -> List[int]:
-    """Step counts: comma list and/or a..b ranges ('8..32' is inclusive)."""
-    out: List[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
-    return out

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kzchain.circuit import (Gate, GateProgram, emit_program, gate_counts,
-                             parse_qasm3, simulate_program, to_qasm3)
+from kzchain.circuit import (MAX_QUBITS, Gate, GateProgram, emit_program,
+                             gate_counts, parse_qasm3, simulate_program,
+                             to_qasm3)
 from kzchain.oracle import evolve_statevector
 from kzchain.protocol import Evolution, QuenchProtocol
 
@@ -154,6 +155,6 @@ class TestSimulation:
         assert 1.0 - overlap < 1e-10
 
     def test_statevector_budget(self):
-        prog = GateProgram(n_qubits=16, gates=())
-        with pytest.raises(ValueError):
-            simulate_program(prog, max_n=14)
+        prog = GateProgram(n_qubits=MAX_QUBITS + 1, gates=())
+        with pytest.raises(ValueError, match="statevector budget 14"):
+            simulate_program(prog)

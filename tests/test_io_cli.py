@@ -242,31 +242,28 @@ class TestConfig:
             "mode_dynamics.lambda = 100\n"
             "collapse.mask = 5e-4\n"
         )
-        cfg = RunConfig().apply_file(load_config_file(cfg_file))
+        cfg = RunConfig().apply(load_config_file(cfg_file))
         assert cfg.tau_sweep == [8.0, 16.0, 24.0]
         assert cfg.n_sites == 256 and cfg.lam == 100.0
         # the output root comes from --out or KZCHAIN_OUT, not the file
         cfg_file.write_text("cli_io.out_dir = /tmp/xyz\n")
         with pytest.raises(ValueError):
-            RunConfig().apply_file(load_config_file(cfg_file))
+            RunConfig().apply(load_config_file(cfg_file))
 
-    @pytest.mark.parametrize("text, field", [
-        ("collapse.spacing = 0\n", "spacing"),
-        ("collapse.a_min = 0.5\ncollapse.a_max = 0.1\n", "a_min"),
-        ("collapse.b_max = 0.01\n", "b_min"),
-    ])
-    def test_invalid_grid_keys_rejected(self, tmp_path, text, field):
+    @pytest.mark.parametrize("key", ["a_min", "a_max", "b_min", "b_max",
+                                     "spacing"])
+    def test_removed_grid_keys_rejected(self, tmp_path, capsys, key):
+        # the collapse grid is set only by `kzchain collapse --spacing`
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(text)
-        with pytest.raises(ValueError, match=field):
-            RunConfig().apply_file(load_config_file(cfg_file))
-
-    def test_grid_keys_order_free(self, tmp_path):
-        # a_min above the default a_max is fine once a_max follows
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("collapse.a_min = 0.8\ncollapse.a_max = 1.0\n")
-        cfg = RunConfig().apply_file(load_config_file(cfg_file))
-        assert (cfg.grid.a_min, cfg.grid.a_max) == (0.8, 1.0)
+        cfg_file.write_text(f"collapse.{key} = 0.1\n")
+        out = tmp_path / "out"
+        rc = main(["quench", "--config", str(cfg_file), "--n", "8",
+                   "--tau-q", "2", "--serial", "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"collapse.{key}" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["mode_dynamics.rtol", "mode_dynamics.atol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -276,7 +273,7 @@ class TestConfig:
         cfg_file.write_text(f"{key} = {value}\n")
         name = key.split(".")[1]
         with pytest.raises(ValueError, match=key):
-            RunConfig().apply_file(load_config_file(cfg_file))
+            RunConfig().apply(load_config_file(cfg_file))
         error = ValueError if name == "rtol" else TypeError
         with pytest.raises(error, match=key if name == "rtol" else name):
             RunConfig(**{name: float(value)})
@@ -286,7 +283,7 @@ class TestConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"mode_dynamics.lambda = {value}\n")
         with pytest.raises(ValueError, match="mode_dynamics.lambda"):
-            RunConfig().apply_file(load_config_file(cfg_file))
+            RunConfig().apply(load_config_file(cfg_file))
         with pytest.raises(ValueError, match="mode_dynamics.lambda"):
             RunConfig(lam=float(value))
 
@@ -294,7 +291,7 @@ class TestConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("protocol.bogus = 1\n")
         with pytest.raises(ValueError):
-            RunConfig().apply_file(load_config_file(cfg_file))
+            RunConfig().apply(load_config_file(cfg_file))
 
     def test_steps_ranges(self):
         assert _parse_steps("8..12") == [8, 9, 10, 11, 12]
@@ -470,6 +467,58 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "--lambda" in err["message"]
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    def test_quench_config_file_and_flags(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("protocol.tau_sweep = 1, 2\n"
+                            "mode_dynamics.n_sites = 8\n"
+                            "mode_dynamics.lambda = 0.5\n"
+                            "collapse.mask = 0.01\n")
+        out = tmp_path / "out"
+        rc = main(["quench", "--config", str(cfg_file), "--tau-q", "2",
+                   "--mask", "0.02", "--serial", "--out", str(out)])
+        assert rc == 0
+        (run_dir,) = out.iterdir()
+        assert run_dir.name == "N8_tau2_lam0.5_to_critical_point"
+        manifest = read_manifest(run_dir / "manifest.json")
+        assert (manifest["n_sites"], manifest["lambda"]) == (8, 0.5)
+        assert manifest["mask_threshold"] == 0.02
+        assert manifest["protocol"]["tau_q"] == 2.0
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--n", "7", "--tau-q", "2"], "--n"),
+        (["--n", "eight", "--tau-q", "2"], "--n"),
+        (["--n", "8", "--tau-q", "2", "--x-max", "9"], "--x-max"),
+        (["--n", "8", "--tau-q", "2", "--x-max", "0"], "--x-max"),
+        (["--n", "8", "--tau-q", "2", "--dt", "0.25", "--steps", "8"], "--dt"),
+        (["--n", "8", "--tau-q", "2", "--steps", "8"], "--steps"),
+        (["--n", "8", "--trotter", "--steps", "8"], "--dt"),
+        (["--n", "8", "--trotter", "--dt", "0.25", "--steps", "8",
+          "--continuous"], "--dt"),
+    ], ids=["odd_n", "n_not_int", "x_max_above_half", "x_max_zero",
+            "continuous_dt", "continuous_steps", "trotter_without_dt",
+            "continuous_last"])
+    def test_quench_rejects_bad_settings_before_running(self, tmp_path, capsys,
+                                                        args, flag):
+        rc = main(["quench", *args, "--serial", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and flag in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_collapse_names_empty_time_slice(self, tmp_path, capsys):
+        main(["quench", "--n", "8", "--tau-q", "1,2,4", "--serial",
+              "--out", str(tmp_path)])
+        csvs = sorted(str(p) for p in tmp_path.glob("*/correlators.csv"))
+        capsys.readouterr()
+        rc = main(["collapse", *csvs, "--at-time", "0.5",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "t = 0.5" in err["message"]
+        assert all(path in err["message"] for path in csvs)
+        assert not (tmp_path / "collapse").exists()
 
     def test_quench_rejects_clashing_run_directories(self, tmp_path, capsys):
         # both tau_q format as "1" in the run tag
