@@ -30,8 +30,9 @@ import numpy as np
 
 from . import __version__
 from .circuit import emit_program, gate_counts, to_qasm3
-from .collapse import (CollapseResult, CorrelationDataset, GridSpec,
-                       QKZ_EXPONENTS, QND_EXPONENTS, exponent_sweep, rescale)
+from .collapse import (DEFAULT_MASK_THEORY, CollapseResult,
+                       CorrelationDataset, GridSpec, QKZ_EXPONENTS,
+                       QND_EXPONENTS, exponent_sweep, rescale)
 from .config import SETTINGS, RunConfig, load_config_file
 from .correlators import xx_connected_profiles, zz_connected_profiles
 from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
@@ -73,23 +74,26 @@ def _sample_times(p: QuenchProtocol) -> Optional[List[float]]:
 
 def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
     """One (tau_q, lambda) run: dynamics, correlators, observables, files."""
-    t_wall = time.time()
+    t_start = time.perf_counter()
     ensembles = run_quench(p, cfg.n_sites, lam=cfg.lam,
                            sample_times=_sample_times(p),
                            rtol=cfg.rtol)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectories_csv(out_dir / "trajectories.csv", ensembles)
-
-    x_max = cfg.x_max if cfg.x_max is not None else cfg.n_sites // 2
+    t_tables = time.perf_counter()
     rec = run_record(ensembles, p)
+    t_profiles = time.perf_counter()
+    x_max = cfg.x_max if cfg.x_max is not None else cfg.n_sites // 2
     zz = zz_connected_profiles(rec.tables, x_max)
     xx = xx_connected_profiles(rec.tables, x_max)
+    t_write = time.perf_counter()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_trajectories_csv(out_dir / "trajectories.csv", ensembles)
     # correlator rows (tau_q, t, x, c_zz, c_xx), sample by sample
     t = np.array([s["t"] for s in rec.samples])[:, None]
     x = np.arange(1, x_max + 1)
     rows = np.stack(np.broadcast_arrays(p.tau_q, t, x, zz.c_zz, xx), axis=-1)
     write_correlators_csv(out_dir / "correlators.csv", rows.reshape(-1, 5))
     write_observables_csv(out_dir / "observables.csv", rec.samples)
+    t_end = time.perf_counter()
     manifest = {
         "version": __version__,
         "protocol": protocol_to_dict(p),
@@ -101,7 +105,10 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
                     "fallbacks": zz.fallbacks},
         "mask_threshold": cfg.mask_threshold,
         "x_max": x_max,
-        "wall_time_s": round(time.time() - t_wall, 3),
+        "timings": {"dynamics_s": round(t_tables - t_start, 3),
+                    "tables_s": round(t_profiles - t_tables, 3),
+                    "profiles_s": round(t_write - t_profiles, 3),
+                    "write_s": round(t_end - t_write, 3)},
     }
     write_manifest(out_dir / "manifest.json", manifest)
     return manifest
@@ -138,7 +145,7 @@ def _config_from_args(args) -> RunConfig:
     values = load_config_file(args.config) if args.config else {}
     values.update((key, text) for key, text in vars(args).items()
                   if key in SETTINGS and text is not None)
-    return RunConfig().apply(values)
+    return RunConfig.from_settings(values)
 
 
 def cmd_quench(args) -> int:
@@ -218,6 +225,8 @@ def _write_collapse_artifacts(out_dir: Path, ds: CorrelationDataset,
 
 
 def cmd_collapse(args) -> int:
+    if args.x_max is not None and args.x_max < 1:
+        raise ValueError(f"--x-max must be >= 1, got {args.x_max}")
     grid = GridSpec() if args.spacing is None else GridSpec(spacing=args.spacing)
     out_dir = _out_root(args.out) / "collapse"
     ds, res = _collapse(args.csv, args.mask, args.x_max, grid, out_dir,
@@ -410,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("collapse", help="fit scaling exponents from CSVs")
     c.add_argument("csv", nargs="+", help="correlator CSV files")
-    c.add_argument("--mask", type=float, default=5e-4)
+    c.add_argument("--mask", type=float, default=DEFAULT_MASK_THEORY)
     c.add_argument("--x-max", dest="x_max", type=int)
     c.add_argument("--spacing", type=float, help="exponent grid spacing")
     c.add_argument("--at-time", dest="at_time", type=float, default=0.0)

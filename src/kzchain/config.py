@@ -3,12 +3,13 @@
 `SETTINGS` maps each `section.key` to its `RunConfig` field, the parser of
 its text and its quench flag, if any.  Config files hold one `section.key =
 value` per line, with `#` comments.  File entries and flags are both text
-and reach `RunConfig` through `RunConfig.apply`; flags override the file.
+and reach `RunConfig` through `RunConfig.from_settings`; flags override
+the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -88,7 +89,7 @@ _NAMES = {s.field: f"{s.key} ({s.flag})" if s.flag else s.key
 class RunConfig:
     """Everything one pipeline invocation needs."""
 
-    tau_sweep: List[float] = field(default_factory=lambda: list(DEFAULT_TAU_SWEEP))
+    tau_sweep: Optional[List[float]] = None
     variant: Variant = Variant.TO_CRITICAL_POINT
     evolution: Evolution = Evolution.CONTINUOUS
     dt: Optional[float] = None
@@ -112,17 +113,23 @@ class RunConfig:
             if self.dt is None or not self.steps:
                 raise ValueError(f"a Trotter run needs {_NAMES['dt']} and "
                                  f"{_NAMES['steps']}")
+            if self.tau_sweep is not None:
+                raise ValueError(f"{_NAMES['tau_sweep']} applies only to "
+                                 f"continuous runs (--continuous)")
         else:
             for name in ("dt", "steps"):
                 if getattr(self, name) is not None:
                     raise ValueError(f"{_NAMES[name]} applies only to "
                                      f"Trotter runs (--trotter)")
+            if self.tau_sweep is None:
+                self.tau_sweep = list(DEFAULT_TAU_SWEEP)
             if not self.tau_sweep:
                 raise ValueError(f"{_NAMES['tau_sweep']} is empty")
 
-    def apply(self, values: Dict[str, str]) -> "RunConfig":
-        """A copy with each `section.key: text` entry of values parsed into
-        its field; the copy's __post_init__ checks the merged result."""
+    @classmethod
+    def from_settings(cls, values: Dict[str, str]) -> "RunConfig":
+        """The defaults with each `section.key: text` entry of values parsed
+        into its field; __post_init__ checks the result."""
         fields = {}
         for key, text in values.items():
             if key not in SETTINGS:
@@ -133,7 +140,7 @@ class RunConfig:
             except ValueError as exc:
                 raise ValueError(f"{_NAMES[s.field]}: cannot parse {text!r} "
                                  f"({exc})") from None
-        return replace(self, **fields)
+        return cls(**fields)
 
     def protocols(self) -> List[QuenchProtocol]:
         """One protocol per sweep entry (tau_q values or Trotter step counts)."""

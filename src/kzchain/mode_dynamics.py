@@ -13,12 +13,16 @@ full -lam [H, [H, rho]], whose cross terms [H_k, [H_k', rho]] this module
 leaves out.
 
 Every continuous evolution is stepped for all modes at once with
-fourth-order Magnus.  At lam = 0 a step is one closed-form Bloch rotation
-(evolve_magnus), and a Trotterized quench takes one exact rotation per
-circuit layer, all through one batched Rodrigues kernel.  At lam > 0 the
-dephasing makes the flow stiff; evolve_magnus_frame steps it in each
-mode's adiabatic frame, where the stiff part acts only on the (x, y)
-block, with 3x3 step propagators from a batched Padé exponential.
+fourth-order Magnus.  At lam = 0 every step is one closed-form Bloch
+rotation that does not depend on the state, and so is every layer of a
+Trotterized quench.  Both paths build the unit quaternions of all steps
+and all modes at once and compose them with batched quaternion products:
+evolve_magnus reduces the steps between two sample times with a pairwise
+product tree, and a Trotter run, sampled after every step, takes an
+inclusive prefix scan; then each state is rotated once per sample.  At
+lam > 0 the dephasing makes the flow stiff; evolve_magnus_frame steps it
+in each mode's adiabatic frame, where the stiff part acts only on the
+(x, y) block, with 3x3 step propagators from a batched Padé exponential.
 evolve_continuous integrates all modes in one LSODA solve; it is the
 slow, independent reference the batched paths are tested against, and
 it takes their signature and returns their (n_samples, n_modes, 3).
@@ -223,26 +227,82 @@ def _ground_states(modes: np.ndarray) -> np.ndarray:
     return n
 
 
-def _rodrigues(n: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rotate each row of n, shape (M, 3), by the rotation vector in the
-    same row of w: angle |w| about w / |w|, i.e. n <- exp(K(w)) n with
-    K(w) u = w x u.  A zero row of w leaves its row of n unchanged.
+# Bloch rotations as unit quaternions.  Arrays are component-major: a
+# quaternion array has shape (4, ...) and a rotation-vector array (3, ...),
+# and every operation is elementwise over the trailing axes, so a mode's
+# result does not depend on which other modes share the array.
 
-    Every operation is elementwise over rows, so a row's result does not
-    depend on the other rows or on M.
+
+def _quaternions(w: np.ndarray) -> np.ndarray:
+    """Unit quaternions (cos(a/2), sin(a/2) w / a), a = |w|, of the
+    rotation vectors w, shape (3, ...): the rotation n <- exp(K(w)) n with
+    K(w) u = w x u, by angle a about w / a.  A zero vector gives 1."""
+    angle = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    half = 0.5 * angle
+    scale = np.divide(np.sin(half), angle, out=np.full_like(angle, 0.5),
+                      where=angle > 0.0)
+    q = np.empty((4,) + angle.shape)
+    q[0] = np.cos(half)
+    np.multiply(w, scale, out=q[1:])
+    return q
+
+
+def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product a b of quaternion arrays (4, ...), broadcast
+    together: the rotation b followed by the rotation a."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0])
+
+
+def _compose(q: np.ndarray) -> np.ndarray:
+    """The rotation of all S steps of q, shape (4, S, ...), in order: the
+    product q_{S-1} ... q_1 q_0, shape (4, ...).
+
+    A pairwise tree: each round multiplies the neighbours (2i + 1, 2i), an
+    odd last factor waits for the next round, and ceil(log2 S) rounds
+    leave one factor.  The tree's shape depends on S alone.
     """
-    wx, wy, wz = w[:, 0], w[:, 1], w[:, 2]
-    nx, ny, nz = n[:, 0], n[:, 1], n[:, 2]
-    angle = np.sqrt(wx * wx + wy * wy + wz * wz)
-    inv = np.divide(1.0, angle, out=np.zeros_like(angle), where=angle > 0.0)
-    ux, uy, uz = wx * inv, wy * inv, wz * inv
-    c, s = np.cos(angle), np.sin(angle)
-    dot = (ux * nx + uy * ny + uz * nz) * (1.0 - c)
-    out = np.empty_like(n)
-    out[:, 0] = nx * c + (uy * nz - uz * ny) * s + ux * dot
-    out[:, 1] = ny * c + (uz * nx - ux * nz) * s + uy * dot
-    out[:, 2] = nz * c + (ux * ny - uy * nx) * s + uz * dot
-    return out
+    while q.shape[1] > 1:
+        pairs = q.shape[1] // 2
+        prod = _qmul(q[:, 1:2 * pairs:2], q[:, 0:2 * pairs:2])
+        q = np.concatenate([prod, q[:, 2 * pairs:]], axis=1)
+    return q[:, 0]
+
+
+def _scan(q: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products of the steps of q, shape (4, S, ...):
+    out[:, s] = q_s ... q_1 q_0, the rotation after step s.
+
+    ceil(log2 S) rounds; after the round with offset d every entry holds
+    the product of the last 2d steps up to it (Hillis & Steele, Commun.
+    ACM 29, 1170 (1986)).
+    """
+    q = q.copy()
+    d = 1
+    while d < q.shape[1]:
+        q[:, d:] = _qmul(q[:, d:], q[:, :-d])
+        d *= 2
+    return q
+
+
+def _rotate(q: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Rotate the vectors n, shape (..., 3), by the quaternions q, shape
+    (4, ...), broadcast together.  q is normalised first, so the rounding
+    a product of many factors gathered does not change |n|."""
+    q = q / np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    q0, ux, uy, uz = q
+    vx, vy, vz = n[..., 0], n[..., 1], n[..., 2]
+    # v + q0 t + u x t with t = 2 u x v
+    tx = 2.0 * (uy * vz - uz * vy)
+    ty = 2.0 * (uz * vx - ux * vz)
+    tz = 2.0 * (ux * vy - uy * vx)
+    return np.stack([vx + q0 * tx + (uy * tz - uz * ty),
+                     vy + q0 * ty + (uz * tx - ux * tz),
+                     vz + q0 * tz + (ux * ty - uy * tx)], axis=-1)
 
 
 def _magnus_steps(p: QuenchProtocol, span: float, rtol: float) -> int:
@@ -282,30 +342,42 @@ def evolve_magnus(
 
     Every interval between consecutive sample times (starting at t_start)
     is cut into _magnus_steps equal steps, so the sample times are step
-    boundaries.  |n| = 1 is kept to roundoff.
+    boundaries.  A step's rotation does not depend on the state, so the
+    rotation vectors of an interval's steps are built for all modes at
+    once (_magnus_vectors), turned into unit quaternions and multiplied in
+    a pairwise tree (_compose); the state is rotated once per sample time
+    by the normalised product.  |n| = 1 is kept to roundoff.
     """
     rtol = check_tolerance("rtol", rtol)
     times = check_sample_times(p, sample_times)
     modes = np.asarray(modes, dtype=float).reshape(-1)
-    sin_k, cos_k = np.sin(modes), np.cos(modes)
     n = _ground_states(modes)
-    w = np.empty_like(n)
     out = []
     t = p.t_start
     for t_next in times:
         steps = _magnus_steps(p, t_next - t, rtol)
         if steps:
-            dt = (t_next - t) / steps
-            edges = np.linspace(t, t_next, steps + 1)
-            w[:, 0] = (8.0 * dt**3 / (3.0 * p.tau_q)) * sin_k
-            for t_mid in 0.5 * (edges[:-1] + edges[1:]):
-                sched = schedule_at(p, t_mid)
-                w[:, 1] = (-4.0 * dt * sched.j) * sin_k
-                w[:, 2] = (-4.0 * dt) * (sched.h - sched.j * cos_k)
-                n = _rodrigues(n, w)
+            w = _magnus_vectors(p, modes, t, t_next, steps)
+            n = _rotate(_compose(_quaternions(w)), n)
         out.append(n)
         t = t_next
     return np.stack(out)
+
+
+def _magnus_vectors(p: QuenchProtocol, modes: np.ndarray, t: float,
+                    t_next: float, steps: int) -> np.ndarray:
+    """Rotation vectors w of the steps equal Magnus-4 steps from t to
+    t_next (see evolve_magnus), component-major: shape (3, steps, M)."""
+    dt = (t_next - t) / steps
+    edges = np.linspace(t, t_next, steps + 1)
+    t_mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    j, h = 1.0 + t_mid / p.tau_q, 1.0 - t_mid / p.tau_q
+    sin_k, cos_k = np.sin(modes), np.cos(modes)
+    w = np.empty((3, steps, len(modes)))
+    w[0] = (8.0 * dt**3 / (3.0 * p.tau_q)) * sin_k
+    w[1] = (-4.0 * dt * j) * sin_k
+    w[2] = (-4.0 * dt) * (h - j * cos_k)
+    return w
 
 
 # Padé(6, 6) coefficients of exp(x): numerator sum_j b_j x^j, denominator
@@ -528,26 +600,31 @@ def trotter_step_mode(n: np.ndarray, k, j: float, h: float,
     """
     n = np.asarray(n, dtype=float)
     k = np.asarray(k, dtype=float).reshape(-1)
-    w = np.zeros((len(k), 3))
+    q = _trotter_quaternions(k, j, h, dt)
+    return _rotate(q, n.reshape(-1, 3)).reshape(n.shape)
+
+
+def _trotter_quaternions(k: np.ndarray, j, h, dt: float) -> np.ndarray:
+    """Quaternions of Trotter steps, field layer after Ising layer, for the
+    momenta k (M,) and the couplings j, h (scalars, or (S, 1) arrays for
+    S steps); shape (4, M) or (4, S, M)."""
     # Ising layer: b = (0, 2j sin k, -2j cos k)
-    w[:, 1] = (-4.0 * j * dt) * np.sin(k)
-    w[:, 2] = (4.0 * j * dt) * np.cos(k)
-    out = _rodrigues(n.reshape(-1, 3), w)
+    ising = _quaternions(np.stack(np.broadcast_arrays(
+        0.0, (-4.0 * j * dt) * np.sin(k), (4.0 * j * dt) * np.cos(k))))
     # field layer: b = (0, 0, 2h)
-    w[:, 1] = 0.0
-    w[:, 2] = -4.0 * h * dt
-    return _rodrigues(out, w).reshape(n.shape)
+    field = _quaternions(np.stack(np.broadcast_arrays(0.0, 0.0,
+                                                      -4.0 * h * dt)))
+    return _qmul(field, ising)
 
 
 def _evolve_trotter(p: QuenchProtocol, modes: np.ndarray) -> np.ndarray:
-    """Bloch vectors of all modes after every Trotter step, (steps, M, 3)."""
-    n = _ground_states(modes)
-    out = []
-    for t_s in p.step_times():
-        sched = schedule_at(p, t_s)
-        n = trotter_step_mode(n, modes, sched.j, sched.h, p.dt)
-        out.append(n)
-    return np.stack(out)
+    """Bloch vectors of all modes after every Trotter step, (steps, M, 3):
+    the ground states rotated by the prefix products (_scan) of the step
+    quaternions, all steps at once."""
+    t = p.step_times()[:, None]
+    q = _trotter_quaternions(modes, 1.0 + t / p.tau_q, 1.0 - t / p.tau_q,
+                             p.dt)
+    return _rotate(_scan(q), _ground_states(modes))
 
 
 def run_quench(

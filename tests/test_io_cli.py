@@ -12,7 +12,8 @@ import pytest
 
 import kzchain
 from kzchain.cli import main
-from kzchain.collapse import CorrelationDataset, GridSpec, exponent_sweep
+from kzchain.collapse import (DEFAULT_MASK_THEORY, CorrelationDataset,
+                              GridSpec, exponent_sweep)
 from kzchain.config import RunConfig, load_config_file, _parse_steps
 from kzchain.correlators import (MAX_MULTIPLIER, fermion_correlators,
                                  xx_connected_profiles, zz_connected_profile,
@@ -242,13 +243,13 @@ class TestConfig:
             "mode_dynamics.lambda = 100\n"
             "collapse.mask = 5e-4\n"
         )
-        cfg = RunConfig().apply(load_config_file(cfg_file))
+        cfg = RunConfig.from_settings(load_config_file(cfg_file))
         assert cfg.tau_sweep == [8.0, 16.0, 24.0]
         assert cfg.n_sites == 256 and cfg.lam == 100.0
         # the output root comes from --out or KZCHAIN_OUT, not the file
         cfg_file.write_text("cli_io.out_dir = /tmp/xyz\n")
         with pytest.raises(ValueError):
-            RunConfig().apply(load_config_file(cfg_file))
+            RunConfig.from_settings(load_config_file(cfg_file))
 
     @pytest.mark.parametrize("key", ["a_min", "a_max", "b_min", "b_max",
                                      "spacing"])
@@ -273,7 +274,7 @@ class TestConfig:
         cfg_file.write_text(f"{key} = {value}\n")
         name = key.split(".")[1]
         with pytest.raises(ValueError, match=key):
-            RunConfig().apply(load_config_file(cfg_file))
+            RunConfig.from_settings(load_config_file(cfg_file))
         error = ValueError if name == "rtol" else TypeError
         with pytest.raises(error, match=key if name == "rtol" else name):
             RunConfig(**{name: float(value)})
@@ -283,7 +284,7 @@ class TestConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"mode_dynamics.lambda = {value}\n")
         with pytest.raises(ValueError, match="mode_dynamics.lambda"):
-            RunConfig().apply(load_config_file(cfg_file))
+            RunConfig.from_settings(load_config_file(cfg_file))
         with pytest.raises(ValueError, match="mode_dynamics.lambda"):
             RunConfig(lam=float(value))
 
@@ -291,7 +292,7 @@ class TestConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("protocol.bogus = 1\n")
         with pytest.raises(ValueError):
-            RunConfig().apply(load_config_file(cfg_file))
+            RunConfig.from_settings(load_config_file(cfg_file))
 
     def test_steps_ranges(self):
         assert _parse_steps("8..12") == [8, 9, 10, 11, 12]
@@ -350,6 +351,7 @@ class TestCli:
         second.pop("timings")
         assert first == second
         assert first["grid"]["spacing"] == 0.1 and first["threads"] >= 1
+        assert first["mask_threshold"] == DEFAULT_MASK_THEORY  # no --mask
         assert (first["records"], first["failed_cells"]) == \
             (out["records"], out["failed_cells"])
         assert (first["best"]["a"], first["best"]["b"], first["best"]["rmse"]) == \
@@ -407,10 +409,13 @@ class TestCli:
         (run_b,) = (tmp_path / "b").iterdir()
         for name in ("correlators.csv", "observables.csv", "trajectories.csv"):
             assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
-        integrator = read_manifest(run_a / "manifest.json")["integrator"]
-        assert integrator == read_manifest(run_b / "manifest.json")["integrator"]
-        profile = read_manifest(run_a / "manifest.json")["profile"]
-        assert profile == read_manifest(run_b / "manifest.json")["profile"]
+        first, second = (read_manifest(run / "manifest.json")
+                         for run in (run_a, run_b))
+        assert set(first.pop("timings")) == {"dynamics_s", "tables_s",
+                                             "profiles_s", "write_s"}
+        second.pop("timings")
+        assert first == second
+        integrator, profile = first["integrator"], first["profile"]
         assert profile["fallbacks"] == 0
         assert 0.0 < profile["max_multiplier"] < MAX_MULTIPLIER
         # diagnostics stay in the manifest, never in a CSV
@@ -495,9 +500,11 @@ class TestCli:
         (["--n", "8", "--trotter", "--steps", "8"], "--dt"),
         (["--n", "8", "--trotter", "--dt", "0.25", "--steps", "8",
           "--continuous"], "--dt"),
+        (["--n", "8", "--trotter", "--dt", "0.25", "--steps", "8",
+          "--tau-q", "5"], "protocol.tau_sweep (--tau-q)"),
     ], ids=["odd_n", "n_not_int", "x_max_above_half", "x_max_zero",
             "continuous_dt", "continuous_steps", "trotter_without_dt",
-            "continuous_last"])
+            "continuous_last", "trotter_tau_q"])
     def test_quench_rejects_bad_settings_before_running(self, tmp_path, capsys,
                                                         args, flag):
         rc = main(["quench", *args, "--serial", "--out", str(tmp_path / "out")])
@@ -505,6 +512,15 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and flag in err["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_collapse_rejects_x_max_before_reading(self, tmp_path, capsys):
+        # the CSV does not exist, so reading it would fail otherwise
+        rc = main(["collapse", str(tmp_path / "missing.csv"), "--x-max", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "--x-max" in err["message"]
+        assert not (tmp_path / "collapse").exists()
 
     def test_collapse_names_empty_time_slice(self, tmp_path, capsys):
         main(["quench", "--n", "8", "--tau-q", "1,2,4", "--serial",

@@ -9,10 +9,12 @@ from kzchain.mode_dynamics import (ModeEnsemble, ground_state_bloch,
                                    evolve_continuous, evolve_magnus,
                                    evolve_magnus_frame, integrator_stats,
                                    run_quench, trotter_step_mode,
-                                   _magnus_frame)
+                                   _compose, _evolve_trotter, _magnus_frame,
+                                   _magnus_vectors, _quaternions, _rotate,
+                                   _scan)
 from kzchain.observables import residual_energy
 from kzchain.protocol import (Evolution, QuenchProtocol, Variant, momentum_grid,
-                              pseudo_field, schedule_at)
+                              pseudo_field, schedule_at, trotter_protocol)
 
 
 class TestGroundState:
@@ -225,6 +227,84 @@ class TestTrotterStep:
         e_cont = run_quench(coarse, 8, lam=0.0, sample_times=[0.0])[0]
         for nf, nc in zip(e_fine.states, e_cont.states):
             assert np.linalg.norm(nf - nc) < 5e-3
+
+
+def _rotation_matrices(w):
+    """exp(K(w)) of the rotation vectors w, shape (..., 3), as explicit
+    3x3 matrices by Rodrigues' formula: I + sin(a) K(u) + (1 - cos(a))
+    K(u)^2 with a = |w| and u = w / a (the identity where w = 0)."""
+    angle = np.linalg.norm(w, axis=-1)[..., None]
+    u = np.divide(w, angle, out=np.zeros_like(w), where=angle > 0.0)
+    angle = angle[..., None]
+    k = np.zeros(w.shape + (3,))
+    k[..., 0, 1], k[..., 0, 2] = -u[..., 2], u[..., 1]
+    k[..., 1, 0], k[..., 1, 2] = u[..., 2], -u[..., 0]
+    k[..., 2, 0], k[..., 2, 1] = -u[..., 1], u[..., 0]
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _sequential(matrices, n):
+    """Apply the step matrices, shape (S, M, 3, 3), to the vectors n,
+    shape (M, 3), one step after another; the states after every step,
+    shape (S, M, 3)."""
+    out = []
+    for step in matrices:
+        n = np.einsum("mij,mj->mi", step, n)
+        out.append(n)
+    return np.stack(out)
+
+
+class TestQuaternionKernel:
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 1001])
+    def test_tree_and_scan_match_sequential_rotations(self, steps):
+        """The pairwise tree and the prefix scan of the step quaternions
+        equal the same step rotations applied one after another, for odd
+        and even tree shapes."""
+        p = QuenchProtocol(tau_q=4.0, variant=Variant.FULL_QUENCH)
+        modes = momentum_grid(16).modes
+        w = _magnus_vectors(p, modes, p.t_start, 1.0, steps)
+        z = np.tile([0.0, 0.0, 1.0], (len(modes), 1))
+        ref = _sequential(_rotation_matrices(np.moveaxis(w, 0, -1)), z)
+        q = _quaternions(w)
+        np.testing.assert_allclose(_rotate(_compose(q), z), ref[-1],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_rotate(_scan(q), z), ref,
+                                   rtol=0, atol=1e-13)
+
+    def test_trotter_matches_sequential_layers(self):
+        """Every sample of a Trotter quench equals the Ising and field
+        layers applied as explicit matrices, one step after another."""
+        p = trotter_protocol(0.25, 24, Variant.FULL_QUENCH)
+        modes = momentum_grid(20).modes
+        t = p.step_times()[:, None]
+        j, h = 1.0 + t / p.tau_q, 1.0 - t / p.tau_q
+        zero = np.zeros((len(t), len(modes)))
+        ising = np.stack([zero, -4.0 * p.dt * j * np.sin(modes),
+                          4.0 * p.dt * j * np.cos(modes)], axis=-1)
+        field = np.stack([zero, zero, -4.0 * p.dt * h + zero], axis=-1)
+        steps = _rotation_matrices(field) @ _rotation_matrices(ising)
+        z = np.tile([0.0, 0.0, 1.0], (len(modes), 1))
+        np.testing.assert_allclose(_evolve_trotter(p, modes),
+                                   _sequential(steps, z), rtol=0, atol=1e-13)
+
+    def test_trotter_mode_independence(self):
+        # bit-identical solved alone, in a subset, or in the ensemble
+        p = trotter_protocol(0.25, 13, Variant.FULL_QUENCH)
+        ensembles = run_quench(p, 12, lam=0.0)
+        states = np.stack([e.states for e in ensembles])
+        modes = ensembles[0].grid.modes
+        np.testing.assert_array_equal(states[:, 2:3],
+                                      _evolve_trotter(p, modes[2:3]))
+        np.testing.assert_array_equal(states[:, 1::2],
+                                      _evolve_trotter(p, modes[1::2]))
+
+    def test_norm_kept_over_long_quench(self):
+        # two intervals of 4024 Magnus steps, dt = (10 * 1e-10 * 64) ** 0.25
+        p = QuenchProtocol(tau_q=64.0, variant=Variant.FULL_QUENCH)
+        ensembles = run_quench(p, 128, lam=0.0, sample_times=[0.0, 64.0])
+        stats = integrator_stats(p, 0.0, ensembles)
+        assert stats["steps"] == 2 * math.ceil(64.0 / (6.4e-8) ** 0.25) == 8048
+        assert stats["max_norm_error"] < 1e-13
 
 
 class TestRunQuench:
