@@ -8,19 +8,15 @@ and a dense small-N oracle.
 from .protocol import (
     Evolution,
     MomentumGrid,
-    PseudoField,
     QuenchProtocol,
     Variant,
     momentum_grid,
-    pseudo_field,
     schedule_at,
 )
 from .mode_dynamics import (
     ModeEnsemble,
     evolve_continuous,
-    ground_state_bloch,
     run_quench,
-    trotter_step_mode,
 )
 from .correlators import (
     FermionCorrelators,
@@ -37,10 +33,8 @@ from .pfaffian import pfaffian
 from .observables import (
     defect_density,
     excess_energy,
-    magnetization_se,
     power_law_fit,
     residual_energy,
-    shot_error_floor,
     total_energy,
 )
 from .collapse import (

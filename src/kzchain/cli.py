@@ -171,9 +171,8 @@ def _collapse(paths, mask: float, x_max: Optional[int], grid: GridSpec,
     if not records:
         raise ValueError(f"no correlator row at t = {at_time:g} in "
                          f"{', '.join(str(p) for p in paths)}")
-    ds = CorrelationDataset.from_records(
-        records, mask_threshold=mask, x_max=x_max,
-        source_tag=",".join(str(p) for p in paths))
+    ds = CorrelationDataset.from_records(records, mask_threshold=mask,
+                                         x_max=x_max)
     t_sweep = time.perf_counter()
     res = exponent_sweep(ds, grid=grid)
     t_write = time.perf_counter()

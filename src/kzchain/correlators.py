@@ -67,7 +67,6 @@ class FermionCorrelators:
     """
 
     n_sites: int
-    t: float
     sx_table: np.ndarray = field(repr=False)
     q_table: np.ndarray = field(repr=False)
 
@@ -102,13 +101,13 @@ def fermion_correlators(e: ModeEnsemble) -> FermionCorrelators:
     sin_kd, cos_kd = _phases(n, modes.tobytes())
     sx = 2.0 * (sin_kd @ nx) / n
     q = 2.0 * (cos_kd @ nz - sin_kd @ ny) / n
-    return FermionCorrelators(n_sites=n, t=e.t, sx_table=sx, q_table=q)
+    return FermionCorrelators(n_sites=n, sx_table=sx, q_table=q)
 
 
-def magnetization_x(fc: FermionCorrelators):
-    """Per-site magnetization (M^x, M^y, M^z); the y and z components
-    vanish identically for this protocol."""
-    return float(fc.q(0)), 0.0, 0.0
+def magnetization_x(fc: FermionCorrelators) -> float:
+    """Per-site magnetization m_x = q(0); m_y and m_z vanish identically
+    for this protocol."""
+    return float(fc.q(0))
 
 
 def _check_separation(fc: FermionCorrelators, x: int):

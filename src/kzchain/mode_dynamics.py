@@ -42,7 +42,6 @@ import numpy as np
 from .protocol import (
     Evolution,
     MomentumGrid,
-    PseudoField,
     QuenchProtocol,
     momentum_grid,
     pseudo_field_components,
@@ -51,14 +50,12 @@ from .protocol import (
 
 __all__ = [
     "ModeEnsemble",
-    "ground_state_bloch",
     "evolve_continuous",
     "check_tolerance",
     "evolve_magnus",
     "evolve_magnus_frame",
     "check_lambda",
     "check_sample_times",
-    "trotter_step_mode",
     "run_quench",
     "integrator_stats",
 ]
@@ -71,6 +68,12 @@ DEFAULT_ATOL = 1e-12
 # tau_q in [0.5, 200] (against LSODA at rtol 1e-13), so this rule spends
 # the error evenly across quench times at about 6 * rtol.
 MAGNUS_STEP_SCALE = 10.0
+
+# Most (step, mode) rotations evolve_magnus builds at once.  An interval's
+# steps are composed for a batch of modes of at most this many elements,
+# so the tree's arrays and temporaries (about 90 bytes per element, some
+# 11 MB) do not grow with steps x modes.
+MAGNUS_BATCH = 1 << 17
 
 # evolve_magnus_frame takes D = (FRAME_STEP_SCALE * sqrt(1 + lam tau_q +
 # (tau_q / 8)^2) / rtol)^(1/4) steps per unit of its graded time u.  At the
@@ -114,14 +117,6 @@ class ModeEnsemble:
     @property
     def n_sites(self) -> int:
         return self.grid.n_sites
-
-
-def ground_state_bloch(f: PseudoField) -> np.ndarray:
-    """Instantaneous-ground-state Bloch vector, n = h / |h|."""
-    norm = f.norm
-    if norm == 0.0:
-        raise ValueError("zero pseudo-field has no ground-state direction")
-    return f.as_array() / norm
 
 
 def evolve_continuous(
@@ -343,10 +338,12 @@ def evolve_magnus(
     Every interval between consecutive sample times (starting at t_start)
     is cut into _magnus_steps equal steps, so the sample times are step
     boundaries.  A step's rotation does not depend on the state, so the
-    rotation vectors of an interval's steps are built for all modes at
-    once (_magnus_vectors), turned into unit quaternions and multiplied in
-    a pairwise tree (_compose); the state is rotated once per sample time
-    by the normalised product.  |n| = 1 is kept to roundoff.
+    rotation vectors of an interval's steps are built for a batch of modes
+    at once (_magnus_vectors, at most MAGNUS_BATCH steps x modes), turned
+    into unit quaternions and multiplied in a pairwise tree (_compose);
+    the state is rotated once per sample time by the normalised product.
+    Every operation is elementwise over modes, so a mode's result does not
+    depend on the batch it is in.  |n| = 1 is kept to roundoff.
     """
     rtol = check_tolerance("rtol", rtol)
     times = check_sample_times(p, sample_times)
@@ -357,8 +354,13 @@ def evolve_magnus(
     for t_next in times:
         steps = _magnus_steps(p, t_next - t, rtol)
         if steps:
-            w = _magnus_vectors(p, modes, t, t_next, steps)
-            n = _rotate(_compose(_quaternions(w)), n)
+            rotated = np.empty_like(n)
+            per_batch = max(1, MAGNUS_BATCH // steps)
+            for lo in range(0, len(modes), per_batch):
+                batch = slice(lo, lo + per_batch)
+                w = _magnus_vectors(p, modes[batch], t, t_next, steps)
+                rotated[batch] = _rotate(_compose(_quaternions(w)), n[batch])
+            n = rotated
         out.append(n)
         t = t_next
     return np.stack(out)
@@ -586,28 +588,16 @@ def evolve_magnus_frame(
     return _magnus_frame(p, lam, modes, times, _frame_density(p, lam, rtol))
 
 
-def trotter_step_mode(n: np.ndarray, k, j: float, h: float,
-                      dt: float) -> np.ndarray:
-    """One Trotter step in circuit order, on one mode or on many.
-
-    n is one Bloch vector (3,) with a scalar momentum k, or an (M, 3)
-    array with (M,) momenta; the result has the shape of n.
+def _trotter_quaternions(k: np.ndarray, j, h, dt: float) -> np.ndarray:
+    """Quaternions of Trotter steps in circuit order, for the momenta k
+    (M,) and the couplings j, h, (S, 1) arrays for S steps; shape
+    (4, S, M).
 
     First the Ising sub-unitary, then the transverse-field sub-unitary.
     Each layer is the exact Bloch rotation generated by d/dt n = -2 b x n
     over dt with b the layer's pseudo-field contribution, i.e. a rotation
     by the vector -2 b dt, so |n| is preserved to roundoff.
     """
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float).reshape(-1)
-    q = _trotter_quaternions(k, j, h, dt)
-    return _rotate(q, n.reshape(-1, 3)).reshape(n.shape)
-
-
-def _trotter_quaternions(k: np.ndarray, j, h, dt: float) -> np.ndarray:
-    """Quaternions of Trotter steps, field layer after Ising layer, for the
-    momenta k (M,) and the couplings j, h (scalars, or (S, 1) arrays for
-    S steps); shape (4, M) or (4, S, M)."""
     # Ising layer: b = (0, 2j sin k, -2j cos k)
     ising = _quaternions(np.stack(np.broadcast_arrays(
         0.0, (-4.0 * j * dt) * np.sin(k), (4.0 * j * dt) * np.cos(k))))

@@ -1,8 +1,7 @@
 """Scalar diagnostics for quench runs.
 
 Defect density, total and residual energy, excess energy against a paired
-closed-system run, log-log power-law exponent fits, and the shot-noise
-standard-error formulas used to pick masking thresholds.
+closed-system run, and log-log power-law exponent fits.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ __all__ = [
     "residual_energy",
     "excess_energy",
     "power_law_fit",
-    "shot_error_floor",
-    "magnetization_se",
 ]
 
 
@@ -110,22 +107,6 @@ def power_law_fit(points: Sequence[Tuple[float, float]]):
     return float(np.exp(intercept)), float(-slope), rmse
 
 
-def shot_error_floor(shots: int) -> float:
-    """Statistical floor 1/sqrt(shots) on measured correlators."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    return 1.0 / math.sqrt(shots)
-
-
-def magnetization_se(m: float, shots: int) -> float:
-    """Standard error sqrt((1 - m^2)/shots) of a single-spin expectation."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if abs(m) > 1.0:
-        raise ValueError(f"|m| must be <= 1, got {m}")
-    return math.sqrt((1.0 - m * m) / shots)
-
-
 def run_record(ensembles: Sequence[ModeEnsemble], protocol: QuenchProtocol,
                clean: Optional[Sequence[ModeEnsemble]] = None) -> RunRecord:
     """Assemble the scalar observable record for a run.
@@ -145,7 +126,7 @@ def run_record(ensembles: Sequence[ModeEnsemble], protocol: QuenchProtocol,
             e_exc = excess_energy(e, clean[i])
         rec.add_sample(
             t=e.t,
-            m_x=magnetization_x(fc)[0],
+            m_x=magnetization_x(fc),
             n_def=defect_density(fc),
             e_total=total_energy(e),
             e_res=residual_energy(e),

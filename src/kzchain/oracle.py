@@ -44,11 +44,11 @@ __all__ = [
     "evolve_statevector",
     "evolve_lindblad",
     "oracle_observables",
-    "zz_correlation_se",
 ]
 
 MAX_N_STATEVECTOR = 14
-DEFAULT_MAX_N_DENSITY = 6
+# a 20 x 20 sector block at N = 8, where a tau_q = 2 quench takes 0.4-0.5 s
+MAX_N_DENSITY = 8
 
 
 @dataclass
@@ -274,7 +274,6 @@ def evolve_lindblad(
     n: int,
     lam: float,
     sample_times: Optional[Sequence[float]] = None,
-    max_n: int = DEFAULT_MAX_N_DENSITY,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> List[DenseState]:
@@ -291,7 +290,7 @@ def evolve_lindblad(
     pipeline instead dephases each (k, -k) pair in its own H_k, which
     drops the cross terms [H_k, [H_k', rho]] that this equation keeps.
     """
-    _check_n(n, cap=max_n)
+    _check_n(n, cap=MAX_N_DENSITY)
     if p.evolution is not Evolution.CONTINUOUS:
         raise ValueError("Lindblad evolution is defined for continuous protocols")
     lam = check_lambda("lam", lam)
@@ -388,24 +387,3 @@ def oracle_observables(s: DenseState, j: float, h: float) -> dict:
         "m_x": sx, "m_z": sz, "c_zz": c_zz, "c_xx": c_xx,
         "n_def": n_def, "energy": energy,
     }
-
-
-def zz_correlation_se(s: DenseState, x: int, shots: int) -> float:
-    """Shot-noise standard error of the site-averaged ZZ correlator.
-
-    Evaluates the full four-point variance term, every <z_i z_{i+x} z_j
-    z_{j+x}> as one weighted Gram product of the pair strings; only
-    feasible at oracle scale.
-    """
-    n = s.n_sites
-    if not (1 <= x <= n // 2):
-        raise ValueError(f"separation {x} out of range")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    p = _probabilities(s)
-    spins = _spin_bits(n)
-    pair = (spins * np.roll(spins, -x, axis=1)).T
-    two_pt = pair @ p
-    four_pt = pair @ (p * pair).T
-    var = float(np.sum(four_pt - np.outer(two_pt, two_pt))) / (n * n)
-    return math.sqrt(max(var, 0.0) / shots)

@@ -24,12 +24,11 @@ __all__ = [
     "Evolution",
     "QuenchProtocol",
     "MomentumGrid",
-    "PseudoField",
     "Schedule",
     "schedule_at",
     "trotter_protocol",
     "momentum_grid",
-    "pseudo_field",
+    "pseudo_field_components",
 ]
 
 
@@ -124,11 +123,10 @@ def trotter_protocol(dt: float, steps: int,
 
 @dataclass(frozen=True)
 class Schedule:
-    """Couplings at a single time.  eps is None at the J = 0 boundary."""
+    """Couplings at a single time."""
 
     j: float
     h: float
-    eps: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -142,27 +140,10 @@ class MomentumGrid:
         return len(self.modes)
 
 
-@dataclass(frozen=True)
-class PseudoField:
-    """Components of the Nambu-space field h_k = (0, 2J sin k, 2h - 2J cos k)."""
-
-    hx: float
-    hy: float
-    hz: float
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.hx**2 + self.hy**2 + self.hz**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.hx, self.hy, self.hz])
-
-
 def schedule_at(p: QuenchProtocol, t: float) -> Schedule:
-    """Evaluate J, h and the control parameter eps = 1 - h/J at time t.
+    """Evaluate the couplings J and h at time t.
 
-    Raises ValueError if t lies outside the protocol interval.  At the
-    start of the quench J = 0 and eps is reported as None rather than -inf.
+    Raises ValueError if t lies outside the protocol interval.
     """
     if not p.contains(t):
         raise ValueError(
@@ -170,8 +151,7 @@ def schedule_at(p: QuenchProtocol, t: float) -> Schedule:
         )
     j = 1.0 + t / p.tau_q
     h = 1.0 - t / p.tau_q
-    eps = None if j == 0.0 else 1.0 - h / j
-    return Schedule(j=j, h=h, eps=eps)
+    return Schedule(j=j, h=h)
 
 
 def momentum_grid(n_sites: int) -> MomentumGrid:
@@ -183,13 +163,7 @@ def momentum_grid(n_sites: int) -> MomentumGrid:
     return MomentumGrid(n_sites=n_sites, modes=modes)
 
 
-def pseudo_field(k: float, j: float, h: float) -> PseudoField:
-    """Pseudo-magnetic field of mode k for couplings (J, h)."""
-    if not (0.0 < k < np.pi):
-        raise ValueError(f"k must lie in (0, pi), got {k}")
-    return PseudoField(hx=0.0, hy=2.0 * j * math.sin(k), hz=2.0 * h - 2.0 * j * math.cos(k))
-
-
 def pseudo_field_components(k: np.ndarray, j: float, h: float):
-    """Vectorized (hy, hz) over an array of momenta; hx is identically zero."""
+    """(h_y, h_z) of the Nambu-space field h_k = (0, 2J sin k, 2h - 2J cos k)
+    over an array of momenta; h_x is identically zero."""
     return 2.0 * j * np.sin(k), 2.0 * h - 2.0 * j * np.cos(k)

@@ -142,7 +142,7 @@ def test_06_oracle_equivalence_suite():
                 fc = fermion_correlators(e)
                 sched = schedule_at(p, e.t)
                 obs = oracle_observables(s, sched.j, sched.h)
-                devs = [abs(magnetization_x(fc)[0] - np.mean(obs["m_x"])),
+                devs = [abs(magnetization_x(fc) - np.mean(obs["m_x"])),
                         abs(defect_density(fc) - obs["n_def"]),
                         abs(total_energy(e) - obs["energy"])]
                 for x in range(1, n // 2 + 1):

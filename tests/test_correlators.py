@@ -16,16 +16,10 @@ from kzchain.correlators import (MAX_MULTIPLIER, FermionCorrelators,
                                  majorana_string_matrix, xx_connected,
                                  xx_connected_profiles, zz_connected,
                                  zz_connected_profile, zz_connected_profiles)
-from kzchain.mode_dynamics import (ModeEnsemble, ground_state_bloch,
-                                   run_quench)
-from kzchain.protocol import (Evolution, QuenchProtocol, Variant,
-                              momentum_grid, pseudo_field)
+from kzchain.mode_dynamics import run_quench
+from kzchain.protocol import Evolution, QuenchProtocol, Variant
 
-
-def ground_state_ensemble(n, j, h, t=0.0):
-    grid = momentum_grid(n)
-    states = [ground_state_bloch(pseudo_field(float(k), j, h)) for k in grid.modes]
-    return ModeEnsemble(grid=grid, states=states, t=t, lam=0.0, j=j, h=h)
+from conftest import ground_state_ensemble
 
 
 class TestParamagnetLimit:
@@ -36,7 +30,7 @@ class TestParamagnetLimit:
         self.fc = fermion_correlators(self.e)
 
     def test_full_x_polarization(self):
-        assert magnetization_x(self.fc)[0] == pytest.approx(1.0, abs=1e-12)
+        assert magnetization_x(self.fc) == pytest.approx(1.0, abs=1e-12)
 
     def test_zz_vanishes(self):
         for x in range(1, 7):
@@ -74,7 +68,7 @@ class TestCriticalGroundState:
         # density of JW fermions, (1 - m_x)/2, at criticality approaches
         # the 1/2 - 1/pi law for large N
         e = ground_state_ensemble(256, 1.0, 1.0)
-        m_x = magnetization_x(fermion_correlators(e))[0]
+        m_x = magnetization_x(fermion_correlators(e))
         assert (1.0 - m_x) / 2.0 == pytest.approx(0.5 - 1.0 / np.pi, abs=1e-3)
 
 
@@ -89,7 +83,7 @@ class TestTableStructure:
         # sigma^x is a one-site Majorana bilinear: m_x = q(0) = (2/N) sum n^z
         e = small_quench_ensemble
         fc = fermion_correlators(e)
-        assert fc.q(0) == magnetization_x(fc)[0]
+        assert fc.q(0) == magnetization_x(fc)
         assert fc.q(0) == pytest.approx(2.0 * np.sum(e.states[:, 2]) / e.n_sites,
                                         abs=1e-12)
 
@@ -189,7 +183,7 @@ class TestProfile:
         sx = 0.5 * (sx - sx[::-1])  # sx(-d) = -sx(d)
         q = rng.standard_normal(2 * n - 1)
         q[n] = 0.0
-        fc = FermionCorrelators(n_sites=n, t=0.0, sx_table=sx, q_table=q)
+        fc = FermionCorrelators(n_sites=n, sx_table=sx, q_table=q)
         prof = zz_connected_profile(fc)
         expected = [zz_connected(fc, x) for x in range(1, n // 2 + 1)]
         assert expected[1] != 0.0
@@ -211,7 +205,7 @@ def zero_pivot_tables(rng, n):
     sx = 0.5 * (sx - sx[::-1])  # sx(-d) = -sx(d)
     q = rng.standard_normal(2 * n - 1)
     q[n] = 0.0
-    return FermionCorrelators(n_sites=n, t=0.0, sx_table=sx, q_table=q)
+    return FermionCorrelators(n_sites=n, sx_table=sx, q_table=q)
 
 
 class TestRunProfiles:

@@ -451,6 +451,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert "n_def" in out and "energy" in out
 
+    def test_oracle_readme_example(self, capsys):
+        # the README's dephased N = 8 run, at the density-matrix cap
+        rc = main(["oracle", "--n", "8", "--tau-q", "2", "--lambda", "0.1"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert sorted(out) == ["c_xx", "c_zz", "energy", "m_x", "m_z", "n_def"]
+        assert len(out["m_x"]) == 8 and sorted(out["c_zz"]) == ["1", "2", "3", "4"]
+        assert 0.0 < out["n_def"] < 0.5
+
     def test_oracle_trotter_reports_final_step(self, capsys):
         rc = main(["oracle", "--n", "4", "--trotter", "--dt", "0.25",
                    "--steps", "4"])

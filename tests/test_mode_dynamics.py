@@ -3,31 +3,39 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
 
-from kzchain.mode_dynamics import (ModeEnsemble, ground_state_bloch,
-                                   evolve_continuous, evolve_magnus,
-                                   evolve_magnus_frame, integrator_stats,
-                                   run_quench, trotter_step_mode,
-                                   _compose, _evolve_trotter, _magnus_frame,
+import kzchain.mode_dynamics
+from kzchain.mode_dynamics import (ModeEnsemble, evolve_continuous,
+                                   evolve_magnus, evolve_magnus_frame,
+                                   integrator_stats, run_quench,
+                                   _compose, _evolve_trotter, _ground_states,
+                                   _magnus_frame, _magnus_steps,
                                    _magnus_vectors, _quaternions, _rotate,
                                    _scan)
 from kzchain.observables import residual_energy
 from kzchain.protocol import (Evolution, QuenchProtocol, Variant, momentum_grid,
-                              pseudo_field, schedule_at, trotter_protocol)
+                              schedule_at, trotter_protocol)
+
+from conftest import ground_state_ensemble, ground_states
 
 
 class TestGroundState:
     def test_initial_state_points_up(self):
-        # at t = -tau_q the field is (0, 0, 4) so n = z-hat
-        f = pseudo_field(1.0, 0.0, 2.0)
-        np.testing.assert_allclose(ground_state_bloch(f), [0.0, 0.0, 1.0])
+        # at t = -tau_q the field is (0, 0, 4), so every mode starts at z-hat
+        p = QuenchProtocol(tau_q=3.0)
+        sched = schedule_at(p, p.t_start)
+        modes = momentum_grid(16).modes
+        np.testing.assert_array_equal(_ground_states(modes),
+                                      ground_states(modes, sched.j, sched.h))
 
-    @given(st.floats(0.05, 3.1), st.floats(0.0, 2.0))
-    def test_unit_norm(self, k, j):
-        f = pseudo_field(k, j, 2.0 - j)
-        n = ground_state_bloch(f)
-        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
+    @given(st.sampled_from([4, 16, 64]), st.floats(0.0, 2.0))
+    def test_unit_norm(self, n, j):
+        # ground states along the ramp J + h = 2: unit Bloch vectors with
+        # no energy above the instantaneous ground state
+        e = ground_state_ensemble(n, j, 2.0 - j)
+        np.testing.assert_allclose(np.linalg.norm(e.states, axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
+        assert residual_energy(e) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestContinuousEvolution:
@@ -36,7 +44,7 @@ class TestContinuousEvolution:
         p = QuenchProtocol(tau_q=200.0)
         k = 2.0  # large gap
         n = evolve_continuous(p, 0.0, [k], [0.0])[0, 0]
-        target = ground_state_bloch(pseudo_field(k, 1.0, 1.0))
+        (target,) = ground_states([k], 1.0, 1.0)
         assert np.linalg.norm(n - target) < 1e-2
 
     def test_sudden_limit_freezes(self):
@@ -80,8 +88,8 @@ class TestContinuousEvolution:
         modes = [0.05, 0.1, 0.2]
         (states,) = evolve_continuous(p, 0.0, modes, [tau_q])
         sched = schedule_at(p, tau_q)
-        for k, n in zip(modes, states):
-            target = ground_state_bloch(pseudo_field(k, sched.j, sched.h))
+        targets = ground_states(modes, sched.j, sched.h)
+        for k, n, target in zip(modes, states, targets):
             p_exc = 0.5 * (1.0 - float(np.dot(n, target)))
             p_lz = math.exp(-math.pi * tau_q * k * k)
             assert p_exc == pytest.approx(p_lz, abs=0.01)
@@ -122,8 +130,9 @@ class TestMagnus:
         assert steps[1] == 2 * steps[0]
         assert errors[0] / errors[1] >= 12.0
 
-    def test_mode_independence(self):
-        # bit-identical solved alone, in a subset, or in the ensemble
+    def test_mode_independence(self, monkeypatch):
+        # bit-identical solved alone, in a subset, in the ensemble, or
+        # composed in batches of modes of any size
         p = QuenchProtocol(tau_q=1.5, variant=Variant.FULL_QUENCH)
         times = [0.0, 1.5]
         ensembles = run_quench(p, 12, lam=0.0, sample_times=times)
@@ -133,6 +142,13 @@ class TestMagnus:
         np.testing.assert_array_equal(states[:, 2:3], alone)
         subset = evolve_magnus(p, modes[1::2], times)
         np.testing.assert_array_equal(states[:, 1::2], subset)
+        # both intervals span 1.5, so they take the same number of steps
+        steps = _magnus_steps(p, 1.5, kzchain.mode_dynamics.DEFAULT_RTOL)
+        assert steps * len(modes) <= kzchain.mode_dynamics.MAGNUS_BATCH
+        for per_batch in (1, 4):
+            monkeypatch.setattr(kzchain.mode_dynamics, "MAGNUS_BATCH",
+                                per_batch * steps)
+            np.testing.assert_array_equal(states, evolve_magnus(p, modes, times))
 
     def test_landau_zener_through_run_quench(self):
         """The grid's small-k modes obey p_k = exp(-pi tau_q k^2); see
@@ -142,8 +158,8 @@ class TestMagnus:
         e = run_quench(p, 128, lam=0.0)[-1]
         small = e.grid.modes < 0.2
         assert small.sum() == 4
-        for k, n in zip(e.grid.modes[small], e.states[small]):
-            target = ground_state_bloch(pseudo_field(k, e.j, e.h))
+        targets = ground_states(e.grid.modes[small], e.j, e.h)
+        for k, n, target in zip(e.grid.modes[small], e.states[small], targets):
             p_exc = 0.5 * (1.0 - float(np.dot(n, target)))
             assert p_exc == pytest.approx(math.exp(-math.pi * tau_q * k * k),
                                           abs=0.01)
@@ -185,37 +201,15 @@ class TestMagnusFrame:
 
 
 class TestTrotterStep:
-    @given(st.floats(0.05, 3.1), st.floats(0.0, 2.0), st.floats(0.01, 0.5))
+    @given(st.floats(0.05, 3.1), st.floats(0.01, 0.5))
     @settings(max_examples=60)
-    def test_step_preserves_norm(self, k, j, dt):
-        n = np.array([0.3, -0.5, math.sqrt(1 - 0.34)])
-        out = trotter_step_mode(n, k, j, 2.0 - j, dt)
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-
-    def test_batched_matches_scalar_and_exact_layers(self):
-        """An (M, 3) step equals M scalar steps, and each scalar step is
-        the product of the two layers' exact 3x3 rotation matrices."""
-        rng = np.random.default_rng(3)
-        modes = momentum_grid(20).modes
-        n = rng.normal(size=(len(modes), 3))
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        j, h, dt = 0.7, 1.3, 0.25
-        batched = trotter_step_mode(n, modes, j, h, dt)
-        assert batched.shape == n.shape
-
-        def cross_matrix(v):
-            return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]],
-                             [-v[1], v[0], 0.0]])
-
-        for k, nk, out in zip(modes, n, batched):
-            scalar = trotter_step_mode(nk, float(k), j, h, dt)
-            assert scalar.shape == (3,)
-            np.testing.assert_allclose(out, scalar, rtol=0, atol=1e-14)
-            ising = expm(cross_matrix([0.0, -4 * j * dt * math.sin(k),
-                                       4 * j * dt * math.cos(k)]))
-            field = expm(cross_matrix([0.0, 0.0, -4 * h * dt]))
-            np.testing.assert_allclose(scalar, field @ ising @ nk,
-                                       rtol=0, atol=1e-13)
+    def test_step_preserves_norm(self, k, dt):
+        # a full Trotter quench of 16 steps of length dt on the mode k, so
+        # J takes values across [0, 2]
+        p = trotter_protocol(dt, 16, Variant.FULL_QUENCH)
+        out = _evolve_trotter(p, np.array([k]))
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0,
+                                   rtol=0, atol=1e-12)
 
     def test_many_small_steps_approach_continuous(self):
         tau_q = 2.0

@@ -5,17 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kzchain.correlators import fermion_correlators
-from kzchain.mode_dynamics import ModeEnsemble, ground_state_bloch, run_quench
+from kzchain.mode_dynamics import run_quench
 from kzchain.observables import (RunRecord, defect_density, excess_energy,
-                                 magnetization_se, power_law_fit, residual_energy,
-                                 run_record, shot_error_floor, total_energy)
-from kzchain.protocol import QuenchProtocol, Variant, momentum_grid, pseudo_field
+                                 power_law_fit, residual_energy, run_record,
+                                 total_energy)
+from kzchain.protocol import QuenchProtocol, Variant
 
-
-def ground_state_ensemble(n, j, h):
-    grid = momentum_grid(n)
-    states = [ground_state_bloch(pseudo_field(float(k), j, h)) for k in grid.modes]
-    return ModeEnsemble(grid=grid, states=states, t=0.0, lam=0.0, j=j, h=h)
+from conftest import ground_state_ensemble
 
 
 class TestEnergy:
@@ -100,22 +96,6 @@ class TestPowerLawFit:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             power_law_fit([(1.0, 1.0), (2.0, 0.5)])
-
-
-class TestShotNoise:
-    def test_floor_scaling(self):
-        assert shot_error_floor(10_000) == pytest.approx(0.01)
-        assert shot_error_floor(1) == 1.0
-
-    def test_magnetization_se_vanishes_at_saturation(self):
-        assert magnetization_se(1.0, 100) == 0.0
-        assert magnetization_se(0.0, 400) == pytest.approx(0.05)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            shot_error_floor(0)
-        with pytest.raises(ValueError):
-            magnetization_se(1.5, 100)
 
 
 class TestRunRecord:

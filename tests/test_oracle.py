@@ -18,7 +18,7 @@ from kzchain.observables import defect_density, run_record, total_energy
 from kzchain.oracle import (DenseState, _sector_terms, _sx_sum,
                             _symmetric_sector, dense_hamiltonian,
                             evolve_lindblad, evolve_statevector,
-                            oracle_observables, zz_correlation_se)
+                            oracle_observables)
 from kzchain.protocol import Evolution, QuenchProtocol, Variant, schedule_at
 
 
@@ -35,12 +35,12 @@ class TestHamiltonian:
 
     def test_critical_spectrum_matches_free_fermions(self):
         """Even-parity ground energy = -sum |h_k| over positive modes."""
-        from kzchain.protocol import momentum_grid, pseudo_field
+        from kzchain.protocol import momentum_grid, pseudo_field_components
         n, j, h = 8, 1.0, 1.0
         ham = dense_hamiltonian(n, j, h).toarray()
         e0 = np.linalg.eigvalsh(ham)[0]
-        expected = -sum(pseudo_field(float(k), j, h).norm
-                        for k in momentum_grid(n).modes)
+        hy, hz = pseudo_field_components(momentum_grid(n).modes, j, h)
+        expected = -np.sum(np.hypot(hy, hz))
         assert e0 == pytest.approx(expected, abs=1e-10)
 
 
@@ -219,10 +219,11 @@ class TestLindbladEvolution:
             evolve_lindblad(QuenchProtocol(tau_q=1.0), 5, 0.1)
 
     def test_density_matrix_cap(self):
-        with pytest.raises(ValueError):
-            evolve_lindblad(QuenchProtocol(tau_q=1.0), 8, 0.1)
-        # raising the cap admits the larger chain
-        evolve_lindblad(QuenchProtocol(tau_q=0.2), 8, 0.0, max_n=8)
+        # N = 8 is the largest chain: a 20 x 20 sector block
+        (rho,) = evolve_lindblad(QuenchProtocol(tau_q=0.2), 8, 0.1)
+        rho.validate()
+        with pytest.raises(ValueError, match=r"N = 10 outside supported range \[2, 8\]"):
+            evolve_lindblad(QuenchProtocol(tau_q=1.0), 10, 0.1)
 
 
 class TestPipelineAgainstOracle:
@@ -236,7 +237,7 @@ class TestPipelineAgainstOracle:
         fc = fermion_correlators(e)
         (s,) = evolve_statevector(p, n)
         obs = oracle_observables(s, 1.0, 1.0)
-        assert magnetization_x(fc)[0] == pytest.approx(np.mean(obs["m_x"]), abs=1e-8)
+        assert magnetization_x(fc) == pytest.approx(np.mean(obs["m_x"]), abs=1e-8)
         assert defect_density(fc) == pytest.approx(obs["n_def"], abs=1e-8)
         assert total_energy(e) == pytest.approx(obs["energy"], abs=1e-7)
         for x in range(1, n // 2 + 1):
@@ -325,22 +326,6 @@ def _observables_by_string(s, j, h):
             "energy": float(-j * (p @ zz_sum) - h * np.sum(sx))}
 
 
-def _zz_se_by_pairs(s, x, shots):
-    """zz_correlation_se with the four-point terms summed pair by pair."""
-    n = s.n_sites
-    idx = np.arange(2**n)
-    spins = 1 - 2 * ((idx[:, None] >> np.arange(n)) & 1)
-    p = (np.real(np.diag(s.data)) if s.is_density_matrix
-         else np.abs(s.data) ** 2)
-    pair = np.stack([spins[:, i] * spins[:, (i + x) % n] for i in range(n)])
-    two_pt = pair @ p
-    var = 0.0
-    for i in range(n):
-        for k in range(n):
-            var += float(p @ (pair[i] * pair[k])) - two_pt[i] * two_pt[k]
-    return np.sqrt(max(var / (n * n), 0.0) / shots)
-
-
 def _test_states(n):
     """Random and evolved states at N = n, statevectors and density
     matrices."""
@@ -353,13 +338,12 @@ def _test_states(n):
     rho /= np.trace(rho).real
     p = QuenchProtocol(tau_q=1.0, variant=Variant.FULL_QUENCH)
     evolved = evolve_statevector(p, n, sample_times=[0.3])[0]
-    mixed = evolve_lindblad(p, n, 0.5, sample_times=[0.3], max_n=8)[0]
+    mixed = evolve_lindblad(p, n, 0.5, sample_times=[0.3])[0]
     return [DenseState(n, 0.3, psi), DenseState(n, 0.3, rho), evolved, mixed]
 
 
 class TestObservablesAgainstStrings:
-    """oracle_observables and zz_correlation_se against one sum per
-    Pauli string."""
+    """oracle_observables against one sum per Pauli string."""
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_matches_per_string_sums(self, n):
@@ -377,28 +361,3 @@ class TestObservablesAgainstStrings:
                     for x in ref[key]:
                         assert got[key][x] == pytest.approx(ref[key][x],
                                                             abs=1e-13)
-            for x in range(1, n // 2 + 1):
-                assert zz_correlation_se(s, x, 100) == pytest.approx(
-                    _zz_se_by_pairs(s, x, 100), abs=1e-13)
-
-
-class TestShotError:
-    def test_se_scales_inverse_sqrt_shots(self):
-        (s,) = evolve_statevector(QuenchProtocol(tau_q=1.0), 4)
-        se_100 = zz_correlation_se(s, 1, 100)
-        se_400 = zz_correlation_se(s, 1, 400)
-        assert se_100 == pytest.approx(2.0 * se_400, rel=1e-12)
-
-    def test_sharp_eigenstate_has_zero_se(self):
-        # all-up product state: every zz string is +1 with no variance
-        psi = np.zeros(16)
-        psi[0] = 1.0
-        s = DenseState(n_sites=4, t=0.0, data=psi.astype(complex))
-        assert zz_correlation_se(s, 1, 1000) == pytest.approx(0.0, abs=1e-12)
-
-    def test_validation(self):
-        (s,) = evolve_statevector(QuenchProtocol(tau_q=1.0), 4)
-        with pytest.raises(ValueError):
-            zz_correlation_se(s, 0, 100)
-        with pytest.raises(ValueError):
-            zz_correlation_se(s, 1, 0)

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kzchain.protocol import (Evolution, QuenchProtocol, Variant, momentum_grid,
-                              pseudo_field, pseudo_field_components, schedule_at)
+                              pseudo_field_components, schedule_at)
 
 
 class TestSchedule:
     def test_boundaries(self):
         p = QuenchProtocol(tau_q=2.0)
         start = schedule_at(p, -2.0)
-        assert start.j == 0.0 and start.h == 2.0 and start.eps is None
+        assert start.j == 0.0 and start.h == 2.0
         end = schedule_at(p, 0.0)
-        assert end.j == 1.0 and end.h == 1.0 and end.eps == 0.0
+        assert end.j == 1.0 and end.h == 1.0
 
     def test_full_quench_end(self):
         p = QuenchProtocol(tau_q=3.0, variant=Variant.FULL_QUENCH)
         end = schedule_at(p, 3.0)
-        assert end.j == 2.0 and end.h == 0.0 and end.eps == 1.0
+        assert end.j == 2.0 and end.h == 0.0
 
     def test_outside_interval_raises(self):
         p = QuenchProtocol(tau_q=1.0)
@@ -85,18 +85,22 @@ class TestPseudoField:
     def test_critical_point_gap(self):
         # at J = h the gap 2|h_k| closes as k -> 0
         g = momentum_grid(512)
-        f = pseudo_field(float(g.modes[0]), 1.0, 1.0)
-        assert f.norm == pytest.approx(2.0 * math.sqrt(2 - 2 * math.cos(g.modes[0])), rel=1e-12)
-        assert f.norm < 0.05
+        hy, hz = pseudo_field_components(g.modes[:1], 1.0, 1.0)
+        norm = math.hypot(hy[0], hz[0])
+        assert norm == pytest.approx(2.0 * math.sqrt(2 - 2 * math.cos(g.modes[0])), rel=1e-12)
+        assert norm < 0.05
 
     def test_start_of_quench_points_along_z(self):
-        f = pseudo_field(1.0, 0.0, 2.0)
-        assert f.hy == 0.0 and f.hz == 4.0
+        hy, hz = pseudo_field_components(momentum_grid(8).modes, 0.0, 2.0)
+        assert np.all(hy == 0.0) and np.all(hz == 4.0)
 
     @given(st.floats(0.01, 3.13), st.floats(0.0, 2.0))
     def test_vectorized_matches_scalar(self, k, j):
+        # the closed form h_k = (0, 2J sin k, 2h - 2J cos k), one momentum
+        # at a time, against the array evaluation
         h = 2.0 - j
-        hy, hz = pseudo_field_components(np.array([k]), j, h)
-        f = pseudo_field(k, j, h)
-        assert hy[0] == pytest.approx(f.hy, abs=1e-12)
-        assert hz[0] == pytest.approx(f.hz, abs=1e-12)
+        hy, hz = pseudo_field_components(np.array([k, 0.5 * k]), j, h)
+        for i, kk in enumerate([k, 0.5 * k]):
+            assert hy[i] == pytest.approx(2.0 * j * math.sin(kk), abs=1e-12)
+            assert hz[i] == pytest.approx(2.0 * h - 2.0 * j * math.cos(kk),
+                                          abs=1e-12)
