@@ -39,10 +39,9 @@ from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
                  read_manifest, read_observables_csv, read_trajectories_csv,
                  write_correlators_csv, write_manifest, write_observables_csv,
                  write_rmse_csv, write_trajectories_csv)
-from .mode_dynamics import check_lambda, integrator_stats, run_quench
+from .mode_dynamics import check_nonnegative, integrator_stats, run_quench
 from .observables import power_law_fit, run_record
-from .protocol import (Evolution, QuenchProtocol, Variant, schedule_at,
-                       trotter_protocol)
+from .protocol import Evolution, QuenchProtocol, Variant, schedule_at
 from .svg import heatmap, line_plot
 
 __all__ = ["main"]
@@ -141,11 +140,21 @@ def _run_sweep(cfg: RunConfig, root: Path, parallel: bool = True) -> List[Path]:
 
 
 def _config_from_args(args) -> RunConfig:
-    """The config file's values overridden by the quench flags given."""
-    values = load_config_file(args.config) if args.config else {}
+    """The config file's values, if any, overridden by the quench flags given."""
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
     values.update((key, text) for key, text in vars(args).items()
                   if key in SETTINGS and text is not None)
     return RunConfig.from_settings(values)
+
+
+def _single_protocol(args) -> Tuple[RunConfig, QuenchProtocol]:
+    """The config and the protocol of a command that runs one quench."""
+    cfg = _config_from_args(args)
+    s = SETTINGS["protocol.steps" if cfg.steps else "protocol.tau_sweep"]
+    if len(getattr(cfg, s.field)) > 1:
+        raise ValueError(f"{args.command} runs one quench: give one {s.flag} "
+                         f"value, not {getattr(cfg, s.field)}")
+    return cfg, cfg.protocols()[0]
 
 
 def cmd_quench(args) -> int:
@@ -224,6 +233,7 @@ def _write_collapse_artifacts(out_dir: Path, ds: CorrelationDataset,
 
 
 def cmd_collapse(args) -> int:
+    check_nonnegative("--mask", args.mask)
     if args.x_max is not None and args.x_max < 1:
         raise ValueError(f"--x-max must be >= 1, got {args.x_max}")
     grid = GridSpec() if args.spacing is None else GridSpec(spacing=args.spacing)
@@ -254,19 +264,14 @@ def cmd_observables(args) -> int:
     return 0
 
 
-def _variant(args) -> Variant:
-    return Variant.FULL_QUENCH if args.full else Variant.TO_CRITICAL_POINT
-
-
 def cmd_emit_qasm(args) -> int:
-    p = trotter_protocol(args.dt, args.steps, _variant(args))
-    prog = emit_program(p, args.n, measure_basis=args.basis)
+    cfg, p = _single_protocol(args)
+    prog = emit_program(p, cfg.n_sites, measure_basis=args.basis)
     root = _out_root(args.out)
     root.mkdir(parents=True, exist_ok=True)
-    path = root / f"tfim_N{args.n}_dt{args.dt:g}_steps{args.steps}_{args.basis}.qasm"
+    path = root / f"tfim_N{cfg.n_sites}_dt{p.dt:g}_steps{p.steps}_{args.basis}.qasm"
     path.write_text(to_qasm3(prog))
-    counts = gate_counts(prog)
-    print(json.dumps({"path": str(path), **counts}))
+    print(json.dumps({"path": str(path), **gate_counts(prog)}))
     return 0
 
 
@@ -274,20 +279,10 @@ def cmd_oracle(args) -> int:
     # imported here: oracle loads scipy.sparse, which no other command needs
     from .oracle import evolve_lindblad, evolve_statevector, oracle_observables
 
-    if args.trotter:
-        if args.dt is None or args.steps is None:
-            raise ValueError("--trotter oracle requires --dt and --steps")
-        p = trotter_protocol(args.dt, args.steps, _variant(args))
-    else:
-        if args.tau_q is None:
-            raise ValueError("continuous oracle requires --tau-q")
-        p = QuenchProtocol(tau_q=args.tau_q, variant=_variant(args))
+    cfg, p = _single_protocol(args)
     # both evolutions sample t_end by default; Trotter samples every step
-    lam = check_lambda("--lambda", args.lam)
-    if lam > 0:
-        states = evolve_lindblad(p, args.n, lam)
-    else:
-        states = evolve_statevector(p, args.n)
+    states = (evolve_lindblad(p, cfg.n_sites, cfg.lam) if cfg.lam > 0
+              else evolve_statevector(p, cfg.n_sites))
     sched = schedule_at(p, states[-1].t)
     obs = oracle_observables(states[-1], sched.j, sched.h)
     out = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
@@ -395,6 +390,20 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_quench_flags(parser, *flags: str, required: Tuple[str, ...] = ()) -> None:
+    """Add the named quench flags of SETTINGS, each with its key as dest:
+    a flag takes text, and a switch stores its one value."""
+    for flag in flags:
+        for s in SETTINGS.values():
+            switches = dict(s.switches)
+            if flag in switches:
+                parser.add_argument(flag, dest=s.key, help=s.help,
+                                    action="store_const", const=switches[flag])
+            elif flag == s.flag:
+                parser.add_argument(flag, dest=s.key, help=s.help,
+                                    required=flag in required)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="kzchain", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -403,15 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("quench", help="run the mode pipeline for a sweep")
     q.add_argument("--config", help="key-value config file")
-    for s in SETTINGS.values():
-        if s.flag:
-            q.add_argument(s.flag, dest=s.key, help=s.help)
-    q.add_argument("--continuous", dest="protocol.evolution",
-                   action="store_const", const=Evolution.CONTINUOUS.value)
-    q.add_argument("--trotter", dest="protocol.evolution",
-                   action="store_const", const=Evolution.TROTTER.value)
-    q.add_argument("--full", dest="protocol.variant", action="store_const",
-                   const=Variant.FULL_QUENCH.value, help="quench through the QCP")
+    _add_quench_flags(q, *(s.flag for s in SETTINGS.values() if s.flag),
+                      "--continuous", "--trotter", "--full")
     q.add_argument("--out", help="output root (default runs/ or $KZCHAIN_OUT)")
     q.add_argument("--serial", action="store_true", help="disable process pool")
     q.set_defaults(func=cmd_quench)
@@ -430,22 +432,14 @@ def _build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=cmd_observables)
 
     e = sub.add_parser("emit-qasm", help="write an OpenQASM 3 quench circuit")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--dt", type=float, required=True)
-    e.add_argument("--steps", type=int, required=True)
+    _add_quench_flags(e, "--n", "--dt", "--steps", "--full", required=("--n",))
     e.add_argument("--basis", choices=("z", "x"), default="z")
-    e.add_argument("--full", action="store_true")
     e.add_argument("--out")
-    e.set_defaults(func=cmd_emit_qasm)
+    e.set_defaults(func=cmd_emit_qasm, **{"protocol.evolution": Evolution.TROTTER.value})
 
     r = sub.add_parser("oracle", help="dense small-N reference observables")
-    r.add_argument("--n", type=int, required=True)
-    r.add_argument("--tau-q", dest="tau_q", type=float)
-    r.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    r.add_argument("--trotter", action="store_true")
-    r.add_argument("--dt", type=float)
-    r.add_argument("--steps", type=int)
-    r.add_argument("--full", action="store_true")
+    _add_quench_flags(r, "--n", "--tau-q", "--lambda", "--trotter", "--dt",
+                      "--steps", "--full", required=("--n",))
     r.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("reproduce", help="run a canned figure recipe")

@@ -88,29 +88,25 @@ class CorrelationDataset:
         return np.unique(self.records[:, 0])
 
 
+GRID_MIN, GRID_MAX = 0.025, 0.75  # the range of both exponents, ends included
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    a_min: float = 0.025
-    a_max: float = 0.75
-    b_min: float = 0.025
-    b_max: float = 0.75
+    """The square (a, b) grid from GRID_MIN to GRID_MAX at spacing."""
+
     spacing: float = 0.025
 
     def __post_init__(self):
         if not self.spacing > 0:
             raise ValueError(f"grid spacing must be > 0, got {self.spacing}")
-        if not self.a_min <= self.a_max:
-            raise ValueError(f"grid a_min {self.a_min} exceeds a_max {self.a_max}")
-        if not self.b_min <= self.b_max:
-            raise ValueError(f"grid b_min {self.b_min} exceeds b_max {self.b_max}")
 
     def a_values(self) -> np.ndarray:
-        n = int(round((self.a_max - self.a_min) / self.spacing)) + 1
-        return self.a_min + self.spacing * np.arange(n)
+        """The grid values, rounded so that 0.025 + 12 * 0.025 prints as 0.325."""
+        n = int(round((GRID_MAX - GRID_MIN) / self.spacing)) + 1
+        return np.round(GRID_MIN + self.spacing * np.arange(n), 12)
 
-    def b_values(self) -> np.ndarray:
-        n = int(round((self.b_max - self.b_min) / self.spacing)) + 1
-        return self.b_min + self.spacing * np.arange(n)
+    b_values = a_values  # the grid is square
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .collapse import DEFAULT_MASK_THEORY
-from .mode_dynamics import DEFAULT_RTOL, check_lambda, check_tolerance
+from .mode_dynamics import DEFAULT_RTOL, check_nonnegative, check_tolerance
 from .protocol import Evolution, QuenchProtocol, Variant, trotter_protocol
 
 __all__ = ["RunConfig", "SETTINGS", "load_config_file"]
@@ -55,22 +55,25 @@ def _parse_steps(text: str) -> List[int]:
 
 
 class Setting(NamedTuple):
-    """One settable value.  flag is None for a file-only key; the switches
-    `--full`, `--trotter` and `--continuous` set variant and evolution."""
+    """One settable value.  flag takes its text and is None for a file-only
+    key; each (switch, text) pair of switches is a flag that sets text."""
 
     key: str
     field: str
     parse: Callable[[str], object]
     flag: Optional[str] = None
     help: Optional[str] = None
+    switches: Tuple[Tuple[str, str], ...] = ()
 
 
 SETTINGS: Dict[str, Setting] = {s.key: s for s in (
     Setting("protocol.tau_sweep", "tau_sweep",
             lambda text: [float(x) for x in text.split(",")], "--tau-q",
             "comma list of quench times"),
-    Setting("protocol.variant", "variant", Variant),
-    Setting("protocol.evolution", "evolution", Evolution),
+    Setting("protocol.variant", "variant", Variant, help="quench through the QCP",
+            switches=(("--full", "full_quench"),)),
+    Setting("protocol.evolution", "evolution", Evolution,
+            switches=(("--continuous", "continuous"), ("--trotter", "trotter"))),
     Setting("protocol.dt", "dt", float, "--dt", "Trotter step duration"),
     Setting("protocol.steps", "steps", _parse_steps, "--steps",
             "Trotter step counts, e.g. '8..32' or '6,8,10'"),
@@ -101,7 +104,8 @@ class RunConfig:
     x_max: Optional[int] = None
 
     def __post_init__(self):
-        self.lam = check_lambda(_NAMES["lam"], self.lam)
+        for name in ("lam", "mask_threshold"):
+            setattr(self, name, check_nonnegative(_NAMES[name], getattr(self, name)))
         self.rtol = check_tolerance(_NAMES["rtol"], self.rtol)
         if not (self.n_sites >= 2 and self.n_sites % 2 == 0):
             raise ValueError(f"{_NAMES['n_sites']} must be even and >= 2, "
@@ -114,8 +118,11 @@ class RunConfig:
                 raise ValueError(f"a Trotter run needs {_NAMES['dt']} and "
                                  f"{_NAMES['steps']}")
             if self.tau_sweep is not None:
-                raise ValueError(f"{_NAMES['tau_sweep']} applies only to "
-                                 f"continuous runs (--continuous)")
+                raise ValueError(f"{_NAMES['tau_sweep']} does not apply to "
+                                 f"Trotter runs (--trotter)")
+            if self.lam > 0:
+                raise ValueError(f"{_NAMES['lam']} must be 0 in Trotter runs "
+                                 f"(--trotter), got {self.lam}")
         else:
             for name in ("dt", "steps"):
                 if getattr(self, name) is not None:

@@ -7,10 +7,12 @@ density matrix of its (k, -k) Nambu pair.  Continuous evolution integrates
 
 with h the pseudo-magnetic field; lam >= 0 is the nondemolition
 measurement strength (lam = 0 is unitary).  The lam term dephases each
-(k, -k) pair in its own H_k, i.e. it is the per-mode channel
--lam sum_k [H_k, [H_k, rho]]; oracle.evolve_lindblad instead applies the
-full -lam [H, [H, rho]], whose cross terms [H_k, [H_k', rho]] this module
-leaves out.
+(k, -k) pair in its own H_k: the per-mode channel -lam sum_k [H_k, [H_k,
+rho]], without the cross terms [H_k, [H_k', rho]] of oracle.evolve_lindblad.
+At lam > 0 a pair with |n_k| < 1 is not fermionic-Gaussian (Bravyi, Quantum
+Inf. Comput. 5, 216 (2005)): m_x, n_def, the energies and C_zz(1) are exact
+for the channel, but the Wick C_zz(x >= 2) and C_xx are its Wick closure,
+O(1/N) from its exact value at fixed x (its N -> infinity limit).
 
 Every continuous evolution is stepped for all modes at once with
 fourth-order Magnus.  At lam = 0 every step is one closed-form Bloch
@@ -54,7 +56,7 @@ __all__ = [
     "check_tolerance",
     "evolve_magnus",
     "evolve_magnus_frame",
-    "check_lambda",
+    "check_nonnegative",
     "check_sample_times",
     "run_quench",
     "integrator_stats",
@@ -141,7 +143,7 @@ def evolve_continuous(
     holds it; LSODA builds it by finite differences.  Error-controlled
     Adams/BDF shares nothing with the Magnus paths it is tested against.
     """
-    lam = check_lambda("lam", lam)
+    lam = check_nonnegative("lam", lam)
     rtol = check_tolerance("rtol", rtol)
     atol = check_tolerance("atol", atol)
     times = check_sample_times(p, sample_times)
@@ -187,11 +189,11 @@ def check_tolerance(key: str, value: float) -> float:
     return value
 
 
-def check_lambda(key: str, value: float) -> float:
-    """Return value as a float if it is a finite measurement strength >= 0.
+def check_nonnegative(key: str, value: float) -> float:
+    """Return value as a float if it is finite and >= 0 (lam, a mask).
 
     Raises ValueError naming key otherwise: a nan or infinite lam would
-    run to all-nan Bloch vectors instead of failing.
+    run to all-nan Bloch vectors, and a nan mask would drop every record.
     """
     value = float(value)
     if not (math.isfinite(value) and value >= 0.0):
@@ -582,7 +584,7 @@ def evolve_magnus_frame(
     subset or in the ensemble.
     """
     rtol = check_tolerance("rtol", rtol)
-    lam = check_lambda("lam", lam)
+    lam = check_nonnegative("lam", lam)
     times = check_sample_times(p, sample_times)
     modes = np.asarray(modes, dtype=float).reshape(-1)
     return _magnus_frame(p, lam, modes, times, _frame_density(p, lam, rtol))
@@ -639,7 +641,7 @@ def run_quench(
     bit-identical whether it is solved alone or as part of the ensemble.
     """
     rtol = check_tolerance("rtol", rtol)
-    lam = check_lambda("lam", lam)
+    lam = check_nonnegative("lam", lam)
     grid = momentum_grid(n_sites)
     if p.evolution is Evolution.TROTTER:
         if lam != 0.0:

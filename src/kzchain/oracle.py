@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .mode_dynamics import check_lambda, check_sample_times
+from .mode_dynamics import check_nonnegative, check_sample_times
 from .protocol import Evolution, QuenchProtocol, schedule_at
 
 __all__ = [
@@ -286,14 +286,15 @@ def evolve_lindblad(
     rho = P r P^T in the full basis.  H is real and r Hermitian, so each
     right-hand side takes two real d x d products, H r and H [H, r].
     Sample times default to t_end and must be strictly increasing inside
-    the protocol interval.  The mode
-    pipeline instead dephases each (k, -k) pair in its own H_k, which
-    drops the cross terms [H_k, [H_k', rho]] that this equation keeps.
+    the protocol interval.  The mode pipeline instead dephases each (k, -k)
+    pair in its own H_k, without the cross terms [H_k, [H_k', rho]]; these
+    leave m_x, n_def and the energy unchanged, and its C_zz(x >= 2) and
+    C_xx differ mostly as the Wick closure of the per-mode channel.
     """
     _check_n(n, cap=MAX_N_DENSITY)
     if p.evolution is not Evolution.CONTINUOUS:
         raise ValueError("Lindblad evolution is defined for continuous protocols")
-    lam = check_lambda("lam", lam)
+    lam = check_nonnegative("lam", lam)
     times = check_sample_times(
         p, [p.t_end] if sample_times is None else sample_times)
     proj, zz, sx = _sector_terms(n)

@@ -511,9 +511,12 @@ class TestCli:
           "--continuous"], "--dt"),
         (["--n", "8", "--trotter", "--dt", "0.25", "--steps", "8",
           "--tau-q", "5"], "protocol.tau_sweep (--tau-q)"),
+        (["--n", "8", "--trotter", "--dt", "0.25", "--steps", "8,10",
+          "--lambda", "1"], "mode_dynamics.lambda (--lambda)"),
+        (["--n", "8", "--tau-q", "2", "--mask", "nan"], "collapse.mask (--mask)"),
     ], ids=["odd_n", "n_not_int", "x_max_above_half", "x_max_zero",
             "continuous_dt", "continuous_steps", "trotter_without_dt",
-            "continuous_last", "trotter_tau_q"])
+            "continuous_last", "trotter_tau_q", "trotter_lambda", "mask_nan"])
     def test_quench_rejects_bad_settings_before_running(self, tmp_path, capsys,
                                                         args, flag):
         rc = main(["quench", *args, "--serial", "--out", str(tmp_path / "out")])
@@ -522,13 +525,16 @@ class TestCli:
         assert err["error"] == "ValueError" and flag in err["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_collapse_rejects_x_max_before_reading(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [("--x-max", "0"),
+                                             ("--mask", "nan")])
+    def test_collapse_rejects_bad_flag_before_reading(self, tmp_path, capsys,
+                                                      flag, value):
         # the CSV does not exist, so reading it would fail otherwise
-        rc = main(["collapse", str(tmp_path / "missing.csv"), "--x-max", "0",
+        rc = main(["collapse", str(tmp_path / "missing.csv"), flag, value,
                    "--out", str(tmp_path)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "--x-max" in err["message"]
+        assert err["error"] == "ValueError" and flag in err["message"]
         assert not (tmp_path / "collapse").exists()
 
     def test_collapse_names_empty_time_slice(self, tmp_path, capsys):
@@ -567,7 +573,38 @@ class TestCli:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
-                       "message": "continuous oracle requires --tau-q"}
+                       "message": "oracle runs one quench: give one --tau-q "
+                                  "value, not [8.0, 16.0, 24.0, 32.0, 48.0, 64.0]"}
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["oracle", "--n", "4", "--trotter", "--dt", "0.25", "--steps", "4",
+          "--tau-q", "7"], ["--tau-q", "--trotter"]),
+        (["oracle", "--n", "4", "--tau-q", "1", "--dt", "0.25", "--steps", "4"],
+         ["--dt", "--trotter"]),
+        (["oracle", "--n", "4", "--trotter", "--dt", "0.25", "--steps", "4",
+          "--lambda", "0.5"], ["--lambda", "--trotter"]),
+        (["oracle", "--n", "4", "--tau-q", "1,2"], ["--tau-q"]),
+        (["oracle", "--n", "4", "--trotter", "--dt", "0.25", "--steps", "8..10"],
+         ["--steps"]),
+        (["emit-qasm", "--n", "4", "--dt", "0.25", "--steps", "8..10"],
+         ["--steps"]),
+        (["emit-qasm", "--n", "4", "--steps", "8"], ["--dt"]),
+        (["emit-qasm", "--n", "4", "--dt", "0.25"], ["--steps"]),
+    ], ids=["trotter_tau_q", "continuous_dt", "trotter_lambda", "tau_q_sweep",
+            "steps_sweep", "emit_steps_sweep", "emit_without_dt",
+            "emit_without_steps"])
+    def test_single_quench_rejects_bad_settings(self, tmp_path, capsys, argv,
+                                                flags):
+        # oracle and emit-qasm check their flags as quench does, and each
+        # runs exactly one protocol
+        rc = main([*argv, *(["--out", str(tmp_path / "out")]
+                            if argv[0] == "emit-qasm" else [])])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        err = json.loads(err)
+        assert out == "" and err["error"] == "ValueError"
+        assert all(flag in err["message"] for flag in flags), err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_error_is_machine_readable(self, capsys):
         rc = main(["oracle", "--n", "3", "--tau-q", "1"])
@@ -580,7 +617,8 @@ class TestCli:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
-                       "message": "quench protocols use even N"}
+                       "message": "mode_dynamics.n_sites (--n) must be even "
+                                  "and >= 2, got 5"}
 
     def test_import_leaves_scipy_solvers_unloaded(self):
         # only the LSODA and DOP853 reference paths need scipy.integrate,

@@ -1,14 +1,19 @@
-"""The kzchain names the benchmark under perfbench/ reaches.
+"""The kzchain names and command lines the benchmark under perfbench/
+reaches.
 
 perfbench/spans.py wraps each function named in TRACED by looking it up
-with getattr, and perfbench/workloads.py calls into the package directly,
-so deleting or renaming one of those names breaks the benchmark, not any
-other test.  These tests read both files and change neither.
+with getattr, and perfbench/workloads.py calls into the package directly
+and runs `kzchain` command lines through `Repeat.cli`, so deleting or
+renaming one of those names or flags breaks the benchmark, not any other
+test.  These tests read both files and change neither.
 """
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
+
+from kzchain.cli import _build_parser
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,3 +76,32 @@ def test_workload_names_resolve():
     # workloads.py validates the states evolve_lindblad returns
     oracle = importlib.import_module("kzchain.oracle")
     assert callable(oracle.DenseState.validate)
+
+
+def test_workload_command_lines_parse():
+    tree = _parse("workloads.py")
+    flags = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "cli"
+                and _chain(node.func.value) == ("rep", [])):
+            command, *rest = [a.value for a in node.args
+                              if isinstance(a, ast.Constant)]
+            flags.setdefault(command, set()).update(
+                a for a in rest if a.startswith("--"))
+    # Repeat.cli appends its one flag literal to quench in serial repeats
+    (cli,) = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "cli"]
+    appended = {node.value for node in ast.walk(cli)
+                if isinstance(node, ast.Constant)
+                and str(node.value).startswith("--")}
+    assert appended == {"--serial"}
+    flags["quench"] |= appended
+    assert sorted(flags) == ["collapse", "emit-qasm", "oracle", "quench"]
+    assert {"--mask", "--trotter"} <= flags["quench"]
+
+    (subparsers,) = [action for action in _build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    for command, wanted in flags.items():
+        accepted = subparsers.choices[command]._option_string_actions
+        assert wanted <= set(accepted), (command, wanted - set(accepted))
