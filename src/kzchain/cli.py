@@ -199,7 +199,6 @@ def _collapse(paths, mask: float, x_max: Optional[int], grid: GridSpec,
                  "rmse": res.best_rmse,
                  "normalized_rmse": res.normalized_best_rmse,
                  "params": res.best_params.tolist()},
-        "threads": res.threads,
         "timings": {"read_s": round(t_sweep - t_read, 3),
                     "sweep_s": round(t_write - t_sweep, 3),
                     "write_s": round(t_end - t_write, 3)},

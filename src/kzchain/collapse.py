@@ -16,26 +16,26 @@ scan point.
 
 y does not depend on b, so every b cell of one a shares its designs.  The
 scan solves them for all b columns at once, as one batched SVD per chunk
-of 16 decays.  The refinement then runs the Brent iteration of every cell
-of the grid in one lockstep pass, each lane exactly as scipy's
-`minimize_scalar(method="bounded")` would run it alone on the same
-objective.  Each iteration solves the lanes still open, whatever their a,
-in batched SVDs of 32 cells gathered by index, so the whole 30 x 30 grid
-takes a few dozen iterations and about 500 LAPACK calls.  The a values are
-split over threads (`exponent_sweep`), since LAPACK releases the
-interpreter lock; no cell's result depends on the split or the batching.
-The SVD objective agrees with a per-cell `np.linalg.lstsq` only to
-rounding, so the refined decay of the two routes may differ within
-Brent's tolerance.
+of 16 decays; its decays run to 1e3, where whole designs underflow, so it
+keeps the SVD's rank cutoff.  The refinement then runs the Brent iteration
+of every cell of the grid in one lockstep pass, each lane exactly as
+scipy's `minimize_scalar(method="bounded")` would run it alone on the same
+objective.  Each iteration scores the lanes still open, whatever their a,
+by one batched Householder QR of [design | v] per 32 cells: the last
+diagonal entry of R is the residual norm.  A lane whose design a bound on
+its condition number cannot prove to be of full rank to lstsq's cutoff is
+scored by the SVD route instead.  The whole 30 x 30 grid takes a few
+dozen iterations and about 500 LAPACK calls on one thread, and no cell's
+result depends on which other cells share its batches.  The QR and SVD
+objectives agree with a per-cell `np.linalg.lstsq` only to rounding, so
+the refined decay of the two routes may differ within Brent's tolerance.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -98,13 +98,17 @@ class GridSpec:
     spacing: float = 0.025
 
     def __post_init__(self):
-        if not self.spacing > 0:
-            raise ValueError(f"grid spacing must be > 0, got {self.spacing}")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"--spacing must be finite and > 0, got {self.spacing}")
 
     def a_values(self) -> np.ndarray:
-        """The grid values, rounded so that 0.025 + 12 * 0.025 prints as 0.325."""
-        n = int(round((GRID_MAX - GRID_MIN) / self.spacing)) + 1
-        return np.round(GRID_MIN + self.spacing * np.arange(n), 12)
+        """The grid values up to GRID_MAX, rounded so that 0.025 + 12 * 0.025
+        prints as 0.325.  The count is floored, with one value to spare that
+        is kept only if it rounds to GRID_MAX or below (0.725 / 0.025 is
+        28.999999999999996)."""
+        n = int((GRID_MAX - GRID_MIN) / self.spacing) + 2
+        values = np.round(GRID_MIN + self.spacing * np.arange(n), 12)
+        return values[values <= GRID_MAX]
 
     b_values = a_values  # the grid is square
 
@@ -117,7 +121,6 @@ class CollapseResult:
     best_params: np.ndarray       # p_{-1} .. p_M of the best cell
     best_rmse: float
     peak_rescaled: float          # max |v| at the best cell, for normalization
-    threads: int                  # threads the sweep was split over
 
     @property
     def normalized_best_rmse(self) -> float:
@@ -262,15 +265,70 @@ def _solve_cells(ys, powers, rhs, decay, ia, ib):
     return np.concatenate(coeffs), np.concatenate(rmse)
 
 
+def _cond_bound(t: np.ndarray) -> np.ndarray:
+    """Upper bound on the 2-norm condition number of each upper triangle
+    of t (..., m, m): m * ||T||_inf * max(z), where M(T) z = 1 and M(T),
+    the comparison matrix, has |t_ii| on its diagonal and -|t_ij| above
+    it.  M(T)^{-1} >= |T^{-1}| elementwise, so max(z) >= ||T^{-1}||_inf
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 8.2-8.3),
+    and each 2-norm is at most sqrt(m) times the inf-norm.  inf or NaN
+    where a diagonal entry is zero."""
+    m = t.shape[-1]
+    a = np.abs(np.triu(t))
+    z = np.empty(t.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(m - 1, -1, -1):
+            z[..., i] = (1.0 + np.sum(a[..., i, i + 1:] * z[..., i + 1:], axis=-1)) \
+                / a[..., i, i]
+        return m * a.sum(axis=-1).max(axis=-1) * z.max(axis=-1)
+
+
+def _qr_rmse(ys, powers, rhs, decay, ia, ib):
+    """The RMSE `_solve_cells` gives the cells (ia[k], ib[k]) at decay[k],
+    scored from a Householder QR of [design | v] instead of an SVD.
+
+    R[m, m] of the augmented matrix is the norm of the least-squares
+    residual (Bjorck, Numerical Methods for Least Squares Problems, 1996,
+    1.3 and 2.4), so a lane scores |R[m, m]| / sqrt(n).  That is lstsq's
+    RMSE only when lstsq's cutoff keeps every singular value of the
+    design.  A lane keeps its QR score when `_cond_bound` of its m x m
+    triangle proves so with room for the rounding of both factorizations
+    (each moves a singular value by about n m eps s_max); any other lane,
+    or one whose score is not finite, is solved by `_solve_cells`.
+    """
+    n, m = powers.shape[1:]
+    # [design | v] is filled transposed, (k, m + 1, n), so that every
+    # elementwise loop runs along n; its swapaxes view is each matrix in
+    # the column-major order LAPACK works in
+    powers_t = np.ascontiguousarray(powers.swapaxes(1, 2))
+    r = np.empty((len(decay), m + 1, m + 1))
+    for s in range(0, len(decay), _LANE_CHUNK):
+        a, b = ia[s:s + _LANE_CHUNK], ib[s:s + _LANE_CHUNK]
+        aug_t = np.empty((len(a), m + 1, n))
+        np.multiply(np.exp(-decay[s:s + _LANE_CHUNK, None] * ys[a])[:, None, :],
+                    powers_t[a], out=aug_t[:, :m])
+        aug_t[:, m] = rhs[b, :, 0]
+        # "raw" leaves R in the upper triangle of h^T, without a triu per call
+        h, _ = np.linalg.qr(aug_t.swapaxes(1, 2), mode="raw")
+        r[s:s + _LANE_CHUNK] = h[:, :, :m + 1].swapaxes(1, 2)
+    rmse = np.abs(r[:, m, m]) / np.sqrt(n)
+    limit = 1.0 / (np.finfo(float).eps * (max(n, m) + 2 * n * m))
+    certified = np.isfinite(rmse) & (_cond_bound(r[:, :m, :m]) < limit)
+    lanes = np.flatnonzero(~certified)
+    if lanes.size:
+        rmse[lanes] = _solve_cells(ys, powers, rhs, decay[lanes], ia[lanes], ib[lanes])[1]
+    return rmse
+
+
 def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
               a_vals: np.ndarray, order: int):
-    """Variable-projection fit of every (a, b) cell of a share of the grid.
+    """Variable-projection fit of every (a, b) cell of the grid.
 
     Cell (i, j) fits column j of v (n, n_b) against y = x / tau**a_vals[i].
     Each a scans the decay rate over _DECAY_SCAN in chunks of batched
     solves that take every b column at once.  Each cell's decay is then
-    refined by Brent's bounded method between the scan points either side
-    of its best one, every cell of the share in one lockstep run, and kept
+    refined by Brent's bounded method on `_qr_rmse` between the scan points
+    either side of its best one, every cell in one lockstep run, and kept
     if it scores no worse than the scan.  Returns params (n_a, n_b,
     order + 2), rows [p_{-1}, p_0, ..., p_M], and the RMSE (n_a, n_b), inf
     where no fit is usable.
@@ -291,7 +349,7 @@ def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
     ia, ib = np.nonzero(hi > lo)
     if ia.size:
         x_opt, fun, _ = _bounded_brent(
-            lambda d, lanes: _solve_cells(ys, powers, rhs, d, ia[lanes], ib[lanes])[1],
+            lambda d, lanes: _qr_rmse(ys, powers, rhs, d, ia[lanes], ib[lanes]),
             lo[ia, ib], hi[ia, ib])
         take = fun <= np.min(scan, axis=1)[ia, ib]
         decay[ia[take], ib[take]] = x_opt[take]
@@ -324,19 +382,16 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
                    order: int = DEFAULT_POLY_ORDER) -> CollapseResult:
     """Rescale-and-fit of every (a, b) grid cell; argmin wins.
 
-    The a values are dealt out in turn to min(n_a, os.cpu_count()) threads,
-    each of which fits all its cells in one `_fit_grid` pass (module
-    docstring); numpy's LAPACK calls release the interpreter lock, so the
-    threads overlap.  A cell's result does not depend on the thread count
-    or on which other cells share its batches.  Its refinement and final
-    solve round exactly as `fit_exp_poly` on that cell alone; its scan,
-    solved with the other b columns, rounds differently only in the last
-    bits.  Ties break toward smaller a, then smaller b.  Negative retained
-    values are dropped with a warning, because the fit family is a
-    positive decaying envelope.  They are not confined to a finite-size
-    boundary tail: at lam = 100, N = 512 and tau_q = 8 to 64 the first
-    negative C^zz lies at x = 44 to 88, and the profile up to x = 128 is
-    the same at N = 1024 to 4e-9.
+    One `_fit_grid` pass fits every cell on the calling thread (module
+    docstring).  A cell's result does not depend on which other cells
+    share its batches: its refinement and final solve round exactly as
+    `fit_exp_poly` on that cell alone; its scan, solved with the other b
+    columns, rounds differently only in the last bits.  Ties break toward
+    smaller a, then smaller b.  Negative retained values are dropped with
+    a warning, because the fit family is a positive decaying envelope.
+    They are not confined to a finite-size boundary tail: at lam = 100,
+    N = 512 and tau_q = 8 to 64 the first negative C^zz lies at x = 44 to
+    88, and the profile up to x = 128 is the same at N = 1024 to 4e-9.
     """
     ds_fit = ds
     neg = ds.records[:, 2] < 0
@@ -354,16 +409,9 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
     b_vals = grid.b_values()
     tau, x, c = ds_fit.records.T
     v = c[:, None] * tau[:, None] ** b_vals
-    threads = min(len(a_vals), os.cpu_count() or 1)
-    params = np.full((len(a_vals), len(b_vals), order + 2), np.nan)
-    r = np.full((len(a_vals), len(b_vals)), np.inf)
-    # with fewer records than order + 2 every cell is underdetermined
-    if len(x) >= order + 2:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shares = [pool.submit(_fit_grid, tau, x, v, a_vals[t::threads], order)
-                      for t in range(threads)]
-            for t, share in enumerate(shares):
-                params[t::threads], r[t::threads] = share.result()
+    if len(x) < order + 2:  # every cell is underdetermined
+        raise RuntimeError("every grid cell failed to fit")
+    params, r = _fit_grid(tau, x, v, a_vals, order)
     best_cell = None
     for ia, ib in zip(*np.nonzero(np.isfinite(r))):
         if best_cell is None or r[ia, ib] < best_cell[0] - 1e-15:
@@ -375,5 +423,4 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
                           best=(float(a_vals[ia]), float(b_vals[ib])),
                           best_params=params[ia, ib],
                           best_rmse=best_rmse,
-                          peak_rescaled=float(np.max(np.abs(v[:, ib]))),
-                          threads=threads)
+                          peak_rescaled=float(np.max(np.abs(v[:, ib]))))

@@ -69,14 +69,14 @@ class Setting(NamedTuple):
 SETTINGS: Dict[str, Setting] = {s.key: s for s in (
     Setting("protocol.tau_sweep", "tau_sweep",
             lambda text: [float(x) for x in text.split(",")], "--tau-q",
-            "comma list of quench times"),
+            "quench time, or for quench a comma list of them"),
     Setting("protocol.variant", "variant", Variant, help="quench through the QCP",
             switches=(("--full", "full_quench"),)),
     Setting("protocol.evolution", "evolution", Evolution,
             switches=(("--continuous", "continuous"), ("--trotter", "trotter"))),
     Setting("protocol.dt", "dt", float, "--dt", "Trotter step duration"),
     Setting("protocol.steps", "steps", _parse_steps, "--steps",
-            "Trotter step counts, e.g. '8..32' or '6,8,10'"),
+            "Trotter step count, or for quench a sweep such as '8..32' or '6,8,10'"),
     Setting("mode_dynamics.n_sites", "n_sites", int, "--n", "number of sites"),
     Setting("mode_dynamics.lambda", "lam", float, "--lambda", "QND coupling"),
     Setting("mode_dynamics.rtol", "rtol", float),

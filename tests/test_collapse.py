@@ -1,15 +1,16 @@
 import logging
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize_scalar
 
 import kzchain.collapse
-from kzchain.collapse import (DEFAULT_POLY_ORDER, CorrelationDataset,
+from kzchain.collapse import (DEFAULT_POLY_ORDER, GRID_MAX, CorrelationDataset,
                               GridSpec, QKZ_EXPONENTS, QND_EXPONENTS,
-                              _bounded_brent, _fit_grid, exponent_sweep,
+                              _bounded_brent, _cond_bound, _fit_grid,
+                              _qr_rmse, _solve_cells, exponent_sweep,
                               fit_exp_poly, rescale)
 
 TAUS = [1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
@@ -173,6 +174,87 @@ class TestBoundedBrent:
         assert np.sum(at_bound) >= 10
 
 
+def _lanes(ys, v, decay):
+    """`_qr_rmse` / `_solve_cells` arguments for one lane per (row of ys,
+    column of v) pair, each at its own decay."""
+    ys = np.asarray(ys, dtype=float)
+    powers = ys[:, :, None] ** np.arange(DEFAULT_POLY_ORDER + 1)
+    rhs = np.ascontiguousarray(np.asarray(v, dtype=float).T)[:, :, None]
+    ia, ib = np.indices((len(ys), rhs.shape[0])).reshape(2, -1)
+    return ys, powers, rhs, np.broadcast_to(decay, ia.shape).astype(float), ia, ib
+
+
+class TestQrScore:
+    """The Brent lanes' objective: a certified QR score, else `_lstsq`."""
+
+    @given(m=st.integers(1, 6), grade=st.floats(0.0, 2.0),
+           drop=st.floats(0.0, 8.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_cond_bound_is_an_upper_bound(self, m, grade, drop, seed):
+        # random, row-graded triangles with one diagonal entry shrunk by up
+        # to 1e-8: conditions from 1 to past 1e16
+        rng = np.random.default_rng(seed)
+        t = np.triu(rng.standard_normal((m, m))) * 10.0 ** (-grade * np.arange(m))[:, None]
+        i = rng.integers(m)
+        t[i, i] *= 10.0 ** -drop
+        # sigma_max of T and of T^-1, each to relative accuracy
+        cond = np.linalg.norm(t, 2) * np.linalg.norm(solve_triangular(t, np.eye(m)), 2)
+        assert _cond_bound(t) >= cond * (1.0 - 1e-12)
+
+    def test_cond_bound_needs_its_factor_m(self):
+        # ones down the last column and a small last pivot: ||T||_inf and
+        # ||T^-1||_inf each fall short of the 2-norms, and the bound is
+        # only 2 cond with m = 5
+        t = np.eye(5)
+        t[:, -1] = 1.0
+        t[-1, -1] = 1e-6
+        cond = np.linalg.norm(t, 2) * np.linalg.norm(solve_triangular(t, np.eye(5)), 2)
+        assert cond <= _cond_bound(t) <= 2.01 * cond
+
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        """The lane count of each `_solve_cells` call `_qr_rmse` makes."""
+        counts = []
+
+        def solve(ys, powers, rhs, decay, ia, ib):
+            counts.append(len(decay))
+            return _solve_cells(ys, powers, rhs, decay, ia, ib)
+
+        monkeypatch.setattr(kzchain.collapse, "_solve_cells", solve)
+        return counts
+
+    def test_uncertified_lanes_score_as_lstsq(self, fallback):
+        # rank 2 (two distinct y), fully underflowed (y >= 1 at decay 1e3)
+        # and partly underflowed (y from 0.05 at decay 1e3) designs
+        rng = np.random.default_rng(4)
+        ys = [np.repeat([0.5, 1.5], 10), np.linspace(1.0, 3.0, 20),
+              np.linspace(0.05, 2.0, 20)]
+        args = _lanes(ys, rng.uniform(0.1, 1.0, (20, 2)), [0.7, 0.7, 1e3, 1e3, 1e3, 1e3])
+        rmse = _qr_rmse(*args)
+        assert fallback == [6]
+        assert np.array_equal(rmse, _solve_cells(*args)[1])
+
+    @pytest.mark.parametrize("planted", [QKZ_EXPONENTS, QND_EXPONENTS, (0.45, 0.15)])
+    def test_qr_score_matches_lstsq(self, fallback, planted):
+        # every lane of a coarse grid on noisy planted data, at decays
+        # across the refinement's range: all certified, and each within
+        # rmse_tolerance of lstsq's RMSE
+        rng = np.random.default_rng(8)
+        tau, x, c = planted_dataset(*planted).records.T
+        c = c * (1.0 + 1e-3 * rng.standard_normal(len(c)))
+        grid = GridSpec(spacing=0.1)
+        a_vals, b_vals = grid.a_values(), grid.b_values()
+        decay = 10.0 ** rng.uniform(-3.0, 1.0, len(a_vals) * len(b_vals))
+        args = _lanes(x / tau ** a_vals[:, None], c[:, None] * tau[:, None] ** b_vals, decay)
+        rmse = _qr_rmse(*args)
+        assert fallback == []
+        coeffs, ref = _solve_cells(*args)
+        ys, ia = args[0], args[4]
+        for k in range(len(ia)):
+            params = np.concatenate([[decay[k]], coeffs[k]])
+            assert abs(rmse[k] - ref[k]) <= rmse_tolerance(ys[ia[k]], params, ref[k]), k
+
+
 class TestExponentSweep:
     @pytest.mark.parametrize("planted", [
         QKZ_EXPONENTS,
@@ -265,9 +347,9 @@ class TestExponentSweep:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=12, deadline=None)
     def test_sweep_matches_scalar_reference(self, a, b, decay, spacing, seed):
-        # the batched SVD kernel against reference_fit, the scalar lstsq +
-        # minimize_scalar route; an RMSE may differ by the rounding floor
-        # where that exceeds 1e-12 relative (see rmse_tolerance)
+        # the batched QR and SVD kernel against reference_fit, the scalar
+        # lstsq + minimize_scalar route; an RMSE may differ by the rounding
+        # floor where that exceeds 1e-12 relative (see rmse_tolerance)
         ds, nonneg = self._noisy_planted(a, b, decay, seed)
         grid = GridSpec(spacing=spacing)
         res = exponent_sweep(ds, grid=grid)
@@ -296,24 +378,6 @@ class TestExponentSweep:
         assert abs(model_rmse(y, v, res.best_params) - best[0]) <= \
             rmse_tolerance(y, res.best_params, best[0])
 
-    @staticmethod
-    def _assert_same_result(res, ref):
-        assert np.array_equal(res.rmse, ref.rmse, equal_nan=True)
-        assert res.best == ref.best and res.best_rmse == ref.best_rmse
-        assert np.array_equal(res.best_params, ref.best_params)
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_sweep_independent_of_thread_count(self, monkeypatch, cpus):
-        # 15 a values dealt to 1, 2 or 3 threads: every cell bit for bit
-        ds, _ = self._noisy_planted(0.45, 0.15, 1.2, seed=5)
-        grid = GridSpec(spacing=0.05)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        ref = exponent_sweep(ds, grid=grid)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        res = exponent_sweep(ds, grid=grid)
-        assert (ref.threads, res.threads) == (1, cpus)
-        self._assert_same_result(res, ref)
-
     def test_rows_match_single_a_sweeps(self):
         # a cell's lanes share batches with other a values in the full
         # sweep and with its own a only in a one-a `_fit_grid` pass
@@ -331,20 +395,6 @@ class TestExponentSweep:
                 assert row[ib] == res.best_rmse
                 assert np.array_equal(params[0, ib], res.best_params)
 
-    def test_sweep_workers_skip_traced_functions(self, monkeypatch):
-        # the sweep's threads may run private helpers only: public names are
-        # wrapped by single-threaded span tracers
-        def forbidden(*args, **kwargs):
-            raise AssertionError("exponent_sweep went through fit_exp_poly")
-
-        ds, grid = planted_dataset(0.5, 0.125), GridSpec(spacing=0.1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        ref = exponent_sweep(ds, grid=grid)
-        monkeypatch.setattr(kzchain.collapse, "fit_exp_poly", forbidden)
-        res = exponent_sweep(ds, grid=grid)
-        assert res.threads == 2
-        self._assert_same_result(res, ref)
-
     def test_normalization_uses_peak(self):
         ds = planted_dataset(0.45, 0.15)
         res = exponent_sweep(ds)
@@ -357,6 +407,8 @@ class TestGridSpec:
     @pytest.mark.parametrize("kwargs, field", [
         ({"spacing": 0.0}, "spacing"),
         ({"spacing": -0.1}, "spacing"),
+        ({"spacing": float("inf")}, "--spacing"),
+        ({"spacing": float("nan")}, "--spacing"),
     ])
     def test_invalid_grid_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -375,3 +427,13 @@ class TestGridSpec:
         g = GridSpec(spacing=spacing)
         diffs = np.diff(g.a_values())
         np.testing.assert_allclose(diffs, spacing, rtol=1e-9)
+
+    @pytest.mark.parametrize("spacing, values", [
+        (1.0, [0.025]),
+        (0.3, [0.025, 0.325, 0.625]),
+        (0.025, [0.025 * k for k in range(1, 31)]),
+    ])
+    def test_values_stay_within_range(self, spacing, values):
+        a_vals = GridSpec(spacing=spacing).a_values()
+        np.testing.assert_allclose(a_vals, values, rtol=0, atol=1e-12)
+        assert a_vals.max() <= GRID_MAX

@@ -350,7 +350,7 @@ class TestCli:
         assert set(first.pop("timings")) == {"read_s", "sweep_s", "write_s"}
         second.pop("timings")
         assert first == second
-        assert first["grid"]["spacing"] == 0.1 and first["threads"] >= 1
+        assert first["grid"]["spacing"] == 0.1
         assert first["mask_threshold"] == DEFAULT_MASK_THEORY  # no --mask
         assert (first["records"], first["failed_cells"]) == \
             (out["records"], out["failed_cells"])
@@ -389,17 +389,28 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": f"{path}: no samples"}
 
-    @pytest.mark.parametrize("spacing", ["0", "-0.1"])
+    @pytest.mark.parametrize("spacing", ["0", "-0.1", "inf", "nan"])
     def test_collapse_rejects_bad_spacing(self, tmp_path, capsys, spacing):
+        # the CSV does not exist: the spacing is checked before any read
+        rc = main(["collapse", str(tmp_path / "correlators.csv"),
+                   "--spacing", spacing, "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "--spacing" in err["message"]
+        assert not (tmp_path / "collapse").exists()
+
+    def test_collapse_single_cell_grid(self, tmp_path, capsys):
+        # a spacing past 0.725 leaves the one cell (0.025, 0.025)
         main(["quench", "--n", "8", "--tau-q", "0.5,1,2", "--serial",
               "--out", str(tmp_path)])
         csvs = [str(p) for p in tmp_path.glob("*/correlators.csv")]
         capsys.readouterr()
-        rc = main(["collapse", *csvs, "--spacing", spacing,
-                   "--out", str(tmp_path)])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "spacing" in err["message"]
+        assert main(["collapse", *csvs, "--spacing", "1.0", "--out", str(tmp_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["best_a"], out["best_b"]) == (0.025, 0.025)
+        rmse = read_rmse_csv(tmp_path / "collapse" / "rmse_surface.csv")
+        assert [row[:2] for row in rmse] == [(0.025, 0.025)]
+        assert "nan" not in (tmp_path / "collapse" / "rmse_surface.svg").read_text()
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         args = ["quench", "--n", "8", "--tau-q", "2", "--serial"]
