@@ -142,9 +142,9 @@ def parse_qasm3(text: str) -> GateProgram:
     structurally.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if lines[0] != "OPENQASM 3.0;":
+    if not lines or lines[0] != "OPENQASM 3.0;":
         raise ValueError("not an OpenQASM 3 file from this emitter")
-    m = re.match(r"qubit\[(\d+)\] q;", lines[2])
+    m = re.match(r"qubit\[(\d+)\] q;", lines[2]) if len(lines) > 2 else None
     if m is None:
         raise ValueError("missing qubit declaration")
     n = int(m.group(1))

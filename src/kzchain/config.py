@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .collapse import DEFAULT_MASK_THEORY
-from .mode_dynamics import DEFAULT_RTOL, check_nonnegative, check_tolerance
+from .mode_dynamics import check_nonnegative
 from .protocol import Evolution, QuenchProtocol, Variant, trotter_protocol
 
 __all__ = ["RunConfig", "SETTINGS", "load_config_file"]
@@ -55,8 +55,8 @@ def _parse_steps(text: str) -> List[int]:
 
 
 class Setting(NamedTuple):
-    """One settable value.  flag takes its text and is None for a file-only
-    key; each (switch, text) pair of switches is a flag that sets text."""
+    """One settable value.  flag takes its text (None: set by switches);
+    each (switch, text) pair of switches is a flag that sets text."""
 
     key: str
     field: str
@@ -79,7 +79,6 @@ SETTINGS: Dict[str, Setting] = {s.key: s for s in (
             "Trotter step count, or for quench a sweep such as '8..32' or '6,8,10'"),
     Setting("mode_dynamics.n_sites", "n_sites", int, "--n", "number of sites"),
     Setting("mode_dynamics.lambda", "lam", float, "--lambda", "QND coupling"),
-    Setting("mode_dynamics.rtol", "rtol", float),
     Setting("collapse.mask", "mask_threshold", float, "--mask",
             "correlator mask threshold, recorded in manifest.json"),
     Setting("collapse.x_max", "x_max", int, "--x-max"),
@@ -99,14 +98,12 @@ class RunConfig:
     steps: Optional[List[int]] = None
     n_sites: int = 120
     lam: float = 0.0
-    rtol: float = DEFAULT_RTOL
     mask_threshold: float = DEFAULT_MASK_THEORY
     x_max: Optional[int] = None
 
     def __post_init__(self):
         for name in ("lam", "mask_threshold"):
             setattr(self, name, check_nonnegative(_NAMES[name], getattr(self, name)))
-        self.rtol = check_tolerance(_NAMES["rtol"], self.rtol)
         if not (self.n_sites >= 2 and self.n_sites % 2 == 0):
             raise ValueError(f"{_NAMES['n_sites']} must be even and >= 2, "
                              f"got {self.n_sites}")

@@ -393,9 +393,9 @@ PADE_COEFFS = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840,
                1.0 / 665280)
 PADE_THETA = 0.5
 
-# Most 3x3 step propagators built at once.  The exponential of a batch
-# holds about a dozen (3, 3, batch) temporaries, so 2048 matrices cost
-# about 2 MB whatever the chain length.
+# Most 3x3 step propagators built at once (at least one step of every mode).
+# The exponential of a batch holds about a dozen (3, 3, batch) temporaries:
+# about 2 MB for 2048 matrices, on the order of the state past 2048 modes.
 FRAME_BATCH = 2048
 
 
@@ -524,10 +524,6 @@ def _frame_density(p: QuenchProtocol, lam: float, rtol: float) -> int:
 def _magnus_frame(p: QuenchProtocol, lam: float, modes: np.ndarray,
                   times: np.ndarray, density: int) -> np.ndarray:
     """evolve_magnus_frame with an explicit step density."""
-    if len(modes) > FRAME_BATCH:
-        return np.concatenate(
-            [_magnus_frame(p, lam, modes[i:i + FRAME_BATCH], times, density)
-             for i in range(0, len(modes), FRAME_BATCH)], axis=1)
     per_batch = max(1, FRAME_BATCH // len(modes))
     m = _ground_states(modes).T  # z-hat: h = 4 z-hat in both frames there
     out = []
@@ -578,10 +574,10 @@ def evolve_magnus_frame(
     sample time, where the state is rotated back to the lab frame.  Their
     number depends on the protocol, lam, rtol and the sample times only.
     The ODE is linear, so the step propagators do not depend on the state:
-    they are built FRAME_BATCH matrices at a time by _expm3 and applied
-    one step after another.  Every operation is elementwise over modes, so
-    a mode's trajectory is bit-identical whether it is solved alone, in a
-    subset or in the ensemble.
+    they are built by _expm3, about FRAME_BATCH matrices (and at least one
+    step of every mode) at a time, and applied one step after another.
+    Every operation is elementwise over modes, so a mode's trajectory is
+    bit-identical whether it is solved alone, in a subset or in the ensemble.
     """
     rtol = check_tolerance("rtol", rtol)
     lam = check_nonnegative("lam", lam)

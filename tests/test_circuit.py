@@ -89,6 +89,14 @@ class TestQasmRoundTrip:
         with pytest.raises(ValueError):
             parse_qasm3("OPENQASM 2.0;\nqreg q[2];\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "not an OpenQASM 3 file"),
+        ("OPENQASM 3.0;\n", "missing qubit declaration"),
+    ], ids=["empty", "header_only"])
+    def test_rejects_empty_or_truncated_text(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_qasm3(text)
+
 
 class TestSimulation:
     def test_identity_program_keeps_plus_state(self):

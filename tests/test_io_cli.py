@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import kzchain
-from kzchain.cli import main
+from kzchain.cli import RECIPES, _build_parser, main
 from kzchain.collapse import (DEFAULT_MASK_THEORY, CorrelationDataset,
                               GridSpec, exponent_sweep)
 from kzchain.config import RunConfig, load_config_file, _parse_steps
@@ -269,14 +270,13 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["mode_dynamics.rtol", "mode_dynamics.atol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_invalid_tolerance_rejected(self, tmp_path, key, value):
-        # rtol is validated; atol is no longer a config key at all
+        # neither tolerance is a setting: every command runs at DEFAULT_RTOL
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"{key} = {value}\n")
         name = key.split(".")[1]
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             RunConfig.from_settings(load_config_file(cfg_file))
-        error = ValueError if name == "rtol" else TypeError
-        with pytest.raises(error, match=key if name == "rtol" else name):
+        with pytest.raises(TypeError, match=name):
             RunConfig(**{name: float(value)})
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -365,6 +365,17 @@ class TestCli:
         assert (manifest["best"]["a"], manifest["best"]["b"]) == (0.5, 0.125)
         assert manifest["records"] > 0 and manifest["failed_cells"] == 0
 
+    def test_recipe_table_matches_parser(self):
+        # every recipe's sweep is a valid RunConfig, and the parser offers
+        # exactly the table's figure ids, in its order; no sweep runs
+        for recipe in RECIPES.values():
+            assert RunConfig(**recipe.sweep).protocols()
+        (sub,) = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        (figure,) = [a for a in sub.choices["reproduce"]._actions
+                     if a.dest == "figure"]
+        assert list(figure.choices) == list(RECIPES)
+
     def test_observables_names_bad_trajectories_row(self, tmp_path, capsys):
         main(["quench", "--n", "8", "--tau-q", "2", "--serial",
               "--out", str(tmp_path)])
@@ -388,6 +399,34 @@ class TestCli:
         assert main(["observables", str(run_dir)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": f"{path}: no samples"}
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda m: m.pop("n_sites"), "missing key 'n_sites'"),
+        (lambda m: m["protocol"].pop("tau_q"), "missing key 'tau_q'"),
+        (lambda m: m["protocol"].update(variant="sideways"),
+         "'sideways' is not a valid Variant"),
+        (lambda m: m.update({"lambda": -1.0}), "lambda must be finite and >= 0"),
+        (None, "line 2 column 1"),
+    ], ids=["no_n_sites", "no_tau_q", "bad_variant", "negative_lambda",
+            "truncated"])
+    def test_observables_names_bad_manifest(self, tmp_path, capsys, corrupt,
+                                            message):
+        main(["quench", "--n", "8", "--tau-q", "2", "--serial",
+              "--out", str(tmp_path)])
+        (run_dir,) = tmp_path.iterdir()
+        path = run_dir / "manifest.json"
+        if corrupt is None:
+            path.write_text("{\n")  # cut after the opening brace
+        else:
+            manifest = read_manifest(path)
+            corrupt(manifest)
+            write_manifest(path, manifest)
+        capsys.readouterr()
+        assert main(["observables", str(run_dir)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{path}: ")
+        assert message in err["message"]
 
     @pytest.mark.parametrize("spacing", ["0", "-0.1", "inf", "nan"])
     def test_collapse_rejects_bad_spacing(self, tmp_path, capsys, spacing):

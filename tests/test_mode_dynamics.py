@@ -308,9 +308,10 @@ class TestRunQuench:
         assert e.states.shape == (4, 3)
         assert e.j == 1.0 and e.h == 1.0
 
-    def test_mode_independence(self):
+    def test_mode_independence(self, monkeypatch):
         # at lam > 0 a mode's trajectory is bit-identical solved alone, in
-        # a subset, or in the ensemble (TestMagnus covers lam = 0)
+        # a subset, in the ensemble, or with fewer propagators per batch
+        # than modes (TestMagnus covers lam = 0)
         p = QuenchProtocol(tau_q=1.5, variant=Variant.FULL_QUENCH)
         times = [-0.5, 0.0, 1.5]
         for lam in (0.3, 100.0):
@@ -321,6 +322,10 @@ class TestRunQuench:
             np.testing.assert_array_equal(states[:, 2:3], alone)
             subset = evolve_magnus_frame(p, lam, modes[1::2], times)
             np.testing.assert_array_equal(states[:, 1::2], subset)
+            with monkeypatch.context() as m:
+                m.setattr(kzchain.mode_dynamics, "FRAME_BATCH", len(modes) - 1)
+                np.testing.assert_array_equal(
+                    states, evolve_magnus_frame(p, lam, modes, times))
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     @pytest.mark.parametrize("times", [[0.0, -0.5], [-0.5, -0.5],
