@@ -40,7 +40,6 @@ from .observables import (
 from .collapse import (
     CollapseResult,
     CorrelationDataset,
-    GridSpec,
     exponent_sweep,
     fit_exp_poly,
     rescale,

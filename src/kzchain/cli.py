@@ -31,9 +31,9 @@ import numpy as np
 
 from . import __version__
 from .circuit import emit_program, gate_counts, to_qasm3
-from .collapse import (DEFAULT_MASK_THEORY, CollapseResult,
-                       CorrelationDataset, GridSpec, QKZ_EXPONENTS,
-                       QND_EXPONENTS, exponent_sweep, rescale)
+from .collapse import (DEFAULT_MASK_THEORY, EXPONENT_GRID, CollapseResult,
+                       CorrelationDataset, QKZ_EXPONENTS, QND_EXPONENTS,
+                       exponent_sweep, rescale)
 from .config import SETTINGS, RunConfig, load_config_file
 from .correlators import xx_connected_profiles, zz_connected_profiles
 from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
@@ -167,33 +167,29 @@ def cmd_quench(args) -> int:
     return 0
 
 
-def _collapse(paths, mask: float, x_max: Optional[int], grid: GridSpec,
-              out_dir: Path, at_time: float = 0.0) -> Tuple[
-                  CorrelationDataset, CollapseResult]:
-    """Sweep the grid over the t = at_time correlators of the CSVs and
-    write the surface, the plots and manifest.json into out_dir."""
+def _collapse(paths, mask: float, out_dir: Path) -> Tuple[
+        CorrelationDataset, CollapseResult]:
+    """Sweep EXPONENT_GRID over the t = 0 correlators of the CSVs and write
+    the surface, the plots and manifest.json into out_dir.  Only at t = 0
+    is the scaled time t / tau_q^(za) the same for every tau_q."""
     t_read = time.perf_counter()
     records = []
     for path in paths:
         for tau_q, t, x, c_zz, _ in read_correlators_csv(path):
-            if abs(t - at_time) < 1e-9:
+            if abs(t) < 1e-9:
                 records.append((tau_q, x, c_zz))
     if not records:
-        raise ValueError(f"no correlator row at t = {at_time:g} in "
+        raise ValueError(f"no correlator row at t = 0 in "
                          f"{', '.join(str(p) for p in paths)}")
-    ds = CorrelationDataset.from_records(records, mask_threshold=mask,
-                                         x_max=x_max)
+    ds = CorrelationDataset.from_records(records, mask_threshold=mask)
     t_sweep = time.perf_counter()
-    res = exponent_sweep(ds, grid=grid)
+    res = exponent_sweep(ds)
     t_write = time.perf_counter()
     _write_collapse_artifacts(out_dir, ds, res)
     t_end = time.perf_counter()
     write_manifest(out_dir / "manifest.json", {
         "version": __version__,
-        "grid": dataclasses.asdict(grid),
         "mask_threshold": mask,
-        "x_max": x_max,
-        "at_time": at_time,
         "records": int(len(ds.records)),
         "failed_cells": int(np.isnan(res.rmse).sum()),
         "best": {"a": res.best[0], "b": res.best[1],
@@ -210,13 +206,13 @@ def _collapse(paths, mask: float, x_max: Optional[int], grid: GridSpec,
 def _write_collapse_artifacts(out_dir: Path, ds: CorrelationDataset,
                               res: CollapseResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    a_vals, b_vals = res.grid.a_values(), res.grid.b_values()
-    write_rmse_csv(out_dir / "rmse_surface.csv", a_vals, b_vals, res.rmse)
+    write_rmse_csv(out_dir / "rmse_surface.csv", EXPONENT_GRID, EXPONENT_GRID,
+                   res.rmse)
     markers = [(res.best[0], res.best[1], "#d62728"),
                (QKZ_EXPONENTS[0], QKZ_EXPONENTS[1], "#ffffff"),
                (QND_EXPONENTS[0], QND_EXPONENTS[1], "#000000")]
     (out_dir / "rmse_surface.svg").write_text(
-        heatmap(res.rmse.tolist(), list(a_vals), list(b_vals),
+        heatmap(res.rmse.tolist(), list(EXPONENT_GRID), list(EXPONENT_GRID),
                 markers=markers, title="collapse RMSE", xlabel="a", ylabel="b"))
     series = []
     a, b = res.best
@@ -234,12 +230,8 @@ def _write_collapse_artifacts(out_dir: Path, ds: CorrelationDataset,
 
 def cmd_collapse(args) -> int:
     check_nonnegative("--mask", args.mask)
-    if args.x_max is not None and args.x_max < 1:
-        raise ValueError(f"--x-max must be >= 1, got {args.x_max}")
-    grid = GridSpec() if args.spacing is None else GridSpec(spacing=args.spacing)
     out_dir = _out_root(args.out) / "collapse"
-    ds, res = _collapse(args.csv, args.mask, args.x_max, grid, out_dir,
-                        at_time=args.at_time)
+    ds, res = _collapse(args.csv, args.mask, out_dir)
     print(json.dumps({
         "best_a": res.best[0], "best_b": res.best[1],
         "best_rmse": res.best_rmse,
@@ -258,8 +250,10 @@ def cmd_observables(args) -> int:
         manifest = read_manifest(path)
         p = protocol_from_dict(manifest["protocol"])
         n_sites = manifest["n_sites"]
+        if type(n_sites) is not int or n_sites < 2 or n_sites % 2:
+            raise ValueError(f"n_sites must be an even integer >= 2, got {n_sites!r}")
         lam = check_nonnegative("lambda", manifest["lambda"])
-    except (KeyError, ValueError) as exc:  # a missing key, bad JSON or value
+    except (KeyError, TypeError, ValueError) as exc:  # bad JSON, key or value
         what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: {what}") from None
     ensembles = read_trajectories_csv(run_dir / "trajectories.csv", p,
@@ -303,9 +297,9 @@ def cmd_oracle(args) -> int:
 
 
 def _collapse_runs(cfg: RunConfig, dirs: List[Path], out: Path) -> CollapseResult:
-    """Collapse a recipe's runs on the default grid into out/collapse."""
+    """Collapse a recipe's runs into out/collapse."""
     return _collapse([d / "correlators.csv" for d in dirs], cfg.mask_threshold,
-                     cfg.x_max, GridSpec(), out / "collapse")[1]
+                     out / "collapse")[1]
 
 
 def _near(target: Tuple[float, float], tol: Optional[float], cfg, dirs, out):
@@ -337,10 +331,11 @@ def _defect_exponent(lo: float, hi: float, cfg, dirs, out):
     return round(beta, 4), lo <= beta <= hi
 
 
-def _trotter_sweep(dt: float, **keywords) -> dict:
-    """N = 120 Trotter runs at step dt, even steps <= 16 with dt * steps >= 1."""
+def _trotter_sweep(dt: float) -> dict:
+    """N = 120 Trotter runs at step dt, every even step count with
+    1 <= dt * steps <= 8: tau_q spans 1 to 8 at every dt, as in figS1a."""
     return dict(n_sites=120, evolution=Evolution.TROTTER, dt=dt,
-                steps=[s for s in range(2, 17, 2) if s * dt >= 1.0], **keywords)
+                steps=[s for s in range(2, int(8.0 / dt) + 1, 2) if s * dt >= 1.0])
 
 
 class Recipe(NamedTuple):
@@ -353,9 +348,9 @@ class Recipe(NamedTuple):
     label: str = "best (a, b)"
 
 
-# With tau_q from 1 to 8 at every dt, the Trotter argmin is (0.475, 0.125),
-# (0.45, 0.125), (0.425, 0.125) and (0.325, 0.1) at dt = 0.1, 0.2, 0.25, 0.5:
-# the shift from (0.5, 0.125) is real, so figS1b..figS1e record it.
+# The Trotter argmin moves from (0.5, 0.125) as dt grows: (0.475, 0.125),
+# (0.45, 0.125), (0.425, 0.125) and (0.325, 0.1) at dt = 0.1, 0.2, 0.25 and
+# 0.5.  The shift is real, so figS1b..figS1e record it.
 _RECORDED = dict(check=partial(_near, QKZ_EXPONENTS, None),
                  target="recorded, no assertion",
                  label="deviation from (0.5, 0.125)")
@@ -367,7 +362,8 @@ RECIPES: Dict[str, Recipe] = {
     "fig3c": Recipe(dict(n_sites=512, lam=100.0),
                     partial(_near, QND_EXPONENTS, 0.05),
                     "within 0.05 of (1/3, 1/12)"),
-    "fig4a": Recipe(_trotter_sweep(0.2, mask_threshold=1e-3),
+    "fig4a": Recipe(dict(n_sites=120, evolution=Evolution.TROTTER, dt=0.2,
+                         steps=list(range(6, 17, 2)), mask_threshold=1e-3),
                     partial(_near, (0.45, 0.15), 0.0251), "(0.45, 0.15)"),
     "fig5_noiseless": Recipe(
         dict(n_sites=100, variant=Variant.FULL_QUENCH, evolution=Evolution.TROTTER,
@@ -428,9 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("collapse", help="fit scaling exponents from CSVs")
     c.add_argument("csv", nargs="+", help="correlator CSV files")
     c.add_argument("--mask", type=float, default=DEFAULT_MASK_THEORY)
-    c.add_argument("--x-max", dest="x_max", type=int)
-    c.add_argument("--spacing", type=float, help="exponent grid spacing")
-    c.add_argument("--at-time", dest="at_time", type=float, default=0.0)
     c.add_argument("--out")
     c.set_defaults(func=cmd_collapse)
 

@@ -1,12 +1,14 @@
 """Scaling-exponent extraction by data collapse.
 
-Rescale {(tau_q, x, c)} records as y = x / tau_q^a, v = c * tau_q^b on a
-square (a, b) grid, fit each cell to the exponentially damped polynomial
+Rescale {(tau_q, x, c)} records as y = x / tau_q^a, v = c * tau_q^b on the
+square (a, b) grid EXPONENT_GRID, fit each cell to the exponentially
+damped polynomial
 
     f(y) = exp(-p_{-1} y) * (p_0 + p_1 y + ... + p_M y^M),
 
 and pick the cell with the smallest root-mean-square residual.  The grid
-spacing is the resolution of the reported exponents.  Each fit is a
+runs from 0.025 to 0.75 in steps of 0.025 in both exponents, and that step
+is the resolution of the reported exponents.  Each fit is a
 variable projection (Golub & Pereyra, Inverse Problems 19 (2003) R1): for
 a fixed decay rate p_{-1} the polynomial is a linear least-squares solve,
 so the nonlinear part is a 1-D search over the decay, a scan of 62 fixed
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -43,7 +45,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "CorrelationDataset",
-    "GridSpec",
+    "EXPONENT_GRID",
     "CollapseResult",
     "rescale",
     "fit_exp_poly",
@@ -60,63 +62,36 @@ DEFAULT_MASK_THEORY = 5e-4
 DEFAULT_POLY_ORDER = 4
 
 
+# the values of both exponents, 0.025 to 0.75 in steps of 0.025, rounded so
+# that 0.025 + 12 * 0.025 prints as 0.325
+EXPONENT_GRID = np.round(0.025 + 0.025 * np.arange(30), 12)
+
+
 @dataclass(frozen=True)
 class CorrelationDataset:
     """Masked {(tau_q, x, c)} records feeding the collapse fitter.
 
     Masking applies to the raw |c| before any rescaling: records with
-    |c| < mask_threshold, x < 1, or x > x_max are dropped at
-    construction.
+    |c| < mask_threshold or x < 1 are dropped at construction.
     """
 
     records: np.ndarray  # shape (n, 3): tau_q, x, c
     mask_threshold: float
-    x_max: Optional[int] = None
 
     @classmethod
-    def from_records(cls, records, mask_threshold: float = DEFAULT_MASK_THEORY,
-                     x_max: Optional[int] = None):
+    def from_records(cls, records, mask_threshold: float = DEFAULT_MASK_THEORY):
         arr = np.asarray(records, dtype=float).reshape(-1, 3)
         keep = (np.abs(arr[:, 2]) >= mask_threshold) & (arr[:, 1] >= 1)
-        if x_max is not None:
-            keep &= arr[:, 1] <= x_max
-        return cls(records=arr[keep], mask_threshold=mask_threshold,
-                   x_max=x_max)
+        return cls(records=arr[keep], mask_threshold=mask_threshold)
 
     @property
     def tau_values(self) -> np.ndarray:
         return np.unique(self.records[:, 0])
 
 
-GRID_MIN, GRID_MAX = 0.025, 0.75  # the range of both exponents, ends included
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """The square (a, b) grid from GRID_MIN to GRID_MAX at spacing."""
-
-    spacing: float = 0.025
-
-    def __post_init__(self):
-        if not (np.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError(f"--spacing must be finite and > 0, got {self.spacing}")
-
-    def a_values(self) -> np.ndarray:
-        """The grid values up to GRID_MAX, rounded so that 0.025 + 12 * 0.025
-        prints as 0.325.  The count is floored, with one value to spare that
-        is kept only if it rounds to GRID_MAX or below (0.725 / 0.025 is
-        28.999999999999996)."""
-        n = int((GRID_MAX - GRID_MIN) / self.spacing) + 2
-        values = np.round(GRID_MIN + self.spacing * np.arange(n), 12)
-        return values[values <= GRID_MAX]
-
-    b_values = a_values  # the grid is square
-
-
 @dataclass(frozen=True)
 class CollapseResult:
-    grid: GridSpec
-    rmse: np.ndarray              # shape (n_a, n_b); NaN marks failed fits
+    rmse: np.ndarray              # (a, b) over EXPONENT_GRID; NaN marks failed fits
     best: Tuple[float, float]
     best_params: np.ndarray       # p_{-1} .. p_M of the best cell
     best_rmse: float
@@ -378,9 +353,9 @@ def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):
     return params[0, 0], float(rmse[0, 0])
 
 
-def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
-                   order: int = DEFAULT_POLY_ORDER) -> CollapseResult:
-    """Rescale-and-fit of every (a, b) grid cell; argmin wins.
+def exponent_sweep(ds: CorrelationDataset) -> CollapseResult:
+    """Rescale-and-fit of every (a, b) cell of EXPONENT_GRID with the
+    order-DEFAULT_POLY_ORDER family; argmin wins.
 
     One `_fit_grid` pass fits every cell on the calling thread (module
     docstring).  A cell's result does not depend on which other cells
@@ -399,19 +374,16 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
         logger.warning("dropping %d negative retained correlators",
                        int(np.sum(neg)))
         ds_fit = CorrelationDataset(records=ds.records[~neg],
-                                    mask_threshold=ds.mask_threshold,
-                                    x_max=ds.x_max)
+                                    mask_threshold=ds.mask_threshold)
     if len(ds_fit.tau_values) < 3:
         raise ValueError(
             f"collapse needs >= 3 distinct tau_q values, got {len(ds_fit.tau_values)}"
         )
-    a_vals = grid.a_values()
-    b_vals = grid.b_values()
     tau, x, c = ds_fit.records.T
-    v = c[:, None] * tau[:, None] ** b_vals
-    if len(x) < order + 2:  # every cell is underdetermined
+    v = c[:, None] * tau[:, None] ** EXPONENT_GRID
+    if len(x) < DEFAULT_POLY_ORDER + 2:  # every cell is underdetermined
         raise RuntimeError("every grid cell failed to fit")
-    params, r = _fit_grid(tau, x, v, a_vals, order)
+    params, r = _fit_grid(tau, x, v, EXPONENT_GRID, DEFAULT_POLY_ORDER)
     best_cell = None
     for ia, ib in zip(*np.nonzero(np.isfinite(r))):
         if best_cell is None or r[ia, ib] < best_cell[0] - 1e-15:
@@ -419,8 +391,8 @@ def exponent_sweep(ds: CorrelationDataset, grid: GridSpec = GridSpec(),
     if best_cell is None:
         raise RuntimeError("every grid cell failed to fit")
     best_rmse, ia, ib = best_cell
-    return CollapseResult(grid=grid, rmse=np.where(np.isfinite(r), r, np.nan),
-                          best=(float(a_vals[ia]), float(b_vals[ib])),
+    return CollapseResult(rmse=np.where(np.isfinite(r), r, np.nan),
+                          best=(float(EXPONENT_GRID[ia]), float(EXPONENT_GRID[ib])),
                           best_params=params[ia, ib],
                           best_rmse=best_rmse,
                           peak_rescaled=float(np.max(np.abs(v[:, ib]))))

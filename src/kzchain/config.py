@@ -9,6 +9,7 @@ the file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -114,6 +115,9 @@ class RunConfig:
             if self.dt is None or not self.steps:
                 raise ValueError(f"a Trotter run needs {_NAMES['dt']} and "
                                  f"{_NAMES['steps']}")
+            if not (math.isfinite(self.dt) and self.dt > 0):
+                raise ValueError(f"{_NAMES['dt']} must be finite and > 0, "
+                                 f"got {self.dt}")
             if self.tau_sweep is not None:
                 raise ValueError(f"{_NAMES['tau_sweep']} does not apply to "
                                  f"Trotter runs (--trotter)")
@@ -129,6 +133,9 @@ class RunConfig:
                 self.tau_sweep = list(DEFAULT_TAU_SWEEP)
             if not self.tau_sweep:
                 raise ValueError(f"{_NAMES['tau_sweep']} is empty")
+            if not all(math.isfinite(t) and t > 0 for t in self.tau_sweep):
+                raise ValueError(f"{_NAMES['tau_sweep']} values must be finite "
+                                 f"and > 0, got {self.tau_sweep}")
 
     @classmethod
     def from_settings(cls, values: Dict[str, str]) -> "RunConfig":

@@ -51,13 +51,13 @@ class QuenchProtocol:
     Parameters
     ----------
     tau_q : float
-        Characteristic quench time, > 0.
+        Characteristic quench time, finite and > 0.
     variant : Variant
         Protocol interval: [-tau_q, 0] or [-tau_q, +tau_q].
     evolution : Evolution
         Continuous integration or Trotterized stepping.
     dt : float, optional
-        Trotter step duration (Trotter only).
+        Trotter step duration, finite and > 0 (Trotter only).
     steps : int, optional
         Number of Trotter steps (Trotter only); steps * dt must equal the
         total protocol duration.
@@ -70,13 +70,13 @@ class QuenchProtocol:
     steps: Optional[int] = None
 
     def __post_init__(self):
-        if not (self.tau_q > 0):
-            raise ValueError(f"tau_q must be positive, got {self.tau_q}")
+        if not (math.isfinite(self.tau_q) and self.tau_q > 0):
+            raise ValueError(f"tau_q must be finite and positive, got {self.tau_q}")
         if self.evolution is Evolution.TROTTER:
             if self.dt is None or self.steps is None:
                 raise ValueError("Trotter protocol requires dt and steps")
-            if not (self.dt > 0):
-                raise ValueError(f"dt must be positive, got {self.dt}")
+            if not (math.isfinite(self.dt) and self.dt > 0):
+                raise ValueError(f"dt must be finite and positive, got {self.dt}")
             if not (isinstance(self.steps, int) and self.steps > 0):
                 raise ValueError(f"steps must be a positive integer, got {self.steps}")
             if not math.isclose(self.steps * self.dt, self.duration,

@@ -107,8 +107,8 @@ def heatmap(values, a_vals, b_vals,
                 f'height="{cell_h:.2f}" fill="{color}"/>'
             )
     for a, b, color in markers or []:
-        ia = (a - a_vals[0]) / (a_vals[-1] - a_vals[0] or 1.0) * (na - 1)
-        ib = (b - b_vals[0]) / (b_vals[-1] - b_vals[0] or 1.0) * (nb - 1)
+        ia = (a - a_vals[0]) / (a_vals[-1] - a_vals[0]) * (na - 1)
+        ib = (b - b_vals[0]) / (b_vals[-1] - b_vals[0]) * (nb - 1)
         x = MARGIN + (ia + 0.5) * cell_w
         y = HEIGHT - MARGIN - (ib + 0.5) * cell_h
         parts.append(

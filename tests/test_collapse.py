@@ -7,8 +7,8 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import minimize_scalar
 
 import kzchain.collapse
-from kzchain.collapse import (DEFAULT_POLY_ORDER, GRID_MAX, CorrelationDataset,
-                              GridSpec, QKZ_EXPONENTS, QND_EXPONENTS,
+from kzchain.collapse import (DEFAULT_POLY_ORDER, EXPONENT_GRID,
+                              CorrelationDataset, QKZ_EXPONENTS, QND_EXPONENTS,
                               _bounded_brent, _cond_bound, _fit_grid,
                               _qr_rmse, _solve_cells, exponent_sweep,
                               fit_exp_poly, rescale)
@@ -86,11 +86,6 @@ class TestDataset:
         ds = CorrelationDataset.from_records(recs, mask_threshold=5e-4)
         assert len(ds.records) == 2
         assert set(ds.records[:, 0]) == {1.0, 2.0}
-
-    def test_x_max_cut(self):
-        recs = [(1.0, x, 0.5) for x in range(1, 20)]
-        ds = CorrelationDataset.from_records(recs, x_max=10)
-        assert ds.records[:, 1].max() == 10
 
     def test_rescale_preserves_count(self):
         ds = planted_dataset(0.5, 0.125)
@@ -236,14 +231,14 @@ class TestQrScore:
 
     @pytest.mark.parametrize("planted", [QKZ_EXPONENTS, QND_EXPONENTS, (0.45, 0.15)])
     def test_qr_score_matches_lstsq(self, fallback, planted):
-        # every lane of a coarse grid on noisy planted data, at decays
+        # every lane of drawn (a, b) cells on noisy planted data, at decays
         # across the refinement's range: all certified, and each within
         # rmse_tolerance of lstsq's RMSE
         rng = np.random.default_rng(8)
         tau, x, c = planted_dataset(*planted).records.T
         c = c * (1.0 + 1e-3 * rng.standard_normal(len(c)))
-        grid = GridSpec(spacing=0.1)
-        a_vals, b_vals = grid.a_values(), grid.b_values()
+        a_vals = np.sort(rng.choice(EXPONENT_GRID, 8, replace=False))
+        b_vals = np.sort(rng.choice(EXPONENT_GRID, 8, replace=False))
         decay = 10.0 ** rng.uniform(-3.0, 1.0, len(a_vals) * len(b_vals))
         args = _lanes(x / tau ** a_vals[:, None], c[:, None] * tau[:, None] ** b_vals, decay)
         rmse = _qr_rmse(*args)
@@ -270,10 +265,9 @@ class TestExponentSweep:
     def test_rmse_surface_shape_and_minimum(self):
         ds = planted_dataset(0.5, 0.125)
         res = exponent_sweep(ds)
-        a_vals, b_vals = res.grid.a_values(), res.grid.b_values()
-        assert res.rmse.shape == (len(a_vals), len(b_vals))
-        ia = np.argmin(np.abs(a_vals - 0.5))
-        ib = np.argmin(np.abs(b_vals - 0.125))
+        assert res.rmse.shape == (len(EXPONENT_GRID), len(EXPONENT_GRID))
+        ia = np.argmin(np.abs(EXPONENT_GRID - 0.5))
+        ib = np.argmin(np.abs(EXPONENT_GRID - 0.125))
         assert np.nanmin(res.rmse) == res.rmse[ia, ib] == res.best_rmse
 
     def test_too_few_quench_times_rejected(self):
@@ -316,83 +310,95 @@ class TestExponentSweep:
                                     mask_threshold=ds.mask_threshold)
         return ds, nonneg
 
+    @staticmethod
+    def _fit_cells(ds, a_vals, b_vals):
+        """`_fit_grid` of the (a, b) cells, b columns built as
+        `exponent_sweep` builds them; the RMSE has NaN where a fit failed."""
+        tau, x, c = ds.records.T
+        v = c[:, None] * tau[:, None] ** np.asarray(b_vals)
+        params, rmse = _fit_grid(tau, x, v, np.asarray(a_vals), DEFAULT_POLY_ORDER)
+        return params, np.where(np.isfinite(rmse), rmse, np.nan)
+
+    # a few values of the exponent grid: every cell of the full grid would
+    # cost about 3 s per example against the references
+    grid_values = st.lists(st.sampled_from(EXPONENT_GRID.tolist()), min_size=4,
+                           max_size=8, unique=True).map(sorted)
+
     @given(a=st.floats(0.2, 0.7), b=st.floats(0.05, 0.5),
-           decay=st.floats(0.3, 3.0), spacing=st.floats(0.1, 0.2),
+           decay=st.floats(0.3, 3.0), a_vals=grid_values, b_vals=grid_values,
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=12, deadline=None)
-    def test_sweep_matches_per_cell_fits(self, a, b, decay, spacing, seed):
+    def test_sweep_matches_per_cell_fits(self, a, b, decay, a_vals, b_vals, seed):
         # fitting all b cells of an a together must reproduce an
         # independent rescale + fit_exp_poly of every cell
-        ds, nonneg = self._noisy_planted(a, b, decay, seed)
-        grid = GridSpec(spacing=spacing)
-        res = exponent_sweep(ds, grid=grid)
+        _, nonneg = self._noisy_planted(a, b, decay, seed)
+        params, rmse = self._fit_cells(nonneg, a_vals, b_vals)
 
-        ref = np.full(res.rmse.shape, np.nan)
+        ref = np.full(rmse.shape, np.nan)
         best = None
-        for ia, ga in enumerate(grid.a_values()):
-            for ib, gb in enumerate(grid.b_values()):
-                params, r = fit_exp_poly(*rescale(nonneg, ga, gb))
-                if params is None or not np.isfinite(r):
+        for ia, ga in enumerate(a_vals):
+            for ib, gb in enumerate(b_vals):
+                p, r = fit_exp_poly(*rescale(nonneg, ga, gb))
+                if p is None or not np.isfinite(r):
                     continue
                 ref[ia, ib] = r
                 if best is None or r < best[0] - 1e-15:
-                    best = (r, (ga, gb), params)
-        np.testing.assert_array_equal(np.isnan(res.rmse), np.isnan(ref))
-        np.testing.assert_allclose(res.rmse, ref, rtol=1e-12)
-        assert res.best == best[1]
-        np.testing.assert_allclose(res.best_params, best[2], rtol=1e-12)
+                    best = (r, (ia, ib), p)
+        np.testing.assert_array_equal(np.isnan(rmse), np.isnan(ref))
+        np.testing.assert_allclose(rmse, ref, rtol=1e-12)
+        assert np.unravel_index(np.nanargmin(rmse), rmse.shape) == best[1]
+        np.testing.assert_allclose(params[best[1]], best[2], rtol=1e-12)
 
     @given(a=st.floats(0.2, 0.7), b=st.floats(0.05, 0.5),
-           decay=st.floats(0.3, 3.0), spacing=st.floats(0.1, 0.2),
+           decay=st.floats(0.3, 3.0), a_vals=grid_values, b_vals=grid_values,
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=12, deadline=None)
-    def test_sweep_matches_scalar_reference(self, a, b, decay, spacing, seed):
+    def test_sweep_matches_scalar_reference(self, a, b, decay, a_vals, b_vals,
+                                            seed):
         # the batched QR and SVD kernel against reference_fit, the scalar
         # lstsq + minimize_scalar route; an RMSE may differ by the rounding
         # floor where that exceeds 1e-12 relative (see rmse_tolerance)
-        ds, nonneg = self._noisy_planted(a, b, decay, seed)
-        grid = GridSpec(spacing=spacing)
-        res = exponent_sweep(ds, grid=grid)
+        _, nonneg = self._noisy_planted(a, b, decay, seed)
+        params, rmse = self._fit_cells(nonneg, a_vals, b_vals)
 
-        ref = np.full(res.rmse.shape, np.nan)
-        tol = np.full(res.rmse.shape, np.nan)
+        ref = np.full(rmse.shape, np.nan)
+        tol = np.full(rmse.shape, np.nan)
         best = None
-        for ia, ga in enumerate(grid.a_values()):
-            for ib, gb in enumerate(grid.b_values()):
+        for ia, ga in enumerate(a_vals):
+            for ib, gb in enumerate(b_vals):
                 y, v = rescale(nonneg, ga, gb)
-                params, r = reference_fit(y, v)
-                if params is None or not np.isfinite(r):
+                p, r = reference_fit(y, v)
+                if p is None or not np.isfinite(r):
                     continue
                 ref[ia, ib] = r
-                tol[ia, ib] = rmse_tolerance(y, params, r)
+                tol[ia, ib] = rmse_tolerance(y, p, r)
                 if best is None or r < best[0] - 1e-15:
-                    best = (r, (ga, gb))
-        np.testing.assert_array_equal(np.isnan(res.rmse), np.isnan(ref))
-        dev = np.abs(res.rmse - ref)
+                    best = (r, (ia, ib))
+        np.testing.assert_array_equal(np.isnan(rmse), np.isnan(ref))
+        dev = np.abs(rmse - ref)
         assert np.all(np.isnan(ref) | (dev <= tol)), np.nanmax(dev / tol)
-        assert res.best == best[1]
+        ia, ib = best[1]
+        assert np.unravel_index(np.nanargmin(rmse), rmse.shape) == (ia, ib)
         # the decay is fixed only to Brent's stopping tolerance and the
         # polynomial follows it, so the best cell's parameters are checked
         # by the residual they leave
-        y, v = rescale(nonneg, *res.best)
-        assert abs(model_rmse(y, v, res.best_params) - best[0]) <= \
-            rmse_tolerance(y, res.best_params, best[0])
+        y, v = rescale(nonneg, a_vals[ia], b_vals[ib])
+        assert abs(model_rmse(y, v, params[ia, ib]) - best[0]) <= \
+            rmse_tolerance(y, params[ia, ib], best[0])
 
     def test_rows_match_single_a_sweeps(self):
         # a cell's lanes share batches with other a values in the full
         # sweep and with its own a only in a one-a `_fit_grid` pass
         ds, nonneg = self._noisy_planted(0.3, 0.2, 0.8, seed=9)
-        grid = GridSpec(spacing=0.1)
-        res = exponent_sweep(ds, grid=grid)
-        tau, x, c = nonneg.records.T
-        v = c[:, None] * tau[:, None] ** grid.b_values()
-        ib = list(grid.b_values()).index(res.best[1])
-        for ia, a in enumerate(grid.a_values()):
-            params, rmse = _fit_grid(tau, x, v, np.array([a]), DEFAULT_POLY_ORDER)
-            row = np.where(np.isfinite(rmse[0]), rmse[0], np.nan)
-            assert np.array_equal(res.rmse[ia], row, equal_nan=True), a
-            if a == res.best[0]:
-                assert row[ib] == res.best_rmse
+        res = exponent_sweep(ds)
+        ia_best, ib = (list(EXPONENT_GRID).index(v) for v in res.best)
+        rows = np.random.default_rng(9).choice(len(EXPONENT_GRID), 6, replace=False)
+        for ia in sorted({ia_best, *rows}):
+            params, rmse = self._fit_cells(nonneg, EXPONENT_GRID[ia:ia + 1],
+                                           EXPONENT_GRID)
+            assert np.array_equal(res.rmse[ia], rmse[0], equal_nan=True), ia
+            if ia == ia_best:
+                assert rmse[0, ib] == res.best_rmse
                 assert np.array_equal(params[0, ib], res.best_params)
 
     def test_normalization_uses_peak(self):
@@ -404,36 +410,13 @@ class TestExponentSweep:
 
 
 class TestGridSpec:
-    @pytest.mark.parametrize("kwargs, field", [
-        ({"spacing": 0.0}, "spacing"),
-        ({"spacing": -0.1}, "spacing"),
-        ({"spacing": float("inf")}, "--spacing"),
-        ({"spacing": float("nan")}, "--spacing"),
-    ])
-    def test_invalid_grid_rejected(self, kwargs, field):
-        with pytest.raises(ValueError, match=field):
-            GridSpec(**kwargs)
+    """The fixed exponent grid, EXPONENT_GRID."""
 
     def test_default_grid_contains_reference_pairs(self):
-        g = GridSpec()
-        a_vals, b_vals = g.a_values(), g.b_values()
-        for a, b in (QKZ_EXPONENTS, (0.325, 0.075), (0.45, 0.15), (0.025, 0.475)):
-            assert np.min(np.abs(a_vals - a)) < 1e-9
-            assert np.min(np.abs(b_vals - b)) < 1e-9
-
-    @given(st.floats(0.05, 0.2))
-    @settings(max_examples=10, deadline=None)
-    def test_spacing_respected(self, spacing):
-        g = GridSpec(spacing=spacing)
-        diffs = np.diff(g.a_values())
-        np.testing.assert_allclose(diffs, spacing, rtol=1e-9)
-
-    @pytest.mark.parametrize("spacing, values", [
-        (1.0, [0.025]),
-        (0.3, [0.025, 0.325, 0.625]),
-        (0.025, [0.025 * k for k in range(1, 31)]),
-    ])
-    def test_values_stay_within_range(self, spacing, values):
-        a_vals = GridSpec(spacing=spacing).a_values()
-        np.testing.assert_allclose(a_vals, values, rtol=0, atol=1e-12)
-        assert a_vals.max() <= GRID_MAX
+        np.testing.assert_allclose(EXPONENT_GRID, 0.025 * np.arange(1, 31),
+                                   rtol=0, atol=1e-12)
+        assert EXPONENT_GRID.max() <= 0.75
+        for a, b in (QKZ_EXPONENTS, (0.325, 0.075), (0.45, 0.15), (0.025, 0.475),
+                     (0.025, 0.325)):
+            assert np.min(np.abs(EXPONENT_GRID - a)) < 1e-9
+            assert np.min(np.abs(EXPONENT_GRID - b)) < 1e-9

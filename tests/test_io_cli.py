@@ -13,8 +13,8 @@ import pytest
 
 import kzchain
 from kzchain.cli import RECIPES, _build_parser, main
-from kzchain.collapse import (DEFAULT_MASK_THEORY, CorrelationDataset,
-                              GridSpec, exponent_sweep)
+from kzchain.collapse import (DEFAULT_MASK_THEORY, EXPONENT_GRID,
+                              CorrelationDataset, exponent_sweep)
 from kzchain.config import RunConfig, load_config_file, _parse_steps
 from kzchain.correlators import (MAX_MULTIPLIER, fermion_correlators,
                                  xx_connected_profiles, zz_connected_profile,
@@ -219,9 +219,8 @@ class TestCsvFormat:
                    for x, c in enumerate(zz_connected_profile(fermion_correlators(
                        run_quench(QuenchProtocol(tau_q=tau), 16, lam=0.0)[0])),
                        start=1)]
-        res = exponent_sweep(CorrelationDataset.from_records(records),
-                             grid=GridSpec(spacing=0.1))
-        a_vals, b_vals = res.grid.a_values(), res.grid.b_values()
+        res = exponent_sweep(CorrelationDataset.from_records(records))
+        a_vals = b_vals = EXPONENT_GRID
         # a failed fit leaves its cell NaN
         rmse = res.rmse.copy()
         rmse[::2, 1::3] = np.nan
@@ -255,7 +254,7 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["a_min", "a_max", "b_min", "b_max",
                                      "spacing"])
     def test_removed_grid_keys_rejected(self, tmp_path, capsys, key):
-        # the collapse grid is set only by `kzchain collapse --spacing`
+        # the collapse grid is the fixed EXPONENT_GRID
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"collapse.{key} = 0.1\n")
         out = tmp_path / "out"
@@ -342,15 +341,15 @@ class TestCli:
         manifests = []
         for run in ("a", "b"):
             capsys.readouterr()
-            assert main(["collapse", *csvs, "--spacing", "0.1",
-                         "--out", str(tmp_path / run)]) == 0
+            assert main(["collapse", *csvs, "--out", str(tmp_path / run)]) == 0
             out = json.loads(capsys.readouterr().out)
             manifests.append(read_manifest(tmp_path / run / "collapse" / "manifest.json"))
         first, second = manifests
         assert set(first.pop("timings")) == {"read_s", "sweep_s", "write_s"}
         second.pop("timings")
         assert first == second
-        assert first["grid"]["spacing"] == 0.1
+        assert set(first) == {"version", "mask_threshold", "records",
+                              "failed_cells", "best"}
         assert first["mask_threshold"] == DEFAULT_MASK_THEORY  # no --mask
         assert (first["records"], first["failed_cells"]) == \
             (out["records"], out["failed_cells"])
@@ -407,8 +406,12 @@ class TestCli:
          "'sideways' is not a valid Variant"),
         (lambda m: m.update({"lambda": -1.0}), "lambda must be finite and >= 0"),
         (None, "line 2 column 1"),
+        (lambda m: m.update(n_sites="8"),
+         "n_sites must be an even integer >= 2, got '8'"),
+        (lambda m: m.update(n_sites=7), "n_sites must be an even integer >= 2, got 7"),
+        (lambda m: m.update(protocol=[]), "list indices must be integers"),
     ], ids=["no_n_sites", "no_tau_q", "bad_variant", "negative_lambda",
-            "truncated"])
+            "truncated", "n_sites_text", "n_sites_odd", "protocol_list"])
     def test_observables_names_bad_manifest(self, tmp_path, capsys, corrupt,
                                             message):
         main(["quench", "--n", "8", "--tau-q", "2", "--serial",
@@ -427,29 +430,6 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{path}: ")
         assert message in err["message"]
-
-    @pytest.mark.parametrize("spacing", ["0", "-0.1", "inf", "nan"])
-    def test_collapse_rejects_bad_spacing(self, tmp_path, capsys, spacing):
-        # the CSV does not exist: the spacing is checked before any read
-        rc = main(["collapse", str(tmp_path / "correlators.csv"),
-                   "--spacing", spacing, "--out", str(tmp_path)])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "--spacing" in err["message"]
-        assert not (tmp_path / "collapse").exists()
-
-    def test_collapse_single_cell_grid(self, tmp_path, capsys):
-        # a spacing past 0.725 leaves the one cell (0.025, 0.025)
-        main(["quench", "--n", "8", "--tau-q", "0.5,1,2", "--serial",
-              "--out", str(tmp_path)])
-        csvs = [str(p) for p in tmp_path.glob("*/correlators.csv")]
-        capsys.readouterr()
-        assert main(["collapse", *csvs, "--spacing", "1.0", "--out", str(tmp_path)]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert (out["best_a"], out["best_b"]) == (0.025, 0.025)
-        rmse = read_rmse_csv(tmp_path / "collapse" / "rmse_surface.csv")
-        assert [row[:2] for row in rmse] == [(0.025, 0.025)]
-        assert "nan" not in (tmp_path / "collapse" / "rmse_surface.svg").read_text()
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         args = ["quench", "--n", "8", "--tau-q", "2", "--serial"]
@@ -564,9 +544,17 @@ class TestCli:
         (["--n", "8", "--trotter", "--dt", "0.25", "--steps", "8,10",
           "--lambda", "1"], "mode_dynamics.lambda (--lambda)"),
         (["--n", "8", "--tau-q", "2", "--mask", "nan"], "collapse.mask (--mask)"),
+        (["--n", "8", "--tau-q", "1,inf"], "protocol.tau_sweep (--tau-q)"),
+        (["--n", "8", "--tau-q", "nan"], "protocol.tau_sweep (--tau-q)"),
+        (["--n", "8", "--tau-q", "0"], "protocol.tau_sweep (--tau-q)"),
+        (["--n", "8", "--trotter", "--dt", "inf", "--steps", "8"],
+         "protocol.dt (--dt)"),
+        (["--n", "8", "--trotter", "--dt", "-0.25", "--steps", "8"],
+         "protocol.dt (--dt)"),
     ], ids=["odd_n", "n_not_int", "x_max_above_half", "x_max_zero",
             "continuous_dt", "continuous_steps", "trotter_without_dt",
-            "continuous_last", "trotter_tau_q", "trotter_lambda", "mask_nan"])
+            "continuous_last", "trotter_tau_q", "trotter_lambda", "mask_nan",
+            "tau_q_inf", "tau_q_nan", "tau_q_zero", "dt_inf", "dt_negative"])
     def test_quench_rejects_bad_settings_before_running(self, tmp_path, capsys,
                                                         args, flag):
         rc = main(["quench", *args, "--serial", "--out", str(tmp_path / "out")])
@@ -575,8 +563,7 @@ class TestCli:
         assert err["error"] == "ValueError" and flag in err["message"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--x-max", "0"),
-                                             ("--mask", "nan")])
+    @pytest.mark.parametrize("flag, value", [("--mask", "nan")])
     def test_collapse_rejects_bad_flag_before_reading(self, tmp_path, capsys,
                                                       flag, value):
         # the CSV does not exist, so reading it would fail otherwise
@@ -588,16 +575,18 @@ class TestCli:
         assert not (tmp_path / "collapse").exists()
 
     def test_collapse_names_empty_time_slice(self, tmp_path, capsys):
-        main(["quench", "--n", "8", "--tau-q", "1,2,4", "--serial",
-              "--out", str(tmp_path)])
+        # a full Trotter quench of an odd step count samples every step
+        # and steps over t = 0, the one time the collapse reads
+        main(["quench", "--n", "8", "--trotter", "--full", "--dt", "0.25",
+              "--steps", "5,7,9", "--serial", "--out", str(tmp_path)])
         csvs = sorted(str(p) for p in tmp_path.glob("*/correlators.csv"))
+        assert len(csvs) == 3
         capsys.readouterr()
-        rc = main(["collapse", *csvs, "--at-time", "0.5",
-                   "--out", str(tmp_path)])
+        rc = main(["collapse", *csvs, "--out", str(tmp_path)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert "t = 0.5" in err["message"]
+        assert "no correlator row at t = 0 in" in err["message"]
         assert all(path in err["message"] for path in csvs)
         assert not (tmp_path / "collapse").exists()
 
@@ -640,9 +629,15 @@ class TestCli:
          ["--steps"]),
         (["emit-qasm", "--n", "4", "--steps", "8"], ["--dt"]),
         (["emit-qasm", "--n", "4", "--dt", "0.25"], ["--steps"]),
+        (["oracle", "--n", "4", "--tau-q", "inf"], ["--tau-q"]),
+        (["oracle", "--n", "4", "--tau-q", "0"], ["--tau-q"]),
+        (["oracle", "--n", "4", "--trotter", "--dt", "inf", "--steps", "4"],
+         ["--dt"]),
+        (["emit-qasm", "--n", "4", "--dt", "inf", "--steps", "4"], ["--dt"]),
     ], ids=["trotter_tau_q", "continuous_dt", "trotter_lambda", "tau_q_sweep",
             "steps_sweep", "emit_steps_sweep", "emit_without_dt",
-            "emit_without_steps"])
+            "emit_without_steps", "tau_q_inf", "tau_q_zero", "trotter_dt_inf",
+            "emit_dt_inf"])
     def test_single_quench_rejects_bad_settings(self, tmp_path, capsys, argv,
                                                 flags):
         # oracle and emit-qasm check their flags as quench does, and each

@@ -44,6 +44,14 @@ class TestProtocolValidation:
         with pytest.raises(ValueError):
             QuenchProtocol(tau_q=-1.0)
 
+    @pytest.mark.parametrize("tau_q, dt", [(math.inf, None), (math.nan, None),
+                                           (math.inf, math.inf), (1.0, math.nan)])
+    def test_rejects_nonfinite_tau_or_dt(self, tau_q, dt):
+        kwargs = {} if dt is None else dict(evolution=Evolution.TROTTER, dt=dt,
+                                            steps=4)
+        with pytest.raises(ValueError, match="finite"):
+            QuenchProtocol(tau_q=tau_q, **kwargs)
+
     def test_trotter_needs_matching_duration(self):
         # steps * dt must equal the protocol duration
         QuenchProtocol(tau_q=2.0, evolution=Evolution.TROTTER, dt=0.25, steps=8)
