@@ -11,26 +11,23 @@ runs from 0.025 to 0.75 in steps of 0.025 in both exponents, and that step
 is the resolution of the reported exponents.  Each fit is a
 variable projection (Golub & Pereyra, Inverse Problems 19 (2003) R1): for
 a fixed decay rate p_{-1} the polynomial is a linear least-squares solve,
-so the nonlinear part is a 1-D search over the decay, a scan of 62 fixed
-rates and then Brent's bounded minimiser (Brent, Algorithms for
-Minimization without Derivatives, 1973) between the neighbours of the best
-scan point.
+so the nonlinear part is a 1-D search over the decay.
 
-y does not depend on b, so every b cell of one a shares its designs.  The
-scan solves them for all b columns at once, as one batched SVD per chunk
-of 16 decays; its decays run to 1e3, where whole designs underflow, so it
-keeps the SVD's rank cutoff.  The refinement then runs the Brent iteration
-of every cell of the grid in one lockstep pass, each lane exactly as
-scipy's `minimize_scalar(method="bounded")` would run it alone on the same
-objective.  Each iteration scores the lanes still open, whatever their a,
-by one batched Householder QR of [design | v] per 32 cells: the last
-diagonal entry of R is the residual norm.  A lane whose design a bound on
-its condition number cannot prove to be of full rank to lstsq's cutoff is
-scored by the SVD route instead.  The whole 30 x 30 grid takes a few
-dozen iterations and about 500 LAPACK calls on one thread, and no cell's
-result depends on which other cells share its batches.  The QR and SVD
-objectives agree with a per-cell `np.linalg.lstsq` only to rounding, so
-the refined decay of the two routes may differ within Brent's tolerance.
+Every cell scores the best of 62 fixed decay rates.  y does not depend on
+b, so every b cell of one a shares its designs, and the scan solves them
+for all b columns at once, as one batched SVD per chunk of 16 decays; its
+decays run to 1e3, where whole designs underflow, so it keeps the SVD's
+rank cutoff.  The cell with the smallest score wins, and only the
+winner's decay is refined, by Brent's bounded minimiser (Brent,
+Algorithms for Minimization without Derivatives, 1973) between the
+neighbours of its best scan point, step for step as scipy's
+`minimize_scalar(method="bounded")` would run it on the same objective.
+So the RMSE surface holds each cell's best scanned decay, except the
+winner's cell, which holds its refined RMSE.  Refining every cell would
+lower a score by well under 1 per cent in the median and by up to 28 per
+cent on the recipes' data.  It moves no acceptance or recipe argmin, but
+on noisy planted data whose curves fall below the mask within a few y
+the argmin of the refined surface can lie one grid step away.
 """
 
 from __future__ import annotations
@@ -112,7 +109,6 @@ def rescale(ds: CorrelationDataset, a: float, b: float):
 
 _DECAY_SCAN = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
 _SCAN_CHUNK = 16  # decays per batched scan solve: temporaries stay at a few MB
-_LANE_CHUNK = 32  # cells per batched refinement or final solve, likewise
 
 # constants of scipy.optimize's bounded Brent minimiser
 _GOLDEN_MEAN = 0.5 * (3.0 - np.sqrt(5.0))
@@ -132,16 +128,26 @@ def _lstsq(design: np.ndarray, v: np.ndarray):
     v is (n, c), shared by every design, or (k, n, c).  Returns the
     coefficients (k, m, c) and the RMSE of each column (k, c).  As in
     `np.linalg.lstsq`, singular values at or below eps * max(n, m) * s_max
-    count as zero.  A fully underflowed design yields garbage
-    coefficients; such a column scores inf so the search moves on.
+    count as zero.  The fitted values design @ coefficients are formed as
+    (design @ V / s) @ (u^T v), V the right singular vectors and s the
+    kept singular values: equal in exact arithmetic, but the bracket does
+    not involve v.  So a column's RMSE changes with the other columns that
+    share its solve by about eps |v|, where design @ coefficients would
+    change by eps |design| |coefficients|, up to 1e-9 relative at
+    a = 0.025.  The projection u @ (u^T v) would be as independent of the
+    batch, but the computed u is off the range of the design by about
+    eps cond(design), which moves the RMSE at first order; the bracket is
+    the design's own map, so the RMSE stays that of the coefficients.  A
+    fully underflowed design yields garbage coefficients; such a column
+    scores inf so the search moves on.
     """
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     keep = s > np.finfo(float).eps * max(design.shape[-2:]) * s[..., :1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        coeffs = vt.swapaxes(-1, -2) @ (s_inv[..., None]
-                                        * (u.swapaxes(-1, -2) @ v))
-        resid = design @ coeffs
+        uv = u.swapaxes(-1, -2) @ v
+        coeffs = vt.swapaxes(-1, -2) @ (s_inv[..., None] * uv)
+        resid = ((design @ vt.swapaxes(-1, -2)) * s_inv[..., None, :]) @ uv
         resid -= v
         np.square(resid, out=resid)
         rmse = np.sqrt(resid.mean(axis=-2))
@@ -226,87 +232,21 @@ def _bounded_brent(func, lo: np.ndarray, hi: np.ndarray):
     return state[4], state[5], state[10].astype(int)
 
 
-def _solve_cells(ys, powers, rhs, decay, ia, ib):
-    """`_lstsq` of the cells (ia[k], ib[k]) at decay[k]: designs from
-    ys[ia[k]] and powers[ia[k]] against rhs[ib[k]], gathered by index,
-    _LANE_CHUNK cells per batched solve.  Returns the coefficients (k, m)
-    and the RMSE (k,)."""
-    coeffs, rmse = [], []
-    for s in range(0, len(decay), _LANE_CHUNK):
-        a, b = ia[s:s + _LANE_CHUNK], ib[s:s + _LANE_CHUNK]
-        c, r = _lstsq(_designs(ys[a], powers[a], decay[s:s + _LANE_CHUNK]), rhs[b])
-        coeffs.append(c[:, :, 0])
-        rmse.append(r[:, 0])
-    return np.concatenate(coeffs), np.concatenate(rmse)
-
-
-def _cond_bound(t: np.ndarray) -> np.ndarray:
-    """Upper bound on the 2-norm condition number of each upper triangle
-    of t (..., m, m): m * ||T||_inf * max(z), where M(T) z = 1 and M(T),
-    the comparison matrix, has |t_ii| on its diagonal and -|t_ij| above
-    it.  M(T)^{-1} >= |T^{-1}| elementwise, so max(z) >= ||T^{-1}||_inf
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 8.2-8.3),
-    and each 2-norm is at most sqrt(m) times the inf-norm.  inf or NaN
-    where a diagonal entry is zero."""
-    m = t.shape[-1]
-    a = np.abs(np.triu(t))
-    z = np.empty(t.shape[:-1])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(m - 1, -1, -1):
-            z[..., i] = (1.0 + np.sum(a[..., i, i + 1:] * z[..., i + 1:], axis=-1)) \
-                / a[..., i, i]
-        return m * a.sum(axis=-1).max(axis=-1) * z.max(axis=-1)
-
-
-def _qr_rmse(ys, powers, rhs, decay, ia, ib):
-    """The RMSE `_solve_cells` gives the cells (ia[k], ib[k]) at decay[k],
-    scored from a Householder QR of [design | v] instead of an SVD.
-
-    R[m, m] of the augmented matrix is the norm of the least-squares
-    residual (Bjorck, Numerical Methods for Least Squares Problems, 1996,
-    1.3 and 2.4), so a lane scores |R[m, m]| / sqrt(n).  That is lstsq's
-    RMSE only when lstsq's cutoff keeps every singular value of the
-    design.  A lane keeps its QR score when `_cond_bound` of its m x m
-    triangle proves so with room for the rounding of both factorizations
-    (each moves a singular value by about n m eps s_max); any other lane,
-    or one whose score is not finite, is solved by `_solve_cells`.
-    """
-    n, m = powers.shape[1:]
-    # [design | v] is filled transposed, (k, m + 1, n), so that every
-    # elementwise loop runs along n; its swapaxes view is each matrix in
-    # the column-major order LAPACK works in
-    powers_t = np.ascontiguousarray(powers.swapaxes(1, 2))
-    r = np.empty((len(decay), m + 1, m + 1))
-    for s in range(0, len(decay), _LANE_CHUNK):
-        a, b = ia[s:s + _LANE_CHUNK], ib[s:s + _LANE_CHUNK]
-        aug_t = np.empty((len(a), m + 1, n))
-        np.multiply(np.exp(-decay[s:s + _LANE_CHUNK, None] * ys[a])[:, None, :],
-                    powers_t[a], out=aug_t[:, :m])
-        aug_t[:, m] = rhs[b, :, 0]
-        # "raw" leaves R in the upper triangle of h^T, without a triu per call
-        h, _ = np.linalg.qr(aug_t.swapaxes(1, 2), mode="raw")
-        r[s:s + _LANE_CHUNK] = h[:, :, :m + 1].swapaxes(1, 2)
-    rmse = np.abs(r[:, m, m]) / np.sqrt(n)
-    limit = 1.0 / (np.finfo(float).eps * (max(n, m) + 2 * n * m))
-    certified = np.isfinite(rmse) & (_cond_bound(r[:, :m, :m]) < limit)
-    lanes = np.flatnonzero(~certified)
-    if lanes.size:
-        rmse[lanes] = _solve_cells(ys, powers, rhs, decay[lanes], ia[lanes], ib[lanes])[1]
-    return rmse
-
-
 def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
               a_vals: np.ndarray, order: int):
     """Variable-projection fit of every (a, b) cell of the grid.
 
     Cell (i, j) fits column j of v (n, n_b) against y = x / tau**a_vals[i].
     Each a scans the decay rate over _DECAY_SCAN in chunks of batched
-    solves that take every b column at once.  Each cell's decay is then
-    refined by Brent's bounded method on `_qr_rmse` between the scan points
-    either side of its best one, every cell in one lockstep run, and kept
-    if it scores no worse than the scan.  Returns params (n_a, n_b,
-    order + 2), rows [p_{-1}, p_0, ..., p_M], and the RMSE (n_a, n_b), inf
-    where no fit is usable.
+    solves that take every b column at once, and each cell scores its best
+    scanned decay.  The cell with the smallest score wins, ties within
+    1e-15 broken toward smaller a, then smaller b.  Only the winner's decay
+    is refined, by Brent's bounded method on `_lstsq` between the scan
+    points either side of its best one, and kept if it scores no worse
+    than the scan; the RMSE of its final solve replaces its score.
+    Returns the RMSE (n_a, n_b), inf where no scanned decay gives a usable
+    fit, the winning cell (i, j) and its params [p_{-1}, p_0, ..., p_M];
+    the cell and params are None where no cell is usable.
     """
     ys = np.array([x / tau**a for a in a_vals])
     powers = ys[:, :, None] ** np.arange(order + 1)
@@ -314,24 +254,25 @@ def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
         _lstsq(_designs(y, p, _DECAY_SCAN[k:k + _SCAN_CHUNK]), v)[1]
         for k in range(0, len(_DECAY_SCAN), _SCAN_CHUNK)])
         for y, p in zip(ys, powers)])
-    i = np.argmin(scan, axis=1)
-    lo = _DECAY_SCAN[np.maximum(i - 1, 0)]
-    hi = _DECAY_SCAN[np.minimum(i + 1, len(_DECAY_SCAN) - 1)]
-    decay = _DECAY_SCAN[i]
-    # one contiguous (n, 1) right-hand side per b column: a cell's solves
-    # then round the same whichever cells share their batch
-    rhs = np.ascontiguousarray(v.T)[:, :, None]
-    ia, ib = np.nonzero(hi > lo)
-    if ia.size:
-        x_opt, fun, _ = _bounded_brent(
-            lambda d, lanes: _qr_rmse(ys, powers, rhs, d, ia[lanes], ib[lanes]),
-            lo[ia, ib], hi[ia, ib])
-        take = fun <= np.min(scan, axis=1)[ia, ib]
-        decay[ia[take], ib[take]] = x_opt[take]
-    coeffs, rmse = _solve_cells(ys, powers, rhs, decay.ravel(),
-                                *np.indices(decay.shape).reshape(2, -1))
-    params = np.column_stack([decay.ravel(), coeffs])
-    return params.reshape(*decay.shape, -1), rmse.reshape(decay.shape)
+    rmse = scan.min(axis=1)
+    cell = None
+    for i, j in zip(*np.nonzero(np.isfinite(rmse))):
+        if cell is None or rmse[i, j] < rmse[cell] - 1e-15:
+            cell = (int(i), int(j))
+    if cell is None:
+        return rmse, None, None
+    i, j = cell
+    # the winner's column on its own, contiguous, so that its solves round
+    # exactly as they do in `fit_exp_poly` of that cell
+    y, p, col = ys[i], powers[i], v[:, [j]]
+    k = int(np.argmin(scan[i, :, j]))
+    x_opt, fun, _ = _bounded_brent(
+        lambda d, lanes: _lstsq(_designs(y, p, d), col)[1][:, 0],
+        _DECAY_SCAN[[max(k - 1, 0)]], _DECAY_SCAN[[min(k + 1, len(_DECAY_SCAN) - 1)]])
+    decay = x_opt if fun[0] <= rmse[i, j] else _DECAY_SCAN[[k]]
+    coeffs, r = _lstsq(_designs(y, p, decay), col)
+    rmse[i, j] = r[0, 0]
+    return rmse, cell, np.concatenate([decay, coeffs[0, :, 0]])
 
 
 def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):
@@ -342,31 +283,33 @@ def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):
     a 1-D search over p_{-1} >= 0 (coarse log-spaced scan, then a bounded
     refinement around the best bracket).  Returns (params, rmse) with
     params = [p_{-1}, p_0, ..., p_M], or (None, nan) when the system is
-    underdetermined.  Runs the sweep's kernel on a one-cell grid (tau = 1,
-    a = 0).
+    underdetermined and (None, inf) when no scanned decay gives a usable
+    fit.  Runs the sweep's kernel on a one-cell grid (tau = 1, a = 0), whose
+    one cell is its winner.
     """
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     if len(y) < order + 2:
         return None, float("nan")
-    params, rmse = _fit_grid(np.ones_like(y), y, v[:, None], np.zeros(1), order)
-    return params[0, 0], float(rmse[0, 0])
+    rmse, _, params = _fit_grid(np.ones_like(y), y, v[:, None], np.zeros(1), order)
+    return params, float(rmse[0, 0])
 
 
 def exponent_sweep(ds: CorrelationDataset) -> CollapseResult:
     """Rescale-and-fit of every (a, b) cell of EXPONENT_GRID with the
     order-DEFAULT_POLY_ORDER family; argmin wins.
 
-    One `_fit_grid` pass fits every cell on the calling thread (module
-    docstring).  A cell's result does not depend on which other cells
-    share its batches: its refinement and final solve round exactly as
-    `fit_exp_poly` on that cell alone; its scan, solved with the other b
-    columns, rounds differently only in the last bits.  Ties break toward
-    smaller a, then smaller b.  Negative retained values are dropped with
-    a warning, because the fit family is a positive decaying envelope.
-    They are not confined to a finite-size boundary tail: at lam = 100,
-    N = 512 and tau_q = 8 to 64 the first negative C^zz lies at x = 44 to
-    88, and the profile up to x = 128 is the same at N = 1024 to 4e-9.
+    One `_fit_grid` pass scores every cell by its best scanned decay and
+    refines only the winner (module docstring), so `rmse` holds the scan
+    score of every cell but the winner's, which is `best_rmse`.  The
+    winner's refinement and final solve round exactly as `fit_exp_poly` on
+    that cell alone; the scan, solved with the other b columns, rounds
+    differently only in the last bits.  Ties break toward smaller a, then
+    smaller b.  Negative retained values are dropped with a warning,
+    because the fit family is a positive decaying envelope.  They are not
+    confined to a finite-size boundary tail: at lam = 100, N = 512 and
+    tau_q = 8 to 64 the first negative C^zz lies at x = 44 to 88, and the
+    profile up to x = 128 is the same at N = 1024 to 4e-9.
     """
     ds_fit = ds
     neg = ds.records[:, 2] < 0
@@ -383,16 +326,12 @@ def exponent_sweep(ds: CorrelationDataset) -> CollapseResult:
     v = c[:, None] * tau[:, None] ** EXPONENT_GRID
     if len(x) < DEFAULT_POLY_ORDER + 2:  # every cell is underdetermined
         raise RuntimeError("every grid cell failed to fit")
-    params, r = _fit_grid(tau, x, v, EXPONENT_GRID, DEFAULT_POLY_ORDER)
-    best_cell = None
-    for ia, ib in zip(*np.nonzero(np.isfinite(r))):
-        if best_cell is None or r[ia, ib] < best_cell[0] - 1e-15:
-            best_cell = (float(r[ia, ib]), ia, ib)
-    if best_cell is None:
+    r, cell, params = _fit_grid(tau, x, v, EXPONENT_GRID, DEFAULT_POLY_ORDER)
+    if cell is None:
         raise RuntimeError("every grid cell failed to fit")
-    best_rmse, ia, ib = best_cell
+    ia, ib = cell
     return CollapseResult(rmse=np.where(np.isfinite(r), r, np.nan),
                           best=(float(EXPONENT_GRID[ia]), float(EXPONENT_GRID[ib])),
-                          best_params=params[ia, ib],
-                          best_rmse=best_rmse,
+                          best_params=params,
+                          best_rmse=float(r[ia, ib]),
                           peak_rescaled=float(np.max(np.abs(v[:, ib]))))

@@ -3,15 +3,12 @@ import logging
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_triangular
 from scipy.optimize import minimize_scalar
 
-import kzchain.collapse
 from kzchain.collapse import (DEFAULT_POLY_ORDER, EXPONENT_GRID,
                               CorrelationDataset, QKZ_EXPONENTS, QND_EXPONENTS,
-                              _bounded_brent, _cond_bound, _fit_grid,
-                              _qr_rmse, _solve_cells, exponent_sweep,
-                              fit_exp_poly, rescale)
+                              _bounded_brent, _designs, _fit_grid, _lstsq,
+                              exponent_sweep, fit_exp_poly, rescale)
 
 TAUS = [1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
 
@@ -27,10 +24,11 @@ def _reference_solve(y, powers, v, decay):
     return coeffs, rmse if usable else np.inf
 
 
-def reference_fit(y, v, order=4):
+def reference_fit(y, v, order=4, refine=True):
     """The scalar route to one cell's fit, independent of collapse's
-    batched kernel: one `np.linalg.lstsq` per scanned decay, then scipy's
-    bounded Brent between the scan points either side of the best one."""
+    batched kernel: one `np.linalg.lstsq` per scanned decay, then, with
+    refine, scipy's bounded Brent between the scan points either side of
+    the best one."""
     if len(y) < order + 2:
         return None, float("nan")
     powers = y[:, None] ** np.arange(order + 1)
@@ -39,7 +37,7 @@ def reference_fit(y, v, order=4):
     lo = DECAY_SCAN[max(i - 1, 0)]
     hi = DECAY_SCAN[min(i + 1, len(DECAY_SCAN) - 1)]
     decay = DECAY_SCAN[i]
-    if hi > lo:
+    if refine:
         res = minimize_scalar(lambda d: _reference_solve(y, powers, v, d)[1],
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12})
@@ -47,6 +45,25 @@ def reference_fit(y, v, order=4):
             decay = float(res.x)
     coeffs, rmse = _reference_solve(y, powers, v, decay)
     return np.concatenate([[decay], coeffs]), rmse
+
+
+def scan_rmse(y, v, order=4):
+    """One cell's score on its own: the best RMSE of collapse's `_lstsq`
+    over the scanned decays, with v as its only column; NaN where no
+    scanned decay gives a usable fit."""
+    powers = y[:, None] ** np.arange(order + 1)
+    rmse = np.min(_lstsq(_designs(y, powers, DECAY_SCAN), v[:, None])[1])
+    return rmse if np.isfinite(rmse) else np.nan
+
+
+def grid_argmin(rmse):
+    """The winner by the sweep's tie rule: in (a, b) order, a finite cell
+    takes over only by beating the current best by more than 1e-15."""
+    best = None
+    for cell in zip(*np.nonzero(np.isfinite(rmse))):
+        if best is None or rmse[cell] < rmse[best] - 1e-15:
+            best = cell
+    return best
 
 
 def _model_design(y, params):
@@ -126,6 +143,21 @@ class TestFitFamily:
         assert abs(model_rmse(y, v, params) - ref_rmse) <= \
             rmse_tolerance(y, params, ref_rmse)
 
+    def test_degenerate_designs_score_as_lstsq(self):
+        # rank 2 (two distinct y), fully underflowed (y >= 1 at decay 1e3)
+        # and partly underflowed (y from 0.05 at decay 1e3) designs, each
+        # solved against two columns at once
+        v = np.random.default_rng(4).uniform(0.1, 1.0, (20, 2))
+        for y, decay in [(np.repeat([0.5, 1.5], 10), 0.7),
+                         (np.linspace(1.0, 3.0, 20), 1e3),
+                         (np.linspace(0.05, 2.0, 20), 1e3)]:
+            powers = y[:, None] ** np.arange(DEFAULT_POLY_ORDER + 1)
+            rmse = _lstsq(_designs(y, powers, np.array([decay])), v)[1][0]
+            for j in range(2):
+                coeffs, ref = _reference_solve(y, powers, v[:, j], decay)
+                params = np.concatenate([[decay], coeffs])
+                assert abs(rmse[j] - ref) <= rmse_tolerance(y, params, ref), (decay, j)
+
     def test_decay_rate_stays_nonnegative(self):
         # data that grows with y must still fit with p_{-1} >= 0
         y = np.linspace(0.1, 2, 30)
@@ -167,87 +199,6 @@ class TestBoundedBrent:
         assert len(np.unique(nfev)) >= 10
         at_bound = (x - lo < 1e-6 * (hi - lo)) | (hi - x < 1e-6 * (hi - lo))
         assert np.sum(at_bound) >= 10
-
-
-def _lanes(ys, v, decay):
-    """`_qr_rmse` / `_solve_cells` arguments for one lane per (row of ys,
-    column of v) pair, each at its own decay."""
-    ys = np.asarray(ys, dtype=float)
-    powers = ys[:, :, None] ** np.arange(DEFAULT_POLY_ORDER + 1)
-    rhs = np.ascontiguousarray(np.asarray(v, dtype=float).T)[:, :, None]
-    ia, ib = np.indices((len(ys), rhs.shape[0])).reshape(2, -1)
-    return ys, powers, rhs, np.broadcast_to(decay, ia.shape).astype(float), ia, ib
-
-
-class TestQrScore:
-    """The Brent lanes' objective: a certified QR score, else `_lstsq`."""
-
-    @given(m=st.integers(1, 6), grade=st.floats(0.0, 2.0),
-           drop=st.floats(0.0, 8.0), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_cond_bound_is_an_upper_bound(self, m, grade, drop, seed):
-        # random, row-graded triangles with one diagonal entry shrunk by up
-        # to 1e-8: conditions from 1 to past 1e16
-        rng = np.random.default_rng(seed)
-        t = np.triu(rng.standard_normal((m, m))) * 10.0 ** (-grade * np.arange(m))[:, None]
-        i = rng.integers(m)
-        t[i, i] *= 10.0 ** -drop
-        # sigma_max of T and of T^-1, each to relative accuracy
-        cond = np.linalg.norm(t, 2) * np.linalg.norm(solve_triangular(t, np.eye(m)), 2)
-        assert _cond_bound(t) >= cond * (1.0 - 1e-12)
-
-    def test_cond_bound_needs_its_factor_m(self):
-        # ones down the last column and a small last pivot: ||T||_inf and
-        # ||T^-1||_inf each fall short of the 2-norms, and the bound is
-        # only 2 cond with m = 5
-        t = np.eye(5)
-        t[:, -1] = 1.0
-        t[-1, -1] = 1e-6
-        cond = np.linalg.norm(t, 2) * np.linalg.norm(solve_triangular(t, np.eye(5)), 2)
-        assert cond <= _cond_bound(t) <= 2.01 * cond
-
-    @pytest.fixture
-    def fallback(self, monkeypatch):
-        """The lane count of each `_solve_cells` call `_qr_rmse` makes."""
-        counts = []
-
-        def solve(ys, powers, rhs, decay, ia, ib):
-            counts.append(len(decay))
-            return _solve_cells(ys, powers, rhs, decay, ia, ib)
-
-        monkeypatch.setattr(kzchain.collapse, "_solve_cells", solve)
-        return counts
-
-    def test_uncertified_lanes_score_as_lstsq(self, fallback):
-        # rank 2 (two distinct y), fully underflowed (y >= 1 at decay 1e3)
-        # and partly underflowed (y from 0.05 at decay 1e3) designs
-        rng = np.random.default_rng(4)
-        ys = [np.repeat([0.5, 1.5], 10), np.linspace(1.0, 3.0, 20),
-              np.linspace(0.05, 2.0, 20)]
-        args = _lanes(ys, rng.uniform(0.1, 1.0, (20, 2)), [0.7, 0.7, 1e3, 1e3, 1e3, 1e3])
-        rmse = _qr_rmse(*args)
-        assert fallback == [6]
-        assert np.array_equal(rmse, _solve_cells(*args)[1])
-
-    @pytest.mark.parametrize("planted", [QKZ_EXPONENTS, QND_EXPONENTS, (0.45, 0.15)])
-    def test_qr_score_matches_lstsq(self, fallback, planted):
-        # every lane of drawn (a, b) cells on noisy planted data, at decays
-        # across the refinement's range: all certified, and each within
-        # rmse_tolerance of lstsq's RMSE
-        rng = np.random.default_rng(8)
-        tau, x, c = planted_dataset(*planted).records.T
-        c = c * (1.0 + 1e-3 * rng.standard_normal(len(c)))
-        a_vals = np.sort(rng.choice(EXPONENT_GRID, 8, replace=False))
-        b_vals = np.sort(rng.choice(EXPONENT_GRID, 8, replace=False))
-        decay = 10.0 ** rng.uniform(-3.0, 1.0, len(a_vals) * len(b_vals))
-        args = _lanes(x / tau ** a_vals[:, None], c[:, None] * tau[:, None] ** b_vals, decay)
-        rmse = _qr_rmse(*args)
-        assert fallback == []
-        coeffs, ref = _solve_cells(*args)
-        ys, ia = args[0], args[4]
-        for k in range(len(ia)):
-            params = np.concatenate([[decay[k]], coeffs[k]])
-            assert abs(rmse[k] - ref[k]) <= rmse_tolerance(ys[ia[k]], params, ref[k]), k
 
 
 class TestExponentSweep:
@@ -313,11 +264,13 @@ class TestExponentSweep:
     @staticmethod
     def _fit_cells(ds, a_vals, b_vals):
         """`_fit_grid` of the (a, b) cells, b columns built as
-        `exponent_sweep` builds them; the RMSE has NaN where a fit failed."""
+        `exponent_sweep` builds them: the RMSE, NaN where a fit failed, the
+        winning cell and its params."""
         tau, x, c = ds.records.T
         v = c[:, None] * tau[:, None] ** np.asarray(b_vals)
-        params, rmse = _fit_grid(tau, x, v, np.asarray(a_vals), DEFAULT_POLY_ORDER)
-        return params, np.where(np.isfinite(rmse), rmse, np.nan)
+        rmse, cell, params = _fit_grid(tau, x, v, np.asarray(a_vals),
+                                       DEFAULT_POLY_ORDER)
+        return np.where(np.isfinite(rmse), rmse, np.nan), cell, params
 
     # a few values of the exponent grid: every cell of the full grid would
     # cost about 3 s per example against the references
@@ -330,24 +283,20 @@ class TestExponentSweep:
     @settings(max_examples=12, deadline=None)
     def test_sweep_matches_per_cell_fits(self, a, b, decay, a_vals, b_vals, seed):
         # fitting all b cells of an a together must reproduce an
-        # independent rescale + fit_exp_poly of every cell
+        # independent rescale + decay scan of every cell, and the winner an
+        # independent fit_exp_poly of its cell
         _, nonneg = self._noisy_planted(a, b, decay, seed)
-        params, rmse = self._fit_cells(nonneg, a_vals, b_vals)
+        rmse, cell, params = self._fit_cells(nonneg, a_vals, b_vals)
 
-        ref = np.full(rmse.shape, np.nan)
-        best = None
-        for ia, ga in enumerate(a_vals):
-            for ib, gb in enumerate(b_vals):
-                p, r = fit_exp_poly(*rescale(nonneg, ga, gb))
-                if p is None or not np.isfinite(r):
-                    continue
-                ref[ia, ib] = r
-                if best is None or r < best[0] - 1e-15:
-                    best = (r, (ia, ib), p)
+        ref = np.array([[scan_rmse(*rescale(nonneg, ga, gb)) for gb in b_vals]
+                        for ga in a_vals])
+        assert cell == grid_argmin(ref)
+        p, r = fit_exp_poly(*rescale(nonneg, a_vals[cell[0]], b_vals[cell[1]]))
+        np.testing.assert_allclose(params, p, rtol=1e-12)
+        ref[cell] = r
         np.testing.assert_array_equal(np.isnan(rmse), np.isnan(ref))
         np.testing.assert_allclose(rmse, ref, rtol=1e-12)
-        assert np.unravel_index(np.nanargmin(rmse), rmse.shape) == best[1]
-        np.testing.assert_allclose(params[best[1]], best[2], rtol=1e-12)
+        assert np.unravel_index(np.nanargmin(rmse), rmse.shape) == cell
 
     @given(a=st.floats(0.2, 0.7), b=st.floats(0.05, 0.5),
            decay=st.floats(0.3, 3.0), a_vals=grid_values, b_vals=grid_values,
@@ -355,51 +304,56 @@ class TestExponentSweep:
     @settings(max_examples=12, deadline=None)
     def test_sweep_matches_scalar_reference(self, a, b, decay, a_vals, b_vals,
                                             seed):
-        # the batched QR and SVD kernel against reference_fit, the scalar
-        # lstsq + minimize_scalar route; an RMSE may differ by the rounding
-        # floor where that exceeds 1e-12 relative (see rmse_tolerance)
+        # the batched SVD kernel against the scalar lstsq route: every cell
+        # against its scan, and the winner against reference_fit with
+        # minimize_scalar; an RMSE may differ by the rounding floor where
+        # that exceeds 1e-12 relative (see rmse_tolerance)
         _, nonneg = self._noisy_planted(a, b, decay, seed)
-        params, rmse = self._fit_cells(nonneg, a_vals, b_vals)
+        rmse, cell, params = self._fit_cells(nonneg, a_vals, b_vals)
 
         ref = np.full(rmse.shape, np.nan)
         tol = np.full(rmse.shape, np.nan)
-        best = None
         for ia, ga in enumerate(a_vals):
             for ib, gb in enumerate(b_vals):
                 y, v = rescale(nonneg, ga, gb)
-                p, r = reference_fit(y, v)
-                if p is None or not np.isfinite(r):
-                    continue
-                ref[ia, ib] = r
-                tol[ia, ib] = rmse_tolerance(y, p, r)
-                if best is None or r < best[0] - 1e-15:
-                    best = (r, (ia, ib))
+                p, r = reference_fit(y, v, refine=False)
+                if p is not None and np.isfinite(r):
+                    ref[ia, ib] = r
+                    tol[ia, ib] = rmse_tolerance(y, p, r)
+        assert cell == grid_argmin(ref)
+        y, v = rescale(nonneg, a_vals[cell[0]], b_vals[cell[1]])
+        p, r = reference_fit(y, v)
+        ref[cell], tol[cell] = r, rmse_tolerance(y, p, r)
         np.testing.assert_array_equal(np.isnan(rmse), np.isnan(ref))
         dev = np.abs(rmse - ref)
         assert np.all(np.isnan(ref) | (dev <= tol)), np.nanmax(dev / tol)
-        ia, ib = best[1]
-        assert np.unravel_index(np.nanargmin(rmse), rmse.shape) == (ia, ib)
+        assert np.unravel_index(np.nanargmin(rmse), rmse.shape) == cell
         # the decay is fixed only to Brent's stopping tolerance and the
-        # polynomial follows it, so the best cell's parameters are checked
-        # by the residual they leave
-        y, v = rescale(nonneg, a_vals[ia], b_vals[ib])
-        assert abs(model_rmse(y, v, params[ia, ib]) - best[0]) <= \
-            rmse_tolerance(y, params[ia, ib], best[0])
+        # polynomial follows it, so the winner's parameters are checked by
+        # the residual they leave
+        assert abs(model_rmse(y, v, params) - r) <= rmse_tolerance(y, params, r)
 
     def test_rows_match_single_a_sweeps(self):
-        # a cell's lanes share batches with other a values in the full
-        # sweep and with its own a only in a one-a `_fit_grid` pass
+        # a row's scan shares its batches with no other a, so a one-a
+        # `_fit_grid` pass gives the row of the full sweep bit for bit,
+        # except where one of the two refined its winner
         ds, nonneg = self._noisy_planted(0.3, 0.2, 0.8, seed=9)
         res = exponent_sweep(ds)
-        ia_best, ib = (list(EXPONENT_GRID).index(v) for v in res.best)
+        ia_best, ib_best = (list(EXPONENT_GRID).index(v) for v in res.best)
         rows = np.random.default_rng(9).choice(len(EXPONENT_GRID), 6, replace=False)
         for ia in sorted({ia_best, *rows}):
-            params, rmse = self._fit_cells(nonneg, EXPONENT_GRID[ia:ia + 1],
-                                           EXPONENT_GRID)
-            assert np.array_equal(res.rmse[ia], rmse[0], equal_nan=True), ia
+            rmse, (_, ib), params = self._fit_cells(
+                nonneg, EXPONENT_GRID[ia:ia + 1], EXPONENT_GRID)
             if ia == ia_best:
+                # the sweep's winner wins its row and is refined the same
+                assert ib == ib_best
                 assert rmse[0, ib] == res.best_rmse
-                assert np.array_equal(params[0, ib], res.best_params)
+                assert np.array_equal(params, res.best_params)
+                assert np.array_equal(res.rmse[ia], rmse[0], equal_nan=True)
+            else:
+                scan = np.arange(len(EXPONENT_GRID)) != ib
+                assert np.array_equal(res.rmse[ia, scan], rmse[0, scan],
+                                      equal_nan=True), ia
 
     def test_normalization_uses_peak(self):
         ds = planted_dataset(0.45, 0.15)

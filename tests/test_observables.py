@@ -54,6 +54,20 @@ class TestEndOfQuenchIdentity:
         assert residual_energy(e) / 64 == pytest.approx(4.0 * n_def, abs=1e-10)
 
 
+class TestDefectAnchors:
+    def test_landau_zener_density(self):
+        """A lambda = 0 full quench leaves mode k excited with the
+        Landau-Zener probability exp(-pi tau_q k^2), so that
+        n_def -> 1 / (2 pi sqrt(tau_q)) (Zurek, Dorner & Zoller, PRL 95,
+        105701 (2005); Dziarmaga, PRL 95, 245701 (2005)).  At N = 1024 and
+        tau_q = 64 the pipeline is 1.15e-4 from it."""
+        tau_q = 64.0
+        p = QuenchProtocol(tau_q=tau_q, variant=Variant.FULL_QUENCH)
+        e = run_quench(p, 1024, lam=0.0)[0]
+        n_def = defect_density(fermion_correlators(e))
+        assert abs(2.0 * math.pi * n_def * math.sqrt(tau_q) - 1.0) < 2e-4
+
+
 class TestExcessEnergy:
     def test_self_comparison_is_zero(self):
         p = QuenchProtocol(tau_q=2.0)
