@@ -1,9 +1,10 @@
 """CSV and manifest persistence for run directories.
 
 Every CSV goes through one writer and one reader.  `_write_table` writes
-the header and then the rows block by block (a trajectory sample, an
-a-row of the rmse grid, a fixed number of correlator rows, or the few
-observable rows of a run), so no whole-file string is built.  The writers format each row with an f-string over Python floats
+the header and then the rows block by block (a trajectory sample, a
+correlator sample, an a-row of the rmse grid, or the few observable rows
+of a run), so no whole-file string is built.  The writers format each
+row with an f-string over Python floats
 (`.tolist()` of an array): a float as its `repr`, a separation or a flag
 as an integer, a missing value as an empty cell, and `\r\n` after every
 row: the bytes `csv.writer` writes for the same cells, as
@@ -43,9 +44,6 @@ _OBSERVABLES_HEADER = ["tau_q", "lambda", "t", "m_x", "n_def", "e_total",
 _TRAJECTORIES_HEADER = ["k", "t", "nx", "ny", "nz"]
 _RMSE_HEADER = ["a", "b", "rmse", "converged"]
 
-# correlator rows formatted and written per block
-_BLOCK_ROWS = 4096
-
 
 def _write_table(path, header: List[str], blocks: Iterable[Iterable[str]]):
     """Write the header, then each block of formatted lines in one call."""
@@ -75,12 +73,23 @@ def _read_table(path, header: List[str],
 
 
 def write_correlators_csv(path, rows):
-    """Rows: (tau_q, t, x, c_zz, c_xx), as an (R, 5) array or sequence."""
-    rows = np.asarray(rows, dtype=float)
-    _write_table(path, _CORRELATORS_HEADER, (
-        (f"{tau_q!r},{t!r},{int(x)},{c_zz!r},{c_xx!r}\r\n"
-         for tau_q, t, x, c_zz, c_xx in rows[i:i + _BLOCK_ROWS].tolist())
-        for i in range(0, len(rows), _BLOCK_ROWS)))
+    """Rows: (tau_q, t, x, c_zz, c_xx), as an (R, 5) array or sequence.
+
+    Each run of consecutive rows whose tau_q and t have the same bits
+    (one sample) is one block, and its `tau_q,t,` prefix is formatted
+    once."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 5)
+    key = rows[:, :2].view(np.int64)
+    starts = np.flatnonzero(np.any(key[1:] != key[:-1], axis=1)) + 1
+    bounds = [0, *starts.tolist(), len(rows)] if len(rows) else []
+
+    def blocks():
+        for lo, hi in zip(bounds, bounds[1:]):
+            prefix = "{!r},{!r},".format(*rows[lo, :2].tolist())
+            yield (f"{prefix}{int(x)},{c_zz!r},{c_xx!r}\r\n"
+                   for x, c_zz, c_xx in rows[lo:hi, 2:].tolist())
+
+    _write_table(path, _CORRELATORS_HEADER, blocks())
 
 
 def read_correlators_csv(path) -> List[Tuple[float, float, int, float, float]]:
@@ -109,11 +118,15 @@ def read_observables_csv(path) -> List[dict]:
 
 
 def write_trajectories_csv(path, ensembles: Sequence[ModeEnsemble]):
+    """One block per ensemble; each k is formatted once per grid."""
     def blocks():
+        grid = ks = None
         for e in ensembles:
-            t = repr(float(e.t))
-            yield (f"{k!r},{t},{nx!r},{ny!r},{nz!r}\r\n" for k, (nx, ny, nz)
-                   in zip(e.grid.modes.tolist(), e.states.tolist()))
+            if e.grid is not grid:
+                grid, ks = e.grid, [f"{k!r}," for k in e.grid.modes.tolist()]
+            t = f"{float(e.t)!r},"
+            yield (f"{k}{t}{nx!r},{ny!r},{nz!r}\r\n"
+                   for k, (nx, ny, nz) in zip(ks, e.states.tolist()))
 
     _write_table(path, _TRAJECTORIES_HEADER, blocks())
 

@@ -21,6 +21,11 @@ operators are built from orbit labels by index arithmetic, and the
 expectation values of `oracle_observables` are a few contractions over
 the basis, not one sum per Pauli string.
 
+Both continuous evolutions step `_dop853`, an in-repo port of scipy's
+DOP853 whose states equal `solve_ivp(method="DOP853")`'s bit for bit, so
+an oracle run never imports scipy.integrate and what it pulls in; only
+scipy.sparse is loaded.
+
 The caps are desk-scale memory limits, not tunables.  For N = 2 the
 wraparound bond double-counts the single physical bond; the Hamiltonian
 sum is kept literal, and pipeline-equivalence tests start at N = 4.
@@ -173,19 +178,21 @@ def _sector_terms(n: int):
 
 def _integrate(rhs, y0: np.ndarray, p: QuenchProtocol, times: np.ndarray,
                rtol: float, atol: float, what: str) -> np.ndarray:
-    """DOP853 from p.t_start to the last sample time; the state at each
-    sample time, shape (len(times), y0.size)."""
+    """DOP853 (the `_dop853` port) from p.t_start to the last sample
+    time; the state at each sample time, shape (len(times), y0.size), in
+    contiguous rows that the evolutions view as complex.  A step below
+    ten float spacings of t raises a RuntimeError naming `what`."""
     if times[-1] == p.t_start:
-        # solve_ivp returns no state on a zero-length span
+        # the port integrates over a span of positive length only
         return y0[None, :]
-    from scipy.integrate import solve_ivp  # only the reference paths need it
+    # imported here: a process that imports the oracle only for its
+    # Trotter or observables code need not compile the stepper
+    from ._dop853 import StepSizeError, dop853
 
-    sol = solve_ivp(rhs, (p.t_start, times[-1]), y0, method="DOP853",
-                    t_eval=times, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"{what} integration failed: {sol.message}")
-    # contiguous rows, so that each can be viewed as complex
-    return sol.y.T.copy()
+    try:
+        return dop853(rhs, p.t_start, y0, times, rtol, atol)
+    except StepSizeError as err:
+        raise RuntimeError(f"{what} integration failed: {err}") from None
 
 
 def _plus_state(n: int) -> np.ndarray:
@@ -227,15 +234,15 @@ def evolve_statevector(
 ) -> List[DenseState]:
     """Closed-system evolution from |+>^N through the quench.
 
-    Continuous protocols integrate the Schrodinger equation with DOP853
-    on the d amplitudes of the symmetric sector (module docstring), from
-    t_start to the last sample time.  There the ZZ term is diagonal and
-    the transverse field is a sparse d x d matrix; both are real, so the
-    solver state is the 2d reals [Re c; Im c] and each right-hand side
-    is one real sparse product plus the diagonal term.  Sample times
-    default to t_end and must be strictly increasing inside the protocol
-    interval.  Trotter protocols apply exactly the gate layers to the
-    full 2^N vector, sampling at every step boundary.
+    Continuous protocols integrate the Schrodinger equation with the
+    `_dop853` port on the d amplitudes of the symmetric sector (module
+    docstring), from t_start to the last sample time.  There the ZZ term
+    is diagonal and the transverse field is a sparse d x d matrix; both
+    are real, so the solver state is the 2d reals [Re c; Im c] and each
+    right-hand side is one real sparse product plus the diagonal term.
+    Sample times default to t_end and must be strictly increasing inside
+    the protocol interval.  Trotter protocols apply exactly the gate
+    layers to the full 2^N vector, sampling at every step boundary.
     """
     _check_n(n)
     if p.evolution is Evolution.TROTTER:
@@ -280,9 +287,9 @@ def evolve_lindblad(
     """Full double-commutator master equation, no mode-mixing approximation.
 
     d/dt rho = -i[H, rho] - lam [H, [H, rho]], from the paramagnetic
-    product state.  Continuous protocols only.  DOP853 runs on the d x d
-    block r of rho in the symmetric sector (module docstring), from
-    t_start to the last sample time, and each sample is returned as
+    product state.  Continuous protocols only.  The `_dop853` port runs on
+    the d x d block r of rho in the symmetric sector (module docstring),
+    from t_start to the last sample time, and each sample is returned as
     rho = P r P^T in the full basis.  H is real and r Hermitian, so each
     right-hand side takes two real d x d products, H r and H [H, r].
     Sample times default to t_end and must be strictly increasing inside

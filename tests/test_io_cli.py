@@ -232,6 +232,20 @@ class TestCsvFormat:
               int(not np.isnan(rmse[ia, ib]))]
              for ia, a in enumerate(a_vals) for ib, b in enumerate(b_vals)])
 
+    def test_correlator_samples_split_on_bits(self, tmp_path):
+        # each sample's tau_q,t prefix is formatted once; t = -0.0 and
+        # t = 0.0 compare equal but are separate samples with their own text
+        rows = [(2.0, -0.0, 1, 0.5, -0.25), (2.0, -0.0, 2, 1e-7, 0.0),
+                (2.0, 0.0, 1, 0.125, 3.0), (3.0, 0.0, 1, -1.5, 2.5e-300)]
+        path = tmp_path / "c.csv"
+        write_correlators_csv(path, rows)
+        assert path.read_bytes() == _csv_writer_bytes(
+            ["tau_q", "t", "x", "c_zz", "c_xx"],
+            [[_f(tau_q), _f(t), x, _f(zz), _f(xx)]
+             for tau_q, t, x, zz, xx in rows])
+        write_correlators_csv(path, np.empty((0, 5)))
+        assert path.read_bytes() == b"tau_q,t,x,c_zz,c_xx\r\n"
+
 
 class TestConfig:
     def test_file_parsing(self, tmp_path):
@@ -665,17 +679,30 @@ class TestCli:
                        "message": "mode_dynamics.n_sites (--n) must be even "
                                   "and >= 2, got 5"}
 
-    def test_import_leaves_scipy_solvers_unloaded(self):
-        # only the LSODA and DOP853 reference paths need scipy.integrate,
-        # only the oracle needs scipy.sparse, and each imports it when called
-        code = ("import sys, kzchain.cli; print([m for m in ('scipy.integrate',"
-                " 'scipy.optimize', 'scipy.sparse') if m in sys.modules])")
+    @staticmethod
+    def _loaded_after(code: str) -> str:
+        """stdout of `code` run in a fresh interpreter on this kzchain."""
         path = [str(Path(kzchain.__file__).parents[1]),
                 os.environ.get("PYTHONPATH", "")]
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
-        assert out.stdout.strip() == "[]"
+        return subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ,
+                                       PYTHONPATH=os.pathsep.join(path))).stdout
+
+    def test_import_leaves_scipy_solvers_unloaded(self):
+        # only the LSODA reference path needs scipy.integrate, only the
+        # oracle needs scipy.sparse, and each imports it when called
+        code = ("import sys, kzchain.cli; print([m for m in ('scipy.integrate',"
+                " 'scipy.optimize', 'scipy.sparse') if m in sys.modules])")
+        assert self._loaded_after(code).strip() == "[]"
+
+    def test_oracle_leaves_scipy_solvers_unloaded(self):
+        # the oracle steps its own DOP853 port, so a Lindblad run loads
+        # neither scipy.integrate nor what it pulls in
+        code = ("import sys, kzchain.cli; kzchain.cli.main(['oracle', '--n', "
+                "'6', '--tau-q', '1', '--lambda', '0.1']); print([m for m in "
+                "('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+        assert self._loaded_after(code).splitlines()[-1] == "[]"
 
     def test_output_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KZCHAIN_OUT", str(tmp_path / "envroot"))

@@ -67,6 +67,61 @@ class TestDefectAnchors:
         n_def = defect_density(fermion_correlators(e))
         assert abs(2.0 * math.pi * n_def * math.sqrt(tau_q) - 1.0) < 2e-4
 
+    @staticmethod
+    def _end_density(tau_q, lam):
+        p = QuenchProtocol(tau_q=tau_q, variant=Variant.FULL_QUENCH)
+        return defect_density(fermion_correlators(run_quench(p, 512, lam)[0]))
+
+    @staticmethod
+    def _flip_probability(kappa):
+        """p(kappa) of one scaled, dephasing-only mode: in s = tan(theta),
+        theta the angle of the field from -pi/2 to pi/2,
+        m_par' = -m_perp / (1 + s^2) and
+        m_perp' = m_par / (1 + s^2) - kappa (1 + s^2) m_perp, from (1, 0),
+        and p = (1 - m_par(inf)) / 2.  The ends |s| > 30 only precess by
+        under 1/30 and are dropped: that moves C_QND by about 4e-6."""
+        from scipy.integrate import solve_ivp
+
+        def rhs(s, m):
+            w = 1.0 + s * s
+            return [-m[1] / w, m[0] / w - kappa * w * m[1]]
+
+        sol = solve_ivp(rhs, (-30.0, 30.0), [1.0, 0.0], method="LSODA",
+                        rtol=1e-8, atol=1e-10)
+        assert sol.success
+        return 0.5 * (1.0 - sol.y[0, -1])
+
+    def test_strong_dephasing_density(self):
+        """Where dephasing dominates (Lambda = lam / sqrt(tau_q) -> inf),
+        mode k ends flipped with p(8 lam tau_q k^3), so
+        n_def (lam tau_q)^(1/3) -> C_QND = (1 / 2 pi) int_0^inf p(u^3) du:
+        the exponent 1/3 of QND_EXPONENTS seen directly.  Adiabatic
+        elimination alone would give 0.1138; the modes below
+        k ~ (8 lam tau_q)^(-1/3) pass diabatically and end inverted."""
+        flips = [self._flip_probability(k) for k in (1e-3, 0.1, 1.0, 10.0, 100.0)]
+        assert flips == pytest.approx([0.987, 0.762, 0.343, 0.0554, 0.0059],
+                                      rel=1e-2)
+        # 32 Gauss-Legendre nodes on u in [0, 8], and the p ~ c / kappa
+        # tail beyond, which adds about 7e-4
+        x, w = np.polynomial.legendre.leggauss(32)
+        body = 4.0 * w @ [self._flip_probability((4.0 * (xi + 1.0)) ** 3)
+                          for xi in x]
+        tail = self._flip_probability(512.0) * 512.0 / (2.0 * 8.0**2)
+        c_qnd = (body + tail) / (2.0 * math.pi)
+        assert c_qnd == pytest.approx(0.1512, abs=2e-4)
+        lam, tau_q = 100.0, 16.0
+        scaled = self._end_density(tau_q, lam) * (lam * tau_q) ** (1.0 / 3.0)
+        assert abs(scaled - c_qnd) < 3e-3
+
+    def test_crossover_variable_collapses_density(self):
+        """Up to O(1 / tau_q) a mode's fate depends on lam and tau_q only
+        through Lambda = lam / sqrt(tau_q), so at Lambda = 1 the scaled
+        density 2 pi n_def sqrt(tau_q) is the same at tau_q = 16 and 64
+        (0.9193 and 0.9202); at lam = 0 it is 1."""
+        scaled = [2.0 * math.pi * self._end_density(tau_q, math.sqrt(tau_q))
+                  * math.sqrt(tau_q) for tau_q in (16.0, 64.0)]
+        assert abs(scaled[0] - scaled[1]) < 1e-2
+
 
 class TestExcessEnergy:
     def test_self_comparison_is_zero(self):

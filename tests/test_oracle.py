@@ -9,8 +9,9 @@ is therefore evidence for the whole free-fermion chain of reasoning.
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
+from kzchain import _dop853
 from kzchain.correlators import (fermion_correlators, magnetization_x,
                                  xx_connected, zz_connected)
 from kzchain.mode_dynamics import run_quench
@@ -151,6 +152,107 @@ class TestSampleTimes:
             evolve_statevector(p, 4, sample_times=times)
         with pytest.raises(ValueError, match="sample_times"):
             evolve_lindblad(p, 4, 0.1, sample_times=times)
+
+
+def _evolve(kind, arg, sample_times):
+    """The oracle's statevector run at N = arg, or its N = 6 Lindblad run
+    at lambda = arg, sampled at sample_times(p)."""
+    if kind == "statevector":
+        p = QuenchProtocol(tau_q=1.2)
+        return evolve_statevector(p, arg, sample_times=sample_times(p))
+    p = QuenchProtocol(tau_q=1.0)
+    return evolve_lindblad(p, 6, arg, sample_times=sample_times(p))
+
+
+def _reference_dop853(fun, t0, y0, times, rtol, atol):
+    sol = solve_ivp(fun, (t0, times[-1]), y0, method="DOP853", t_eval=times,
+                    rtol=rtol, atol=atol)
+    assert sol.success
+    return sol.y.T
+
+
+class TestDop853Port:
+    """The in-repo DOP853 takes the steps solve_ivp(method="DOP853")
+    takes, so its states equal scipy's exactly."""
+
+    def test_tableau_is_scipys(self):
+        n = _dop853.N_STAGES
+        assert np.array_equal(_dop853.A[:n, :n], DOP853.A)
+        assert np.array_equal(_dop853.A[n + 1:], DOP853.A_EXTRA)
+        assert np.array_equal(_dop853.C[:n], DOP853.C)
+        assert np.array_equal(_dop853.C[n + 1:], DOP853.C_EXTRA)
+        for name in ("B", "E3", "E5", "D"):
+            assert np.array_equal(getattr(_dop853, name),
+                                  getattr(DOP853, name)), name
+
+    @pytest.mark.parametrize("samples", ["end", "start_interior_end",
+                                         "step_boundary"])
+    @pytest.mark.parametrize("kind, arg", [("statevector", 10),
+                                           ("statevector", 14),
+                                           ("lindblad", 0.1),
+                                           ("lindblad", 1.0)])
+    def test_oracle_states_equal_solve_ivp(self, monkeypatch, kind, arg,
+                                           samples):
+        calls, port = [], _dop853.dop853
+
+        def recorded(*args):
+            calls.append((args, port(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(_dop853, "dop853", recorded)
+        if samples == "end":
+            pick = lambda p: [p.t_end]
+        elif samples == "start_interior_end":
+            pick = lambda p: [p.t_start, p.t_start + 0.37 * p.duration, p.t_end]
+        else:
+            # the accepted step ends of a run to t_end, from solve_ivp
+            # without t_eval; sample the middle one
+            _evolve(kind, arg, lambda p: [p.t_end])
+            fun, t0, y0, times, rtol, atol = calls.pop()[0]
+            ends = solve_ivp(fun, (t0, times[-1]), y0, method="DOP853",
+                             rtol=rtol, atol=atol).t
+            pick = lambda p: [ends[len(ends) // 2], p.t_end]
+        states = _evolve(kind, arg, pick)
+        ((args, ys),) = calls
+        assert [s.t for s in states] == list(args[3])
+        assert np.array_equal(ys, _reference_dop853(*args))
+
+    def test_rejected_steps(self):
+        """A frequency that jumps forty-fold at t = 1 forces rejected
+        steps, and then steps that may not grow."""
+
+        def rhs(t, y):
+            return (1.0 if t < 1.0 else 40.0) * np.array([-y[1], y[0]])
+
+        y0, times = np.array([1.0, 0.0]), np.linspace(0.0, 3.0, 7)
+        solver = DOP853(rhs, 0.0, y0, 3.0, rtol=1e-8, atol=1e-10)
+        rejected = 0
+        while solver.status == "running":
+            nfev = solver.nfev
+            solver.step()
+            # an accepted step takes 12 stages, each rejection 12 more
+            rejected += (solver.nfev - nfev) // 12 - 1
+        assert rejected >= 5
+        ys = _dop853.dop853(rhs, 0.0, y0, times, 1e-8, 1e-10)
+        assert np.array_equal(ys, _reference_dop853(rhs, 0.0, y0, times,
+                                                    1e-8, 1e-10))
+
+    def test_step_too_small_names_the_stage(self, monkeypatch):
+        """y' = y^2 from y(-2) = 1 blows up at t = -1, inside the
+        protocol interval, and the step size collapses there as in
+        solve_ivp."""
+        port = _dop853.dop853
+
+        def blow_up(fun, t0, y0, times, rtol, atol):
+            return port(lambda t, y: y * y, t0, np.ones(1), times, rtol, atol)
+
+        monkeypatch.setattr(_dop853, "dop853", blow_up)
+        sol = solve_ivp(lambda t, y: y * y, (-2.0, 0.0), np.ones(1),
+                        method="DOP853", rtol=1e-11, atol=1e-13)
+        assert sol.status == -1
+        with pytest.raises(RuntimeError) as err:
+            evolve_statevector(QuenchProtocol(tau_q=2.0), 4)
+        assert str(err.value) == f"statevector integration failed: {sol.message}"
 
 
 class TestStatevectorEvolution:
