@@ -277,8 +277,8 @@ def cmd_emit_qasm(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # imported here: oracle loads scipy.sparse, which no other command needs;
-    # it steps its own DOP853 port, so scipy.integrate stays unloaded
+    # imported here: no other command needs the oracle; which of its paths
+    # load scipy is in the oracle module docstring
     from .oracle import evolve_lindblad, evolve_statevector, oracle_observables
 
     cfg, p = _single_protocol(args)

@@ -23,8 +23,15 @@ the basis, not one sum per Pauli string.
 
 Both continuous evolutions step `_dop853`, an in-repo port of scipy's
 DOP853 whose states equal `solve_ivp(method="DOP853")`'s bit for bit, so
-an oracle run never imports scipy.integrate and what it pulls in; only
-scipy.sparse is loaded.
+an oracle run never imports scipy.integrate and what it pulls in.  The
+sector projector is two arrays, the orbit label and the weight of each
+basis state, and the sector terms are a ZZ vector and the entries of the
+transverse-field matrix, so importing this module, and every Trotter,
+Lindblad or observables call, loads no scipy module at all.  Only the
+continuous statevector run imports scipy.sparse, when it is called, for
+its one CSR product per right-hand side, the fastest N = 14 right-hand
+side measured (see CHANGES.md).  `dense_hamiltonian` and `_sx_sum`, the
+full-space references of the tests, import it too.
 
 The caps are desk-scale memory limits, not tunables.  For N = 2 the
 wraparound bond double-counts the single physical bond; the Hamiltonian
@@ -38,7 +45,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .mode_dynamics import check_nonnegative, check_sample_times
 from .protocol import Evolution, QuenchProtocol, schedule_at
@@ -114,7 +120,10 @@ def _zz_diagonal(n: int) -> np.ndarray:
     return n - 2.0 * np.sum((walls[:, None] >> np.arange(n)) & 1, axis=1)
 
 
-def _sx_sum(n: int) -> sparse.csr_matrix:
+def _sx_sum(n: int):
+    """sum_i sigma^x_i as a scipy.sparse CSR matrix, shape (2^n, 2^n)."""
+    from scipy import sparse
+
     dim = 2**n
     idx = np.arange(dim)
     rows = np.concatenate([idx ^ (1 << i) for i in range(n)])
@@ -124,20 +133,25 @@ def _sx_sum(n: int) -> sparse.csr_matrix:
     )
 
 
-def dense_hamiltonian(n: int, j: float, h: float) -> sparse.csr_matrix:
-    """H = -J sum sigma^z_i sigma^z_{i+1} - h sum sigma^x_i, periodic."""
+def dense_hamiltonian(n: int, j: float, h: float):
+    """H = -J sum sigma^z_i sigma^z_{i+1} - h sum sigma^x_i, periodic, as a
+    scipy.sparse CSR matrix in the full 2^n basis."""
+    from scipy import sparse
+
     _check_size(n, MAX_N_STATEVECTOR)
-    dim = 2**n
     hz = sparse.diags(-j * _zz_diagonal(n), format="csr")
     return (hz - h * _sx_sum(n)).tocsr()
 
 
-def _symmetric_sector(n: int) -> sparse.csr_matrix:
-    """Isometry P, shape (2^n, d), onto the shift- and flip-invariant sector.
+def _symmetric_sector(n: int):
+    """The isometry P, shape (2^n, d), onto the shift- and flip-invariant
+    sector, as two arrays over the basis: the orbit label of each basis
+    state and its weight 1/sqrt|orbit|.
 
-    Column c is the orbit sum of the c-th orbit of basis states under the
-    cyclic shift and the global flip: P[s, orbit(s)] = 1/sqrt|orbit|, with
-    orbits ordered by their smallest member.
+    Column c of P is the orbit sum of the c-th orbit of basis states under
+    the cyclic shift and the global flip, with orbits ordered by their
+    smallest member: P[s, orbit[s]] = weight[s] is the only entry of row s.
+    So P c is weight * c[orbit], and P^T v sums weight * v over each orbit.
     """
     idx = np.arange(2**n)
     mask = 2**n - 1
@@ -146,12 +160,12 @@ def _symmetric_sector(n: int) -> sparse.csr_matrix:
         rot = _shift(rot, n)
         rep = np.minimum(rep, np.minimum(rot, rot ^ mask))
     _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
-    return sparse.csr_matrix((1.0 / np.sqrt(size[orbit]), (idx, orbit)),
-                             shape=(idx.size, size.size))
+    return orbit, 1.0 / np.sqrt(size[orbit])
 
 
 def _sector_terms(n: int):
-    """P with the two terms of H in the sector, built from orbit labels.
+    """P as (orbit, weight) with the two terms of H in the sector, built
+    from orbit labels.
 
     The ZZ sum is a vector: P^T diag(zz) P is diagonal because the orbits
     are disjoint, and zz is constant on each orbit.  The transverse-field
@@ -159,11 +173,11 @@ def _sector_terms(n: int):
     P[s, a] P[s ^ 2^i, b] = 1/sqrt(|O_a||O_b|) over every state s in orbit
     a and site i with s ^ 2^i in orbit b, so it is the number of such
     pairs over sqrt(|O_a||O_b|).  One bincount over all n 2^n pairs
-    (orbit(s), orbit(s ^ 2^i)) gives every count.
+    (orbit(s), orbit(s ^ 2^i)) gives every count.  The nonzero entries are
+    returned as (rows, cols, values), rows ascending and cols ascending
+    within a row; each caller builds the matrix it multiplies with.
     """
-    proj = _symmetric_sector(n)
-    # P holds one entry per row, so its column indices are the orbit labels
-    orbit = proj.indices
+    orbit, weight = _symmetric_sector(n)
     size = np.bincount(orbit)
     d = size.size
     zz = np.bincount(orbit, weights=_zz_diagonal(n)) / size
@@ -171,9 +185,7 @@ def _sector_terms(n: int):
     pairs = np.bincount((orbit * d + flipped).ravel(), minlength=d * d)
     key = np.flatnonzero(pairs)
     a, b = np.divmod(key, d)
-    sx = sparse.csr_matrix((pairs[key] / np.sqrt(size[a] * size[b]), (a, b)),
-                           shape=(d, d))
-    return proj, zz, sx
+    return orbit, weight, zz, (a, b, pairs[key] / np.sqrt(size[a] * size[b]))
 
 
 def _integrate(rhs, y0: np.ndarray, p: QuenchProtocol, times: np.ndarray,
@@ -251,8 +263,13 @@ def evolve_statevector(
         return _trotter_statevector(p, n)
     times = check_sample_times(
         p, [p.t_end] if sample_times is None else sample_times)
-    proj, zz, sx = _sector_terms(n)
+    orbit, weight, zz, (rows, cols, sx_vals) = _sector_terms(n)
     d = zz.size
+    # imported here: only this run multiplies by a sparse matrix (module
+    # docstring), so the rest of the oracle leaves scipy unloaded
+    from scipy import sparse
+
+    sx = sparse.csr_matrix((sx_vals, (rows, cols)), shape=(d, d))
     # y = [a; b] for c = a + ib, and -iHc = Hb - iHa, so with H = -J zz
     # - h sx, dy/dt = h [-sx b; sx a] + J [-zz b; zz a]
     rot = sparse.bmat([[None, -sx], [sx, None]], format="csr")
@@ -269,10 +286,12 @@ def evolve_statevector(
         out += zz_term.ravel()
         return out
 
-    c0 = proj.T @ _plus_state(n)
-    ys = _integrate(rhs, np.concatenate([c0.real, c0.imag]), p, times,
+    # P^T |+> is real; bincount sums each orbit in ascending basis order
+    c0 = np.bincount(orbit, weights=weight * _plus_state(n).real)
+    ys = _integrate(rhs, np.concatenate([c0, np.zeros(d)]), p, times,
                     rtol, atol, "statevector")
-    return [DenseState(n_sites=n, t=float(t), data=proj @ (y[:d] + 1j * y[d:]))
+    return [DenseState(n_sites=n, t=float(t),
+                       data=weight * (y[:d] + 1j * y[d:])[orbit])
             for t, y in zip(times, ys)]
 
 
@@ -304,9 +323,12 @@ def evolve_lindblad(
     lam = check_nonnegative("lam", lam)
     times = check_sample_times(
         p, [p.t_end] if sample_times is None else sample_times)
-    proj, zz, sx = _sector_terms(n)
-    proj, zz, sx = proj.toarray(), np.diag(zz), sx.toarray()
-    dim = zz.shape[0]
+    orbit, weight, zz, (rows, cols, sx_vals) = _sector_terms(n)
+    dim = zz.size
+    proj = np.zeros((orbit.size, dim))
+    proj[np.arange(orbit.size), orbit] = weight
+    zz, sx = np.diag(zz), np.zeros((dim, dim))
+    sx[rows, cols] = sx_vals
     c0 = proj.T @ _plus_state(n)
     rho0 = np.outer(c0, c0.conj())
     t_start, t_end = p.t_start, p.t_end

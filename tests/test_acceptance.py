@@ -1,9 +1,11 @@
 """End-to-end acceptance criteria.
 
 Each test prints one PASS/FAIL line (visible with pytest -s, and in the
-captured output on failure) and asserts the stated tolerance.  The large-N
-collapse runs take a few minutes each; everything else is fast.
+captured output on failure) and asserts the stated tolerance.  The N = 512
+collapse sweeps take a few seconds each; everything else is faster.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -225,3 +227,18 @@ def test_11_hardware_reference_values_documented():
     _report(11, zero == 0.0,
             f"excess_energy(clean, clean) = {zero} exactly; lambda-sweep "
             f"diagnostic (monotonicity reported, not asserted): {diag}")
+
+
+@pytest.mark.parametrize("crossover", [0.25, 4.0])
+def test_12_fixed_crossover_collapse(crossover):
+    # at fixed Lambda = lambda / sqrt(tau_q) the dephasing enters the
+    # coherent scaling regime at one strength, so the t = 0 correlators
+    # collapse with the lambda = 0 exponents at every Lambda; a fixed
+    # lambda instead moves Lambda across the sweep (test 03)
+    records = [r for tau in (8.0, 16.0, 32.0, 64.0)
+               for r in _sweep_records(512, [tau], lam=crossover * math.sqrt(tau))]
+    res = _collapse(records)
+    _report(12, res.best == QKZ_EXPONENTS,
+            f"N=512 Lambda={crossover:g}, tau_q 8-64, grid argmin {res.best} "
+            f"(normalized RMSE {res.normalized_best_rmse:.2e}), target "
+            f"{QKZ_EXPONENTS}")

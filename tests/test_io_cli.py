@@ -691,18 +691,33 @@ class TestCli:
 
     def test_import_leaves_scipy_solvers_unloaded(self):
         # only the LSODA reference path needs scipy.integrate, only the
-        # oracle needs scipy.sparse, and each imports it when called
+        # oracle's continuous statevector run needs scipy.sparse, and each
+        # imports it when called
         code = ("import sys, kzchain.cli; print([m for m in ('scipy.integrate',"
                 " 'scipy.optimize', 'scipy.sparse') if m in sys.modules])")
         assert self._loaded_after(code).strip() == "[]"
 
     def test_oracle_leaves_scipy_solvers_unloaded(self):
-        # the oracle steps its own DOP853 port, so a Lindblad run loads
-        # neither scipy.integrate nor what it pulls in
+        # the oracle steps its own DOP853 port and builds the Lindblad
+        # sector operators as dense arrays, so a Lindblad run loads neither
+        # scipy.integrate, nor what it pulls in, nor scipy.sparse
         code = ("import sys, kzchain.cli; kzchain.cli.main(['oracle', '--n', "
                 "'6', '--tau-q', '1', '--lambda', '0.1']); print([m for m in "
-                "('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+                "('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
+                "if m in sys.modules])")
         assert self._loaded_after(code).splitlines()[-1] == "[]"
+
+    def test_oracle_trotter_and_observables_load_no_scipy(self):
+        # importing the oracle, a Trotter statevector run and its
+        # observables touch no scipy module: only the continuous
+        # statevector run imports scipy.sparse
+        code = ("import sys, kzchain.cli, kzchain.circuit, kzchain.oracle as o; "
+                "from kzchain.protocol import Evolution, QuenchProtocol; "
+                "p = QuenchProtocol(tau_q=1.0, evolution=Evolution.TROTTER, "
+                "dt=0.25, steps=4); o.oracle_observables(o.evolve_statevector"
+                "(p, 6)[-1], 1.0, 1.0); print([m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')])")
+        assert self._loaded_after(code).strip() == "[]"
 
     def test_output_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KZCHAIN_OUT", str(tmp_path / "envroot"))

@@ -65,6 +65,14 @@ def _full_space_solve(p, n, times, y0, rhs_of_ham, rtol, atol):
     return sol.y.T.copy()
 
 
+def _sector_matrix(n):
+    """The sector isometry P as a sparse (2^n, d) matrix, built from the
+    orbit labels and weights that _symmetric_sector returns."""
+    orbit, weight = _symmetric_sector(n)
+    return sparse.csr_matrix((weight, (np.arange(2**n), orbit)),
+                             shape=(2**n, orbit.max() + 1))
+
+
 class TestSymmetricSector:
     """The shift- and flip-invariant sector the continuous evolutions use."""
 
@@ -72,7 +80,7 @@ class TestSymmetricSector:
                                         (12, 180), (14, 596)])
     def test_isometry_invariant_under_h(self, n, dim):
         j, h = np.random.default_rng(n).uniform(-2.0, 2.0, size=2)
-        proj = _symmetric_sector(n)
+        proj = _sector_matrix(n)
         assert proj.shape == (2**n, dim)
         gram = (proj.T @ proj).toarray()
         assert np.max(np.abs(gram - np.eye(dim))) < 1e-13
@@ -85,15 +93,20 @@ class TestSymmetricSector:
     def test_sector_terms_match_projected_operators(self, n):
         """The index-built sector terms equal P^T H P formed by sparse
         products with the full-space operators."""
-        _, zz, sx = _sector_terms(n)
-        ref_proj = _symmetric_sector(n)
+        _, _, zz, (rows, cols, vals) = _sector_terms(n)
+        ref_proj = _sector_matrix(n)
         bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
         spins = 1 - 2 * bits
         zz_full = np.sum(spins * np.roll(spins, -1, axis=1), axis=1)
         ref_zz = ref_proj.T @ sparse.diags(zz_full.astype(float)) @ ref_proj
         assert np.max(np.abs(zz - ref_zz.diagonal())) < 1e-13
         ref_sx = (ref_proj.T @ _sx_sum(n) @ ref_proj).toarray()
-        assert np.max(np.abs(sx.toarray() - ref_sx)) < 1e-13
+        sx = np.zeros_like(ref_sx)
+        sx[rows, cols] = vals
+        assert np.max(np.abs(sx - ref_sx)) < 1e-13
+        # the entries are exactly the nonzeros of P^T sx P, each once
+        assert np.array_equal(np.flatnonzero(sx), np.flatnonzero(ref_sx))
+        assert rows.size == np.count_nonzero(ref_sx)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_statevector_matches_full_space(self, variant):
