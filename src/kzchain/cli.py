@@ -277,8 +277,7 @@ def cmd_emit_qasm(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # imported here: no other command needs the oracle; which of its paths
-    # load scipy is in the oracle module docstring
+    # imported here: no other command needs the oracle
     from .oracle import evolve_lindblad, evolve_statevector, oracle_observables
 
     cfg, p = _single_protocol(args)

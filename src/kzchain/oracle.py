@@ -8,30 +8,29 @@ exposes.  Nothing here takes a Jordan-Wigner step, a momentum
 decomposition or a Pfaffian: states live on spin configurations.
 
 The continuous evolutions run in the symmetric sector.  H(t) commutes
-with the cyclic shift T and with the global flip F = prod sigma^x, and
-the start state |+>^N is invariant under both, so psi(t), and rho(t)
-under -i[H, rho] - lam [H, [H, rho]], stay in the span of the orbit sums
-|O> = sum_{s in O} |s> / sqrt|O| over the orbits O of basis states under
-T and F.  The reduction is exact, a change of basis that drops only
+with the cyclic shift T, the reflection R (site i to N - 1 - i) and the
+global flip F = prod sigma^x, and the start state |+>^N is invariant
+under all three, so psi(t), and rho(t) under -i[H, rho] - lam [H, [H,
+rho]], stay in the span of the orbit sums |O> = sum_{s in O} |s> /
+sqrt|O| over the orbits O of basis states under the group T, R and F
+generate.  The reduction is exact, a change of basis that drops only
 amplitudes which are zero at every t, not a truncation.  The sector
-holds d = 4, 8, 20, 56, 180, 596 states at N = 4, 6, ..., 14, out of 2^N.
-States are returned in the full 2^N basis.  Trotter runs apply the gate
-layers to the full vector, as the circuit comparison needs.  The sector
-operators are built from orbit labels by index arithmetic, and the
-expectation values of `oracle_observables` are a few contractions over
-the basis, not one sum per Pauli string.
+holds d = 4, 8, 18, 44, 122, 362 states at N = 4, 6, ..., 14, out of
+2^N.  States are returned in the full 2^N basis.  Trotter runs apply the
+gate layers to the full vector, as the circuit comparison needs.  The
+sector operators are built from orbit labels by index arithmetic, and
+the expectation values of `oracle_observables` are a few contractions
+over the basis, not one sum per Pauli string.
 
-Both continuous evolutions step `_dop853`, an in-repo port of scipy's
-DOP853 whose states equal `solve_ivp(method="DOP853")`'s bit for bit, so
-an oracle run never imports scipy.integrate and what it pulls in.  The
-sector projector is two arrays, the orbit label and the weight of each
-basis state, and the sector terms are a ZZ vector and the entries of the
-transverse-field matrix, so importing this module, and every Trotter,
-Lindblad or observables call, loads no scipy module at all.  Only the
-continuous statevector run imports scipy.sparse, when it is called, for
-its one CSR product per right-hand side, the fastest N = 14 right-hand
-side measured (see CHANGES.md).  `dense_hamiltonian` and `_sx_sum`, the
-full-space references of the tests, import it too.
+Both continuous evolutions step `_dop853`, an in-repo DOP853 whose
+states equal `solve_ivp(method="DOP853")`'s bit for bit.  The sector
+projector is two arrays, the orbit label and the weight of each basis
+state; the sector terms are a ZZ vector and the entries of the
+transverse-field matrix, which the statevector run multiplies by as rows
+padded to at most N entries: one gather and one einsum per right-hand
+side, about 21 us at N = 14 on a 2-core Xeon with one BLAS thread, as
+fast as the sparse-matrix product it replaced on the cyclic sector's
+d = 596.  So this module, and every oracle run, needs numpy only.
 
 The caps are desk-scale memory limits, not tunables.  For N = 2 the
 wraparound bond double-counts the single physical bond; the Hamiltonian
@@ -40,6 +39,7 @@ sum is kept literal, and pipeline-equivalence tests start at N = 4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -51,14 +51,14 @@ from .protocol import Evolution, QuenchProtocol, schedule_at
 
 __all__ = [
     "DenseState",
-    "dense_hamiltonian",
     "evolve_statevector",
     "evolve_lindblad",
     "oracle_observables",
 ]
 
 MAX_N_STATEVECTOR = 14
-# a 20 x 20 sector block at N = 8, where a tau_q = 2 quench takes 0.4-0.5 s
+# an 18 x 18 sector block at N = 8, where a tau_q = 2 quench at lam = 1
+# takes about 0.1 s
 MAX_N_DENSITY = 8
 
 
@@ -88,15 +88,11 @@ class DenseState:
                 raise ValueError("statevector norm drifted from 1")
 
 
-def _check_size(n: int, cap: int):
-    if not (2 <= n <= cap):
-        raise ValueError(f"N = {n} outside supported range [2, {cap}]")
-
-
 def _check_n(n: int, cap: int = MAX_N_STATEVECTOR):
     """A quench chain: N in [2, cap] and even, like the antiperiodic
     momentum grid of the pipeline it is compared with."""
-    _check_size(n, cap)
+    if not (2 <= n <= cap):
+        raise ValueError(f"N = {n} outside supported range [2, {cap}]")
     if n % 2 != 0:
         raise ValueError("quench protocols use even N")
 
@@ -112,6 +108,14 @@ def _shift(states: np.ndarray, n: int) -> np.ndarray:
     return (states >> 1) | ((states & 1) << (n - 1))
 
 
+def _reverse(states: np.ndarray, n: int) -> np.ndarray:
+    """Basis indices with the chain reflected: bit i moves to n - 1 - i."""
+    out = np.zeros_like(states)
+    for i in range(n):
+        out |= ((states >> i) & 1) << (n - 1 - i)
+    return out
+
+
 def _zz_diagonal(n: int) -> np.ndarray:
     """sum_i s_i s_{i+1} per basis index: n bonds minus twice the domain
     walls, the bits where a state differs from its shift."""
@@ -120,52 +124,31 @@ def _zz_diagonal(n: int) -> np.ndarray:
     return n - 2.0 * np.sum((walls[:, None] >> np.arange(n)) & 1, axis=1)
 
 
-def _sx_sum(n: int):
-    """sum_i sigma^x_i as a scipy.sparse CSR matrix, shape (2^n, 2^n)."""
-    from scipy import sparse
-
-    dim = 2**n
-    idx = np.arange(dim)
-    rows = np.concatenate([idx ^ (1 << i) for i in range(n)])
-    cols = np.tile(idx, n)
-    return sparse.csr_matrix(
-        (np.ones(n * dim), (rows, cols)), shape=(dim, dim)
-    )
-
-
-def dense_hamiltonian(n: int, j: float, h: float):
-    """H = -J sum sigma^z_i sigma^z_{i+1} - h sum sigma^x_i, periodic, as a
-    scipy.sparse CSR matrix in the full 2^n basis."""
-    from scipy import sparse
-
-    _check_size(n, MAX_N_STATEVECTOR)
-    hz = sparse.diags(-j * _zz_diagonal(n), format="csr")
-    return (hz - h * _sx_sum(n)).tocsr()
-
-
 def _symmetric_sector(n: int):
-    """The isometry P, shape (2^n, d), onto the shift- and flip-invariant
-    sector, as two arrays over the basis: the orbit label of each basis
-    state and its weight 1/sqrt|orbit|.
+    """The isometry P, shape (2^n, d), onto the sector invariant under the
+    shift, the reflection and the flip, as two arrays over the basis: the
+    orbit label of each basis state and its weight 1/sqrt|orbit|.
 
     Column c of P is the orbit sum of the c-th orbit of basis states under
-    the cyclic shift and the global flip, with orbits ordered by their
-    smallest member: P[s, orbit[s]] = weight[s] is the only entry of row s.
-    So P c is weight * c[orbit], and P^T v sums weight * v over each orbit.
+    the group those three generate, with orbits ordered by their smallest
+    member: P[s, orbit[s]] = weight[s] is the only entry of row s.  So
+    P c is weight * c[orbit], and P^T v sums weight * v over each orbit.
     """
     idx = np.arange(2**n)
     mask = 2**n - 1
-    rot, rep = idx, np.minimum(idx, idx ^ mask)
-    for _ in range(n - 1):
-        rot = _shift(rot, n)
-        rep = np.minimum(rep, np.minimum(rot, rot ^ mask))
+    rep = idx
+    for rot in (idx, _reverse(idx, n)):
+        for _ in range(n):
+            rep = np.minimum(rep, np.minimum(rot, rot ^ mask))
+            rot = _shift(rot, n)
     _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
     return orbit, 1.0 / np.sqrt(size[orbit])
 
 
+@functools.lru_cache(maxsize=4)
 def _sector_terms(n: int):
     """P as (orbit, weight) with the two terms of H in the sector, built
-    from orbit labels.
+    from orbit labels, read-only and shared by every run at this N.
 
     The ZZ sum is a vector: P^T diag(zz) P is diagonal because the orbits
     are disjoint, and zz is constant on each orbit.  The transverse-field
@@ -185,7 +168,10 @@ def _sector_terms(n: int):
     pairs = np.bincount((orbit * d + flipped).ravel(), minlength=d * d)
     key = np.flatnonzero(pairs)
     a, b = np.divmod(key, d)
-    return orbit, weight, zz, (a, b, pairs[key] / np.sqrt(size[a] * size[b]))
+    vals = pairs[key] / np.sqrt(size[a] * size[b])
+    for arr in (orbit, weight, zz, a, b, vals):
+        arr.flags.writeable = False
+    return orbit, weight, zz, (a, b, vals)
 
 
 def _integrate(rhs, y0: np.ndarray, p: QuenchProtocol, times: np.ndarray,
@@ -247,11 +233,11 @@ def evolve_statevector(
     """Closed-system evolution from |+>^N through the quench.
 
     Continuous protocols integrate the Schrodinger equation with the
-    `_dop853` port on the d amplitudes of the symmetric sector (module
-    docstring), from t_start to the last sample time.  There the ZZ term
-    is diagonal and the transverse field is a sparse d x d matrix; both
-    are real, so the solver state is the 2d reals [Re c; Im c] and each
-    right-hand side is one real sparse product plus the diagonal term.
+    `_dop853` port on the d amplitudes c of the symmetric sector (module
+    docstring), from t_start to the last sample time; the solver state is
+    the float view of c.  There the ZZ term is diagonal and the
+    transverse field is a sparse d x d matrix, so each right-hand side is
+    one gather product over its padded rows plus the diagonal term.
     Sample times default to t_end and must be strictly increasing inside
     the protocol interval.  Trotter protocols apply exactly the gate
     layers to the full 2^N vector, sampling at every step boundary.
@@ -265,33 +251,33 @@ def evolve_statevector(
         p, [p.t_end] if sample_times is None else sample_times)
     orbit, weight, zz, (rows, cols, sx_vals) = _sector_terms(n)
     d = zz.size
-    # imported here: only this run multiplies by a sparse matrix (module
-    # docstring), so the rest of the oracle leaves scipy unloaded
-    from scipy import sparse
-
-    sx = sparse.csr_matrix((sx_vals, (rows, cols)), shape=(d, d))
-    # y = [a; b] for c = a + ib, and -iHc = Hb - iHa, so with H = -J zz
-    # - h sx, dy/dt = h [-sx b; sx a] + J [-zz b; zz a]
-    rot = sparse.bmat([[None, -sx], [sx, None]], format="csr")
-    signed_zz = np.stack([-zz, zz])
-    zz_term = np.empty((2, d))
-    t_start, t_end = p.t_start, p.t_end
+    # the transverse field as padded rows: row a holds its entries in
+    # columns 0..count-1 and zeros after, at most n entries a row
+    count = np.bincount(rows, minlength=d)
+    starts = np.cumsum(count) - count
+    slot = np.arange(rows.size) - starts[rows]
+    sx_cols = np.zeros((d, count.max()), dtype=np.intp)
+    sx_cols[rows, slot] = cols
+    i_sx = np.zeros((d, count.max()), dtype=complex)
+    i_sx[rows, slot] = 1j * sx_vals
+    i_zz = 1j * zz
+    t_start, t_end, tau = p.t_start, p.t_end, p.tau_q
 
     def rhs(t, y):
-        sched = schedule_at(p, min(max(t, t_start), t_end))
-        out = rot @ y
-        out *= sched.h
-        np.multiply(signed_zz, y.reshape(2, d)[::-1], out=zz_term)
-        np.multiply(zz_term, sched.j, out=zz_term)
-        out += zz_term.ravel()
-        return out
+        # -iHc for H = -J zz - h sx, with J and h as schedule_at gives them
+        t = min(max(t, t_start), t_end)
+        c = y.view(complex)
+        out = np.einsum("dw,dw->d", c[sx_cols], i_sx)
+        out *= 1.0 - t / tau
+        out += (1.0 + t / tau) * i_zz * c
+        return out.view(float)
 
     # P^T |+> is real; bincount sums each orbit in ascending basis order
     c0 = np.bincount(orbit, weights=weight * _plus_state(n).real)
-    ys = _integrate(rhs, np.concatenate([c0, np.zeros(d)]), p, times,
+    ys = _integrate(rhs, c0.astype(complex).view(float), p, times,
                     rtol, atol, "statevector")
     return [DenseState(n_sites=n, t=float(t),
-                       data=weight * (y[:d] + 1j * y[d:])[orbit])
+                       data=weight * y.view(complex)[orbit])
             for t, y in zip(times, ys)]
 
 
@@ -331,11 +317,12 @@ def evolve_lindblad(
     sx[rows, cols] = sx_vals
     c0 = proj.T @ _plus_state(n)
     rho0 = np.outer(c0, c0.conj())
-    t_start, t_end = p.t_start, p.t_end
+    t_start, t_end, tau = p.t_start, p.t_end, p.tau_q
 
     def rhs(t, y):
-        sched = schedule_at(p, min(max(t, t_start), t_end))
-        ham = -sched.j * zz - sched.h * sx
+        # J and h as schedule_at gives them
+        t = min(max(t, t_start), t_end)
+        ham = -(1.0 + t / tau) * zz - (1.0 - t / tau) * sx
         # H is real: H rho acts on the rows of rho's float view.  rho is
         # Hermitian, so rho H = (H rho)^H, and the commutator C is
         # anti-Hermitian, so [H, C] = HC + (HC)^H.

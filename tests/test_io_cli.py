@@ -690,16 +690,15 @@ class TestCli:
                                        PYTHONPATH=os.pathsep.join(path))).stdout
 
     def test_import_leaves_scipy_solvers_unloaded(self):
-        # only the LSODA reference path needs scipy.integrate, only the
-        # oracle's continuous statevector run needs scipy.sparse, and each
-        # imports it when called
+        # only the LSODA reference path needs scipy.integrate, and it
+        # imports it when called; no kzchain code needs scipy.sparse
         code = ("import sys, kzchain.cli; print([m for m in ('scipy.integrate',"
                 " 'scipy.optimize', 'scipy.sparse') if m in sys.modules])")
         assert self._loaded_after(code).strip() == "[]"
 
     def test_oracle_leaves_scipy_solvers_unloaded(self):
-        # the oracle steps its own DOP853 port and builds the Lindblad
-        # sector operators as dense arrays, so a Lindblad run loads neither
+        # the oracle steps its own DOP853 port and builds its sector
+        # operators with numpy, so a Lindblad run loads neither
         # scipy.integrate, nor what it pulls in, nor scipy.sparse
         code = ("import sys, kzchain.cli; kzchain.cli.main(['oracle', '--n', "
                 "'6', '--tau-q', '1', '--lambda', '0.1']); print([m for m in "
@@ -709,8 +708,7 @@ class TestCli:
 
     def test_oracle_trotter_and_observables_load_no_scipy(self):
         # importing the oracle, a Trotter statevector run and its
-        # observables touch no scipy module: only the continuous
-        # statevector run imports scipy.sparse
+        # observables touch no scipy module
         code = ("import sys, kzchain.cli, kzchain.circuit, kzchain.oracle as o; "
                 "from kzchain.protocol import Evolution, QuenchProtocol; "
                 "p = QuenchProtocol(tau_q=1.0, evolution=Evolution.TROTTER, "
@@ -718,6 +716,14 @@ class TestCli:
                 "(p, 6)[-1], 1.0, 1.0); print([m for m in sys.modules "
                 "if m == 'scipy' or m.startswith('scipy.')])")
         assert self._loaded_after(code).strip() == "[]"
+
+    def test_oracle_statevector_loads_no_scipy(self):
+        # the continuous statevector run multiplies by the sector's
+        # transverse field as padded numpy rows
+        code = ("import sys, kzchain.cli; kzchain.cli.main(['oracle', '--n', "
+                "'8', '--tau-q', '1']); print([m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')])")
+        assert self._loaded_after(code).splitlines()[-1] == "[]"
 
     def test_output_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KZCHAIN_OUT", str(tmp_path / "envroot"))

@@ -16,11 +16,29 @@ from kzchain.correlators import (fermion_correlators, magnetization_x,
                                  xx_connected, zz_connected)
 from kzchain.mode_dynamics import run_quench
 from kzchain.observables import defect_density, run_record, total_energy
-from kzchain.oracle import (DenseState, _sector_terms, _sx_sum,
-                            _symmetric_sector, dense_hamiltonian,
-                            evolve_lindblad, evolve_statevector,
+from kzchain.oracle import (DenseState, _sector_terms, _symmetric_sector,
+                            _zz_diagonal, evolve_lindblad, evolve_statevector,
                             oracle_observables)
 from kzchain.protocol import Evolution, QuenchProtocol, Variant, schedule_at
+
+
+def _sx_sum(n):
+    """sum_i sigma^x_i as a scipy.sparse CSR matrix, shape (2^n, 2^n)."""
+    dim = 2**n
+    idx = np.arange(dim)
+    rows = np.concatenate([idx ^ (1 << i) for i in range(n)])
+    cols = np.tile(idx, n)
+    return sparse.csr_matrix(
+        (np.ones(n * dim), (rows, cols)), shape=(dim, dim)
+    )
+
+
+def dense_hamiltonian(n, j, h):
+    """H = -J sum sigma^z_i sigma^z_{i+1} - h sum sigma^x_i, periodic, as a
+    scipy.sparse CSR matrix in the full 2^n basis: the full-space
+    reference the sector evolutions are checked against."""
+    hz = sparse.diags(-j * _zz_diagonal(n), format="csr")
+    return (hz - h * _sx_sum(n)).tocsr()
 
 
 class TestHamiltonian:
@@ -51,7 +69,7 @@ def _plus(n):
 
 def _full_space_solve(p, n, times, y0, rhs_of_ham, rtol, atol):
     """Reference DOP853 solve in the full 2^n basis, H(t) built from the
-    public dense_hamiltonian; rhs_of_ham(ham, y) gives dy/dt."""
+    full-space dense_hamiltonian; rhs_of_ham(ham, y) gives dy/dt."""
     h_zz = dense_hamiltonian(n, 1.0, 0.0)
     h_x = dense_hamiltonian(n, 0.0, 1.0)
 
@@ -74,14 +92,22 @@ def _sector_matrix(n):
 
 
 class TestSymmetricSector:
-    """The shift- and flip-invariant sector the continuous evolutions use."""
+    """The shift-, reflection- and flip-invariant sector the continuous
+    evolutions use."""
 
-    @pytest.mark.parametrize("n, dim", [(4, 4), (6, 8), (8, 20), (10, 56),
-                                        (12, 180), (14, 596)])
+    @pytest.mark.parametrize("n, dim", [(4, 4), (6, 8), (8, 18), (10, 44),
+                                        (12, 122), (14, 362)])
     def test_isometry_invariant_under_h(self, n, dim):
         j, h = np.random.default_rng(n).uniform(-2.0, 2.0, size=2)
         proj = _sector_matrix(n)
         assert proj.shape == (2**n, dim)
+        # every orbit is closed under reversing the order of the sites
+        orbit, _ = _symmetric_sector(n)
+        idx = np.arange(2**n)
+        reversed_idx = np.zeros_like(idx)
+        for i in range(n):
+            reversed_idx |= ((idx >> i) & 1) << (n - 1 - i)
+        assert np.array_equal(orbit[reversed_idx], orbit)
         gram = (proj.T @ proj).toarray()
         assert np.max(np.abs(gram - np.eye(dim))) < 1e-13
         hp = dense_hamiltonian(n, j, h) @ proj
@@ -110,20 +136,21 @@ class TestSymmetricSector:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_statevector_matches_full_space(self, variant):
-        n = 8
+        # N = 8 is the first chain where the reflection merges orbits
         p = QuenchProtocol(tau_q=1.5, variant=variant)
         times = [p.t_start + 0.4 * p.duration, p.t_end]
 
         def rhs(ham, y):
             return (-1j * (ham @ y.view(complex))).view(float)
 
-        ref = _full_space_solve(p, n, times, _plus(n).view(float), rhs,
-                                rtol=1e-11, atol=1e-13)
-        states = evolve_statevector(p, n, sample_times=times)
-        assert [s.t for s in states] == times
-        for s, y in zip(states, ref):
-            s.validate()
-            assert np.max(np.abs(s.data - y.view(complex))) < 1e-9
+        for n in (8, 10):
+            ref = _full_space_solve(p, n, times, _plus(n).view(float), rhs,
+                                    rtol=1e-11, atol=1e-13)
+            states = evolve_statevector(p, n, sample_times=times)
+            assert [s.t for s in states] == times
+            for s, y in zip(states, ref):
+                s.validate()
+                assert np.max(np.abs(s.data - y.view(complex))) < 1e-9
 
     @pytest.mark.parametrize("lam", [0.2, 5.0])
     def test_lindblad_matches_full_space(self, lam):
@@ -334,7 +361,7 @@ class TestLindbladEvolution:
             evolve_lindblad(QuenchProtocol(tau_q=1.0), 5, 0.1)
 
     def test_density_matrix_cap(self):
-        # N = 8 is the largest chain: a 20 x 20 sector block
+        # N = 8 is the largest chain: an 18 x 18 sector block
         (rho,) = evolve_lindblad(QuenchProtocol(tau_q=0.2), 8, 0.1)
         rho.validate()
         with pytest.raises(ValueError, match=r"N = 10 outside supported range \[2, 8\]"):
