@@ -15,7 +15,6 @@ from .protocol import (
 )
 from .mode_dynamics import (
     ModeEnsemble,
-    evolve_continuous,
     run_quench,
 )
 from .correlators import (

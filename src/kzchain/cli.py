@@ -81,7 +81,7 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
     t_tables = time.perf_counter()
     rec = run_record(ensembles, p)
     t_profiles = time.perf_counter()
-    x_max = cfg.x_max if cfg.x_max is not None else cfg.n_sites // 2
+    x_max = cfg.n_sites // 2
     zz = zz_connected_profiles(rec.tables, x_max)
     xx = xx_connected_profiles(rec.tables, x_max)
     t_write = time.perf_counter()

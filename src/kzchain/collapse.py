@@ -20,8 +20,8 @@ decays run to 1e3, where whole designs underflow, so it keeps the SVD's
 rank cutoff.  The cell with the smallest score wins, and only the
 winner's decay is refined, by Brent's bounded minimiser (Brent,
 Algorithms for Minimization without Derivatives, 1973) between the
-neighbours of its best scan point, step for step as scipy's
-`minimize_scalar(method="bounded")` would run it on the same objective.
+neighbours of its best scan point: a scalar transcription of scipy's
+`minimize_scalar(method="bounded")`, which takes scipy's steps.
 So the RMSE surface holds each cell's best scanned decay, except the
 winner's cell, which holds its refined RMSE.  Refining every cell would
 lower a score by well under 1 per cent in the median and by up to 28 per
@@ -110,13 +110,6 @@ def rescale(ds: CorrelationDataset, a: float, b: float):
 _DECAY_SCAN = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
 _SCAN_CHUNK = 16  # decays per batched scan solve: temporaries stay at a few MB
 
-# constants of scipy.optimize's bounded Brent minimiser
-_GOLDEN_MEAN = 0.5 * (3.0 - np.sqrt(5.0))
-_SQRT_EPS = np.sqrt(2.2e-16)
-_XATOL = 1e-12
-_MAXFUN = 500
-
-
 def _designs(y: np.ndarray, powers: np.ndarray, decays: np.ndarray) -> np.ndarray:
     """Stacked designs exp(-d y)[:, None] * powers, one per decay: (k, n, m)."""
     return np.exp(-decays[:, None] * y)[:, :, None] * powers
@@ -155,81 +148,68 @@ def _lstsq(design: np.ndarray, v: np.ndarray):
     return coeffs, np.where(usable, rmse, np.inf)
 
 
-def _brent_tol(xf: np.ndarray) -> np.ndarray:
-    """scipy's tol1: the shortest step Brent takes from xf."""
-    return _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
+def _bounded_brent(func, lo: float, hi: float):
+    """Brent's bounded minimiser of the scalar function func on [lo, hi].
 
-
-def _brent_open(a, b, xf, num) -> np.ndarray:
-    """scipy's loop test: xf is not yet within the tolerance of the middle
-    of the bracket [a, b], and the evaluation budget is not spent."""
-    return ((np.abs(xf - 0.5 * (a + b)) > 2.0 * _brent_tol(xf) - 0.5 * (b - a))
-            & (num < _MAXFUN))
-
-
-def _bounded_brent(func, lo: np.ndarray, hi: np.ndarray):
-    """Brent's bounded minimiser run on many independent lanes in lockstep.
-
-    A lane-wise port of scipy.optimize.minimize_scalar(method="bounded")
-    with xatol = 1e-12 and maxiter = 500: every lane takes the steps and
-    comparisons scipy takes on its own, so x, fun and nfev match it
-    exactly.  func(x, lanes) returns f at x[i] for lane lanes[i]; each
-    iteration calls it once, on the lanes that are still open.
-    Returns (x, fun, nfev) per lane.
+    A statement-for-statement transcription of the loop of
+    scipy.optimize.minimize_scalar(method="bounded") with xatol = 1e-12 and
+    maxiter = 500, so x, fun and nfev match it exactly.  Returns
+    (x, fun, nfev).
     """
-    xf = lo + _GOLDEN_MEAN * (hi - lo)
-    fx = func(xf, np.arange(len(lo)))
-    zero, one = np.zeros(len(lo)), np.ones(len(lo))
-    # one row per scipy variable, one column per lane
-    state = np.array([lo, hi, xf, xf, xf, fx, fx, fx, zero, zero, one])
-    open_ = _brent_open(lo, hi, xf, one)
-    while open_.any():
-        lanes = np.flatnonzero(open_)
-        a, b, fulc, nfc, xf, fx, ffulc, fnfc, rat, e, num = state[:, lanes]
-        xm = 0.5 * (a + b)
-        tol1 = _brent_tol(xf)
-        tol2 = 2.0 * tol1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # parabola through the three best points, where the step
-            # before last was longer than tol1
-            para = np.abs(e) > tol1
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            ok = (para & (np.abs(p) < np.abs(0.5 * q * e))
-                  & (p > q * (a - xf)) & (p < q * (b - xf)))
-            e = np.where(para, rat, e)
-            rat_para = (p + 0.0) / q
-        x_para = xf + rat_para
-        near = ((x_para - a) < tol2) | ((b - x_para) < tol2)
-        si = np.sign(xm - xf) + ((xm - xf) == 0)
-        rat = np.where(ok, np.where(near, tol1 * si, rat_para), rat)
-        # golden section into the larger part everywhere else
-        e = np.where(ok, e, np.where(xf >= xm, a - xf, b - xf))
-        rat = np.where(ok, rat, _GOLDEN_MEAN * e)
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x, lanes)
-
-        better = fu <= fx
-        worse = ~better
-        a = np.where(better & (x >= xf), xf, np.where(worse & (x < xf), x, a))
-        b = np.where(better & ~(x >= xf), xf, np.where(worse & ~(x < xf), x, b))
-        shift = worse & ((fu <= fnfc) | (nfc == xf))
-        third = worse & ~shift & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-        fulc = np.where(better | shift, nfc, np.where(third, x, fulc))
-        ffulc = np.where(better | shift, fnfc, np.where(third, fu, ffulc))
-        nfc = np.where(better, xf, np.where(shift, x, nfc))
-        fnfc = np.where(better, fx, np.where(shift, fu, fnfc))
-        xf = np.where(better, x, xf)
-        fx = np.where(better, fu, fx)
-        num = num + 1
-        state[:, lanes] = (a, b, fulc, nfc, xf, fx, ffulc, fnfc, rat, e, num)
-        open_[lanes] = _brent_open(a, b, xf, num)
-    return state[4], state[5], state[10].astype(int)
+    xatol, maxfun = 1e-12, 500
+    sqrt_eps, golden_mean = np.sqrt(2.2e-16), 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while np.abs(xf - xm) > tol2 - 0.5 * (b - a) and num < maxfun:
+            golden = True
+            if np.abs(e) > tol1:  # parabola through the three best points
+                golden = False
+                r = (xf - nfc) * (fx - ffulc)
+                q = (xf - fulc) * (fx - fnfc)
+                p = (xf - fulc) * q - (xf - nfc) * r
+                q = 2.0 * (q - r)
+                if q > 0.0:
+                    p = -p
+                q = np.abs(q)
+                r, e = e, rat
+                if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                    rat = (p + 0.0) / q
+                    x = xf + rat
+                    if (x - a) < tol2 or (b - x) < tol2:
+                        rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+                else:
+                    golden = True
+            if golden:  # golden section into the larger part
+                e = a - xf if xf >= xm else b - xf
+                rat = golden_mean * e
+            x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+            fu = func(x)
+            num += 1
+            if fu <= fx:
+                a, b = (xf, b) if x >= xf else (a, xf)
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = xf, fx
+                xf, fx = x, fu
+            else:
+                a, b = (x, b) if x < xf else (a, x)
+                if fu <= fnfc or nfc == xf:
+                    fulc, ffulc = nfc, fnfc
+                    nfc, fnfc = x, fu
+                elif fu <= ffulc or fulc == xf or fulc == nfc:
+                    fulc, ffulc = x, fu
+            xm = 0.5 * (a + b)
+            tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+            tol2 = 2.0 * tol1
+    return xf, fx, num
 
 
 def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
@@ -267,12 +247,12 @@ def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
     y, p, col = ys[i], powers[i], v[:, [j]]
     k = int(np.argmin(scan[i, :, j]))
     x_opt, fun, _ = _bounded_brent(
-        lambda d, lanes: _lstsq(_designs(y, p, d), col)[1][:, 0],
-        _DECAY_SCAN[[max(k - 1, 0)]], _DECAY_SCAN[[min(k + 1, len(_DECAY_SCAN) - 1)]])
-    decay = x_opt if fun[0] <= rmse[i, j] else _DECAY_SCAN[[k]]
-    coeffs, r = _lstsq(_designs(y, p, decay), col)
+        lambda d: _lstsq(_designs(y, p, np.array([d])), col)[1][0, 0],
+        _DECAY_SCAN[max(k - 1, 0)], _DECAY_SCAN[min(k + 1, len(_DECAY_SCAN) - 1)])
+    decay = x_opt if fun <= rmse[i, j] else _DECAY_SCAN[k]
+    coeffs, r = _lstsq(_designs(y, p, np.array([decay])), col)
     rmse[i, j] = r[0, 0]
-    return rmse, cell, np.concatenate([decay, coeffs[0, :, 0]])
+    return rmse, cell, np.concatenate([[decay], coeffs[0, :, 0]])
 
 
 def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):

@@ -82,7 +82,6 @@ SETTINGS: Dict[str, Setting] = {s.key: s for s in (
     Setting("mode_dynamics.lambda", "lam", float, "--lambda", "QND coupling"),
     Setting("collapse.mask", "mask_threshold", float, "--mask",
             "correlator mask threshold, recorded in manifest.json"),
-    Setting("collapse.x_max", "x_max", int, "--x-max"),
 )}
 _NAMES = {s.field: f"{s.key} ({s.flag})" if s.flag else s.key
           for s in SETTINGS.values()}
@@ -100,7 +99,6 @@ class RunConfig:
     n_sites: int = 120
     lam: float = 0.0
     mask_threshold: float = DEFAULT_MASK_THEORY
-    x_max: Optional[int] = None
 
     def __post_init__(self):
         for name in ("lam", "mask_threshold"):
@@ -108,9 +106,6 @@ class RunConfig:
         if not (self.n_sites >= 2 and self.n_sites % 2 == 0):
             raise ValueError(f"{_NAMES['n_sites']} must be even and >= 2, "
                              f"got {self.n_sites}")
-        if self.x_max is not None and not 1 <= self.x_max <= self.n_sites // 2:
-            raise ValueError(f"{_NAMES['x_max']} must lie in [1, N/2] = "
-                             f"[1, {self.n_sites // 2}], got {self.x_max}")
         if self.evolution is Evolution.TROTTER:
             if self.dt is None or not self.steps:
                 raise ValueError(f"a Trotter run needs {_NAMES['dt']} and "

@@ -25,9 +25,8 @@ inclusive prefix scan; then each state is rotated once per sample.  At
 lam > 0 the dephasing makes the flow stiff; evolve_magnus_frame steps it
 in each mode's adiabatic frame, where the stiff part acts only on the
 (x, y) block, with 3x3 step propagators from a batched Padé exponential.
-evolve_continuous integrates all modes in one LSODA solve; it is the
-slow, independent reference the batched paths are tested against, and
-it takes their signature and returns their (n_samples, n_modes, 3).
+The tests check both paths against an independent reference, one LSODA
+solve of all modes (scipy.integrate), so the package needs numpy only.
 
 A sample of the whole chain is a ModeEnsemble: one (n_modes, 3) float
 array whose row i is the Bloch vector of mode grid.modes[i].
@@ -52,7 +51,6 @@ from .protocol import (
 
 __all__ = [
     "ModeEnsemble",
-    "evolve_continuous",
     "check_tolerance",
     "evolve_magnus",
     "evolve_magnus_frame",
@@ -63,7 +61,6 @@ __all__ = [
 ]
 
 DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
 
 # Magnus-4 steps are sized by dt^4 = MAGNUS_STEP_SCALE * rtol * tau_q.  The
 # global error on a linear quench is close to 0.6 dt^4 / tau_q for every
@@ -119,61 +116,6 @@ class ModeEnsemble:
     @property
     def n_sites(self) -> int:
         return self.grid.n_sites
-
-
-def evolve_continuous(
-    p: QuenchProtocol,
-    lam: float,
-    modes: Sequence[float],
-    sample_times: Sequence[float],
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> np.ndarray:
-    """Reference evolution of every mode at once, from its ground state at
-    t_start, sampled at the sample times.
-
-    Returns the Bloch vectors, shape (n_samples, n_modes, 3).
-
-    One LSODA solve (Petzold, SIAM J. Sci. Stat. Comput. 4, 136 (1983))
-    of the 3M-dimensional system from t_start to the last sample time: the
-    damping rate 4*lam*|h_k|^2 makes it stiff at large lam, and the solver
-    switches to BDF there on its own.  The state is mode-major, [x, y, z]
-    of mode 0, then of mode 1, and so on, so the Jacobian is
-    block-diagonal with 3x3 blocks and a band of width 2 on either side
-    holds it; LSODA builds it by finite differences.  Error-controlled
-    Adams/BDF shares nothing with the Magnus paths it is tested against.
-    """
-    lam = check_nonnegative("lam", lam)
-    rtol = check_tolerance("rtol", rtol)
-    atol = check_tolerance("atol", atol)
-    times = check_sample_times(p, sample_times)
-    modes = np.asarray(modes, dtype=float).reshape(-1)
-    n0 = _ground_states(modes)
-    if times[-1] == p.t_start:
-        # solve_ivp returns no state on a zero-length span
-        return n0[None]
-    sin_k, cos_k = np.sin(modes), np.cos(modes)
-
-    def rhs(t, y):
-        # dn/dt = -2 c + 4 lam h x c with c = h x n and h_x = 0
-        j, h = 1.0 + t / p.tau_q, 1.0 - t / p.tau_q
-        hy, hz = (2.0 * j) * sin_k, 2.0 * h - (2.0 * j) * cos_k
-        nx, ny, nz = y.reshape(-1, 3).T
-        cx, cy, cz = hy * nz - hz * ny, hz * nx, -hy * nx
-        out = np.empty_like(n0)
-        out[:, 0] = (4.0 * lam) * (hy * cz - hz * cy) - 2.0 * cx
-        out[:, 1] = (4.0 * lam) * (hz * cx) - 2.0 * cy
-        out[:, 2] = (-4.0 * lam) * (hy * cx) - 2.0 * cz
-        return out.reshape(-1)
-
-    from scipy.integrate import solve_ivp  # only the reference path needs it
-
-    sol = solve_ivp(rhs, (p.t_start, times[-1]), n0.reshape(-1),
-                    method="LSODA", t_eval=times, rtol=rtol, atol=atol,
-                    lband=2, uband=2)
-    if not sol.success:
-        raise RuntimeError(f"LSODA reference integration failed: {sol.message}")
-    return sol.y.T.reshape(len(times), len(modes), 3)
 
 
 def check_tolerance(key: str, value: float) -> float:

@@ -75,6 +75,8 @@ class DenseState:
         return self.data.ndim == 2
 
     def validate(self, tol: float = 1e-9):
+        """Raise ValueError unless the norm (trace) is 1 to within tol, and
+        a density matrix is also Hermitian and positive to within tol."""
         if self.is_density_matrix:
             rho = self.data
             if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
@@ -84,7 +86,7 @@ class DenseState:
             if np.min(np.linalg.eigvalsh(rho)) < -tol:
                 raise ValueError("density matrix not positive semidefinite")
         else:
-            if abs(np.linalg.norm(self.data) - 1.0) > 1e-10:
+            if abs(np.linalg.norm(self.data) - 1.0) > tol:
                 raise ValueError("statevector norm drifted from 1")
 
 

@@ -1,4 +1,5 @@
 import logging
+from functools import partial
 
 import numpy as np
 import pytest
@@ -168,34 +169,34 @@ class TestFitFamily:
 
 class TestBoundedBrent:
     def test_matches_minimize_scalar(self):
-        """Every lane takes exactly the steps scipy's bounded Brent takes."""
+        """On every problem the scalar routine takes exactly the steps
+        scipy's bounded Brent takes."""
         rng = np.random.default_rng(11)
         n = 150
         lo = rng.uniform(-2.0, 2.0, n)
         hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, n)
-        # minima inside and outside the bracket, some on a kink; some lanes
-        # are inf past a wall, as an unusable least-squares fit scores
+        # minima inside and outside the bracket, some on a kink; some
+        # problems are inf past a wall, as an unusable least-squares fit scores
         centre = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo))
         curv = 10.0 ** rng.uniform(-2.0, 2.0, n)
         quartic = rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.5)
         kink = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.3)
         wall = np.where(rng.random(n) < 0.2, rng.uniform(lo, hi), np.inf)
 
-        def f(x, lanes):
-            dx = x - centre[lanes]
-            val = curv[lanes] * dx * dx + quartic[lanes] * dx * dx * dx * dx \
-                + kink[lanes] * np.abs(dx)
-            return np.where(x > wall[lanes], np.inf, val)
+        def f(x, i):
+            dx = x - centre[i]
+            val = curv[i] * dx * dx + quartic[i] * dx * dx * dx * dx \
+                + kink[i] * np.abs(dx)
+            return np.inf if x > wall[i] else float(val)
 
-        x, fun, nfev = _bounded_brent(f, lo, hi)
+        x, nfev = np.empty(n), np.empty(n, dtype=int)
         for i in range(n):
+            x[i], fun, nfev[i] = _bounded_brent(partial(f, i=i), lo[i], hi[i])
             with np.errstate(invalid="ignore"):  # scipy's parabola on inf
-                res = minimize_scalar(
-                    lambda t: float(f(np.array([t]), np.array([i]))[0]),
-                    bounds=(lo[i], hi[i]), method="bounded",
-                    options={"xatol": 1e-12})
-            assert (x[i], fun[i], nfev[i]) == (res.x, res.fun, res.nfev), i
-        # the lanes finish at many different iterations, and some at a bound
+                res = minimize_scalar(partial(f, i=i), bounds=(lo[i], hi[i]),
+                                      method="bounded", options={"xatol": 1e-12})
+            assert (x[i], fun, nfev[i]) == (res.x, res.fun, res.nfev), i
+        # the problems finish at many different iterations, and some at a bound
         assert len(np.unique(nfev)) >= 10
         at_bound = (x - lo < 1e-6 * (hi - lo)) | (hi - x < 1e-6 * (hi - lo))
         assert np.sum(at_bound) >= 10

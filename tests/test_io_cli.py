@@ -546,8 +546,6 @@ class TestCli:
     @pytest.mark.parametrize("args, flag", [
         (["--n", "7", "--tau-q", "2"], "--n"),
         (["--n", "eight", "--tau-q", "2"], "--n"),
-        (["--n", "8", "--tau-q", "2", "--x-max", "9"], "--x-max"),
-        (["--n", "8", "--tau-q", "2", "--x-max", "0"], "--x-max"),
         (["--n", "8", "--tau-q", "2", "--dt", "0.25", "--steps", "8"], "--dt"),
         (["--n", "8", "--tau-q", "2", "--steps", "8"], "--steps"),
         (["--n", "8", "--trotter", "--steps", "8"], "--dt"),
@@ -565,9 +563,8 @@ class TestCli:
          "protocol.dt (--dt)"),
         (["--n", "8", "--trotter", "--dt", "-0.25", "--steps", "8"],
          "protocol.dt (--dt)"),
-    ], ids=["odd_n", "n_not_int", "x_max_above_half", "x_max_zero",
-            "continuous_dt", "continuous_steps", "trotter_without_dt",
-            "continuous_last", "trotter_tau_q", "trotter_lambda", "mask_nan",
+    ], ids=["odd_n", "n_not_int", "continuous_dt", "continuous_steps",
+            "trotter_without_dt", "continuous_last", "trotter_tau_q", "trotter_lambda", "mask_nan",
             "tau_q_inf", "tau_q_nan", "tau_q_zero", "dt_inf", "dt_negative"])
     def test_quench_rejects_bad_settings_before_running(self, tmp_path, capsys,
                                                         args, flag):
@@ -690,8 +687,7 @@ class TestCli:
                                        PYTHONPATH=os.pathsep.join(path))).stdout
 
     def test_import_leaves_scipy_solvers_unloaded(self):
-        # only the LSODA reference path needs scipy.integrate, and it
-        # imports it when called; no kzchain code needs scipy.sparse
+        # no kzchain module imports scipy
         code = ("import sys, kzchain.cli; print([m for m in ('scipy.integrate',"
                 " 'scipy.optimize', 'scipy.sparse') if m in sys.modules])")
         assert self._loaded_after(code).strip() == "[]"
@@ -724,6 +720,38 @@ class TestCli:
                 "'8', '--tau-q', '1']); print([m for m in sys.modules "
                 "if m == 'scipy' or m.startswith('scipy.')])")
         assert self._loaded_after(code).splitlines()[-1] == "[]"
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        # the package needs numpy only: with every scipy import failing,
+        # each subcommand still runs to exit status 0
+        code = f"""
+import glob, sys
+sys.modules["scipy"] = None
+from kzchain.cli import main
+out = {str(tmp_path)!r}
+rcs = [main(args) for args in (
+    ["quench", "--n", "16", "--tau-q", "1,2,3", "--lambda", "1", "--serial",
+     "--out", out + "/cont"],
+    ["quench", "--n", "8", "--trotter", "--dt", "0.25", "--steps", "4,6",
+     "--serial", "--out", out + "/trot"],
+    ["oracle", "--n", "6", "--tau-q", "1"],
+    ["oracle", "--n", "6", "--tau-q", "1", "--lambda", "0.1"],
+    ["oracle", "--n", "6", "--trotter", "--dt", "0.25", "--steps", "4"],
+    ["emit-qasm", "--n", "4", "--dt", "0.5", "--steps", "2", "--out", out],
+)]
+rcs.append(main(["collapse", *sorted(glob.glob(out + "/cont/*/correlators.csv")),
+                 "--out", out]))
+rcs.append(main(["observables", sorted(glob.glob(out + "/trot/*"))[0]]))
+print(rcs)
+"""
+        assert self._loaded_after(code).splitlines()[-1] == str([0] * 8)
+
+    def test_quench_refuses_x_max(self, capsys):
+        # correlators.csv always holds every separation up to N/2
+        with pytest.raises(SystemExit) as exc:
+            main(["quench", "--n", "8", "--tau-q", "2", "--x-max", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --x-max 4" in capsys.readouterr().err
 
     def test_output_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KZCHAIN_OUT", str(tmp_path / "envroot"))

@@ -149,7 +149,7 @@ class TestSymmetricSector:
             states = evolve_statevector(p, n, sample_times=times)
             assert [s.t for s in states] == times
             for s, y in zip(states, ref):
-                s.validate()
+                s.validate(tol=1e-10)
                 assert np.max(np.abs(s.data - y.view(complex))) < 1e-9
 
     @pytest.mark.parametrize("lam", [0.2, 5.0])
@@ -299,7 +299,13 @@ class TestStatevectorEvolution:
     def test_norm_preserved(self):
         p = QuenchProtocol(tau_q=1.0)
         (s,) = evolve_statevector(p, 4)
-        s.validate()
+        s.validate(tol=1e-10)
+
+    def test_validate_checks_norm_against_tol(self):
+        drifted = DenseState(4, 0.0, _plus(4) * (1 + 1e-9))
+        drifted.validate(tol=1e-6)
+        with pytest.raises(ValueError, match="statevector norm drifted"):
+            drifted.validate(tol=1e-10)
 
     def test_sudden_quench_stays_plus(self):
         p = QuenchProtocol(tau_q=1e-4)
