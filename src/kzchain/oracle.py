@@ -18,9 +18,11 @@ amplitudes which are zero at every t, not a truncation.  The sector
 holds d = 4, 8, 18, 44, 122, 362 states at N = 4, 6, ..., 14, out of
 2^N.  States are returned in the full 2^N basis.  Trotter runs apply the
 gate layers to the full vector, as the circuit comparison needs.  The
-sector operators are built from orbit labels by index arithmetic, and
-the expectation values of `oracle_observables` are a few contractions
-over the basis, not one sum per Pauli string.
+sector operators are read off the smallest member of each orbit, and
+`oracle_observables` reads every moment off two fast Walsh-Hadamard
+transforms, of the probabilities in the computational and in the
+Hadamard basis, not one sum per Pauli string: O(2^N) memory for a
+statevector.
 
 Both continuous evolutions step `_dop853`, an in-repo DOP853 whose
 states equal `solve_ivp(method="DOP853")`'s bit for bit.  The sector
@@ -99,12 +101,6 @@ def _check_n(n: int, cap: int = MAX_N_STATEVECTOR):
         raise ValueError("quench protocols use even N")
 
 
-def _spin_bits(n: int) -> np.ndarray:
-    """sigma^z eigenvalues s_i = +/-1 per basis index, shape (2^n, n)."""
-    idx = np.arange(2**n)
-    return 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
-
-
 def _shift(states: np.ndarray, n: int) -> np.ndarray:
     """Basis indices cyclically shifted by one site: bit i + 1 moves to i."""
     return (states >> 1) | ((states & 1) << (n - 1))
@@ -118,18 +114,21 @@ def _reverse(states: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _zz_diagonal(n: int) -> np.ndarray:
+def _zz_diagonal(states: np.ndarray, n: int) -> np.ndarray:
     """sum_i s_i s_{i+1} per basis index: n bonds minus twice the domain
     walls, the bits where a state differs from its shift."""
-    idx = np.arange(2**n)
-    walls = idx ^ _shift(idx, n)
-    return n - 2.0 * np.sum((walls[:, None] >> np.arange(n)) & 1, axis=1)
+    walls = states ^ _shift(states, n)
+    count = np.zeros_like(walls)
+    for i in range(n):
+        count += (walls >> i) & 1
+    return n - 2.0 * count
 
 
 def _symmetric_sector(n: int):
     """The isometry P, shape (2^n, d), onto the sector invariant under the
     shift, the reflection and the flip, as two arrays over the basis: the
-    orbit label of each basis state and its weight 1/sqrt|orbit|.
+    orbit label of each basis state and its weight 1/sqrt|orbit|; and the
+    smallest member of each orbit, in orbit order.
 
     Column c of P is the orbit sum of the c-th orbit of basis states under
     the group those three generate, with orbits ordered by their smallest
@@ -143,8 +142,8 @@ def _symmetric_sector(n: int):
         for _ in range(n):
             rep = np.minimum(rep, np.minimum(rot, rot ^ mask))
             rot = _shift(rot, n)
-    _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
-    return orbit, 1.0 / np.sqrt(size[orbit])
+    reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+    return orbit, 1.0 / np.sqrt(size[orbit]), reps
 
 
 @functools.lru_cache(maxsize=4)
@@ -157,20 +156,22 @@ def _sector_terms(n: int):
     sum P^T sx P is a sparse d x d matrix: its entry (a, b) sums
     P[s, a] P[s ^ 2^i, b] = 1/sqrt(|O_a||O_b|) over every state s in orbit
     a and site i with s ^ 2^i in orbit b, so it is the number of such
-    pairs over sqrt(|O_a||O_b|).  One bincount over all n 2^n pairs
-    (orbit(s), orbit(s ^ 2^i)) gives every count.  The nonzero entries are
-    returned as (rows, cols, values), rows ascending and cols ascending
-    within a row; each caller builds the matrix it multiplies with.
+    pairs over sqrt(|O_a||O_b|).  The shift, reflection and flip map the
+    n flips of s onto the n flips of their image, so every member of O_a
+    has as many flips into O_b as its smallest member r_a: the count is
+    |O_a| times that of r_a, read off the n d pairs (a, orbit(r_a ^ 2^i)).
+    zz is read off r_a too.  The nonzero entries are returned as (rows,
+    cols, values), rows ascending and cols ascending within a row; each
+    caller builds the matrix it multiplies with.
     """
-    orbit, weight = _symmetric_sector(n)
+    orbit, weight, reps = _symmetric_sector(n)
     size = np.bincount(orbit)
     d = size.size
-    zz = np.bincount(orbit, weights=_zz_diagonal(n)) / size
-    flipped = orbit[np.arange(2**n) ^ (1 << np.arange(n))[:, None]]
-    pairs = np.bincount((orbit * d + flipped).ravel(), minlength=d * d)
-    key = np.flatnonzero(pairs)
+    zz = _zz_diagonal(reps, n)
+    flipped = orbit[reps ^ (1 << np.arange(n))[:, None]]
+    key, count = np.unique(np.arange(d) * d + flipped, return_counts=True)
     a, b = np.divmod(key, d)
-    vals = pairs[key] / np.sqrt(size[a] * size[b])
+    vals = count * size[a] / np.sqrt(size[a] * size[b])
     for arr in (orbit, weight, zz, a, b, vals):
         arr.flags.writeable = False
     return orbit, weight, zz, (a, b, vals)
@@ -213,7 +214,7 @@ def _apply_rx_layer(psi: np.ndarray, n: int, phi: float) -> np.ndarray:
 
 
 def _trotter_statevector(p: QuenchProtocol, n: int) -> List[DenseState]:
-    zz = _zz_diagonal(n)
+    zz = _zz_diagonal(np.arange(2**n), n)
     psi = _plus_state(n)
     out = []
     for t_s in p.step_times():
@@ -349,58 +350,56 @@ def evolve_lindblad(
     return out
 
 
-def _probabilities(s: DenseState) -> np.ndarray:
-    if s.is_density_matrix:
-        return np.real(np.diag(s.data))
-    return np.abs(s.data) ** 2
+def _wht(v: np.ndarray) -> np.ndarray:
+    """The Walsh-Hadamard transform of a contiguous vector of length 2^n,
+    unnormalised and in place: v[m] becomes sum_s (-1)^|m & s| v[s].  One
+    butterfly per bit, with a half-length temporary (Fino & Algazi, IEEE
+    Trans. Comput. C-25, 1142 (1976))."""
+    step = 1
+    while step < v.size:
+        pairs = v.reshape(-1, 2, step)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(low, pairs[:, 1], out=pairs[:, 1])
+        step *= 2
+    return v
 
 
-def _x_moments(s: DenseState):
-    """<x_i>, shape (n,), and the matrix of <x_i x_j>, shape (n, n), whose
-    diagonal is not used.
-
-    A statevector gives <x_i x_j> = Re <X_i psi|X_j psi>: one Gram product
-    of the n vectors X_i psi, each psi with its bit-i axis reversed.  A
-    density matrix gives Tr(rho X_m) = sum_s rho[s, s ^ m] for every mask
-    m = 2^i | 2^j at once, which is 2^i, and so <x_i>, on the diagonal.
-    """
+def _pauli_moments(s: DenseState):
+    """<Z_m> and <X_m> for every mask m of 2^n, Z_m the product of sigma^z
+    over the sites in m.  <Z_m> = sum_s p(s) (-1)^|m & s| is the transform
+    of the basis probabilities p.  X_m is Z_m conjugated by the Hadamard
+    layer W / sqrt(2^n), so <X_m> is the transform of the Hadamard-basis
+    probabilities |W psi|^2 / 2^n, or diag(W rho W) / 2^n: one transform
+    over the 2n bits of rho's flat index, as Im rho is antisymmetric."""
     n = s.n_sites
     if s.is_density_matrix:
-        idx = np.arange(2**n)
-        bits = 1 << np.arange(n)
-        masks = bits[:, None] | bits
-        moments = np.real(np.sum(s.data[idx, idx ^ masks[..., None]], axis=-1))
-        return np.diag(moments).copy(), moments
-    psi = np.ascontiguousarray(s.data, dtype=complex)
-    flipped = np.stack([psi.reshape(2 ** (n - 1 - i), 2, 2**i)[:, ::-1].ravel()
-                        for i in range(n)])
-    # Re <u|v> is the dot product of the float views of u and v
-    flipped = flipped.view(float)
-    return flipped @ psi.view(float), flipped @ flipped.T
+        p = np.diag(s.data).real.copy()
+        q = np.diag(_wht(s.data.real.flatten()).reshape(s.data.shape)) / 2**n
+    else:
+        p = np.abs(s.data) ** 2
+        q = np.abs(_wht(s.data.astype(complex))) ** 2 / 2**n
+    return _wht(p), _wht(q)
 
 
 def oracle_observables(s: DenseState, j: float, h: float) -> dict:
     """Direct expectation values: site-resolved and site-averaged.
 
-    All two-point moments come from two contractions over the basis:
-    <z_i z_j> = sum_s p(s) s_i s_j as one product of the spin table with
-    itself weighted by the probabilities p, and <x_i x_j> from
-    `_x_moments`.  The energy is -J sum_i <z_i z_{i+1}> - h sum_i <x_i>.
+    Every moment is read off `_pauli_moments`: <z_i> and <z_i z_j> are
+    <Z_m> at the masks 2^i and 2^i | 2^j, and likewise for x.  The energy
+    is -J sum_i <z_i z_{i+1}> - h sum_i <x_i>.
     """
     n = s.n_sites
-    p = _probabilities(s)
-    spins = _spin_bits(n)
-    sz = p @ spins
-    zz = spins.T @ (p[:, None] * spins)
-    sx, xx = _x_moments(s)
-    sites = np.arange(n)
-    zz_bond = zz[sites, (sites + 1) % n]
+    z_m, x_m = _pauli_moments(s)
+    bits = 1 << np.arange(n)
+    sz, sx = z_m[bits], x_m[bits]
+    zz_bond = z_m[bits | np.roll(bits, -1)]
     n_def = float(np.mean(1.0 - zz_bond) / 2.0)
     c_zz, c_xx = {}, {}
     for x in range(1, n // 2 + 1):
-        pair = (sites, (sites + x) % n)
-        c_zz[x] = float(np.mean(zz[pair] - sz * np.roll(sz, -x)))
-        c_xx[x] = float(np.mean(xx[pair] - sx * np.roll(sx, -x)))
+        pair = bits | np.roll(bits, -x)
+        c_zz[x] = float(np.mean(z_m[pair] - sz * np.roll(sz, -x)))
+        c_xx[x] = float(np.mean(x_m[pair] - sx * np.roll(sx, -x)))
     energy = float(-j * np.sum(zz_bond) - h * np.sum(sx))
     return {
         "m_x": sx, "m_z": sz, "c_zz": c_zz, "c_xx": c_xx,

@@ -6,6 +6,8 @@ momentum decomposition and no Pfaffian.  Agreement with the mode pipeline
 is therefore evidence for the whole free-fermion chain of reasoning.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -16,8 +18,9 @@ from kzchain.correlators import (fermion_correlators, magnetization_x,
                                  xx_connected, zz_connected)
 from kzchain.mode_dynamics import run_quench
 from kzchain.observables import defect_density, run_record, total_energy
-from kzchain.oracle import (DenseState, _sector_terms, _symmetric_sector,
-                            _zz_diagonal, evolve_lindblad, evolve_statevector,
+from kzchain.oracle import (DenseState, _pauli_moments, _sector_terms,
+                            _symmetric_sector, _wht, _zz_diagonal,
+                            evolve_lindblad, evolve_statevector,
                             oracle_observables)
 from kzchain.protocol import Evolution, QuenchProtocol, Variant, schedule_at
 
@@ -37,7 +40,7 @@ def dense_hamiltonian(n, j, h):
     """H = -J sum sigma^z_i sigma^z_{i+1} - h sum sigma^x_i, periodic, as a
     scipy.sparse CSR matrix in the full 2^n basis: the full-space
     reference the sector evolutions are checked against."""
-    hz = sparse.diags(-j * _zz_diagonal(n), format="csr")
+    hz = sparse.diags(-j * _zz_diagonal(np.arange(2**n), n), format="csr")
     return (hz - h * _sx_sum(n)).tocsr()
 
 
@@ -86,9 +89,25 @@ def _full_space_solve(p, n, times, y0, rhs_of_ham, rtol, atol):
 def _sector_matrix(n):
     """The sector isometry P as a sparse (2^n, d) matrix, built from the
     orbit labels and weights that _symmetric_sector returns."""
-    orbit, weight = _symmetric_sector(n)
+    orbit, weight, _ = _symmetric_sector(n)
     return sparse.csr_matrix((weight, (np.arange(2**n), orbit)),
                              shape=(2**n, orbit.max() + 1))
+
+
+def _full_basis_sector_terms(n):
+    """zz and the transverse-field entries (rows, cols, values) of the
+    sector, counted over every basis state: zz averaged over each orbit,
+    and one bincount over all n 2^n pairs (orbit(s), orbit(s ^ 2^i)).
+    The reference for _sector_terms' counts off orbit representatives."""
+    orbit, _, _ = _symmetric_sector(n)
+    size = np.bincount(orbit)
+    d = size.size
+    zz = np.bincount(orbit, weights=_zz_diagonal(np.arange(2**n), n)) / size
+    flipped = orbit[np.arange(2**n) ^ (1 << np.arange(n))[:, None]]
+    pairs = np.bincount((orbit * d + flipped).ravel(), minlength=d * d)
+    key = np.flatnonzero(pairs)
+    a, b = np.divmod(key, d)
+    return zz, a, b, pairs[key] / np.sqrt(size[a] * size[b])
 
 
 class TestSymmetricSector:
@@ -102,8 +121,11 @@ class TestSymmetricSector:
         proj = _sector_matrix(n)
         assert proj.shape == (2**n, dim)
         # every orbit is closed under reversing the order of the sites
-        orbit, _ = _symmetric_sector(n)
+        orbit, _, reps = _symmetric_sector(n)
         idx = np.arange(2**n)
+        # reps[c] is the smallest member of orbit c
+        assert np.array_equal(orbit[reps], np.arange(dim))
+        assert np.all(reps[orbit] <= idx)
         reversed_idx = np.zeros_like(idx)
         for i in range(n):
             reversed_idx |= ((idx >> i) & 1) << (n - 1 - i)
@@ -133,6 +155,14 @@ class TestSymmetricSector:
         # the entries are exactly the nonzeros of P^T sx P, each once
         assert np.array_equal(np.flatnonzero(sx), np.flatnonzero(ref_sx))
         assert rows.size == np.count_nonzero(ref_sx)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
+    def test_representative_counts_equal_full_basis_counts(self, n):
+        _, _, zz, (rows, cols, vals) = _sector_terms(n)
+        ref = _full_basis_sector_terms(n)
+        for got, want in zip((zz, rows, cols, vals), ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_statevector_matches_full_space(self, variant):
@@ -448,7 +478,7 @@ class TestPipelineAgainstOracle:
 
 def _observables_by_string(s, j, h):
     """Every expectation value as its own sum over the basis, one Pauli
-    string at a time: the route oracle_observables' contractions replace."""
+    string at a time: the route oracle_observables' transforms replace."""
     n = s.n_sites
     idx = np.arange(2**n)
     spins = 1 - 2 * ((idx[:, None] >> np.arange(n)) & 1)
@@ -495,22 +525,92 @@ def _test_states(n):
     return [DenseState(n, 0.3, psi), DenseState(n, 0.3, rho), evolved, mixed]
 
 
+def _assert_matches_strings(s):
+    for j, h in [(1.0, 1.0), (0.7, 1.3)]:
+        got = oracle_observables(s, j, h)
+        ref = _observables_by_string(s, j, h)
+        for key in ("m_x", "m_z"):
+            np.testing.assert_allclose(got[key], ref[key], rtol=0, atol=1e-13)
+        for key in ("n_def", "energy"):
+            assert got[key] == pytest.approx(ref[key], abs=1e-13)
+        for key in ("c_zz", "c_xx"):
+            assert got[key].keys() == ref[key].keys()
+            for x in ref[key]:
+                assert got[key][x] == pytest.approx(ref[key][x], abs=1e-13)
+
+
+@pytest.fixture(scope="module")
+def evolved_14():
+    """An N = 14 statevector at t = 0.3 of a tau_q = 1.2 full quench."""
+    p = QuenchProtocol(tau_q=1.2, variant=Variant.FULL_QUENCH)
+    return evolve_statevector(p, 14, sample_times=[0.3])[0]
+
+
 class TestObservablesAgainstStrings:
     """oracle_observables against one sum per Pauli string."""
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_matches_per_string_sums(self, n):
         for s in _test_states(n):
-            for j, h in [(1.0, 1.0), (0.7, 1.3)]:
-                got = oracle_observables(s, j, h)
-                ref = _observables_by_string(s, j, h)
-                for key in ("m_x", "m_z"):
-                    np.testing.assert_allclose(got[key], ref[key], rtol=0,
-                                               atol=1e-13)
-                for key in ("n_def", "energy"):
-                    assert got[key] == pytest.approx(ref[key], abs=1e-13)
-                for key in ("c_zz", "c_xx"):
-                    assert got[key].keys() == ref[key].keys()
-                    for x in ref[key]:
-                        assert got[key][x] == pytest.approx(ref[key][x],
-                                                            abs=1e-13)
+            _assert_matches_strings(s)
+
+    def test_matches_per_string_sums_at_largest_statevector(self, evolved_14):
+        # N = 14, where the transforms sum the most terms and round most
+        rng = np.random.default_rng(14)
+        psi = rng.standard_normal(2**14) + 1j * rng.standard_normal(2**14)
+        for s in (DenseState(14, 0.3, psi / np.linalg.norm(psi)), evolved_14):
+            _assert_matches_strings(s)
+
+
+def _sylvester(n):
+    """The 2^n x 2^n Hadamard matrix, entry (m, s) = (-1)^|m & s|."""
+    mat = np.ones((1, 1))
+    for _ in range(n):
+        mat = np.block([[mat, mat], [mat, -mat]])
+    return mat
+
+
+def _traced_peak(fun):
+    """The tracemalloc peak, in bytes, of one call of fun."""
+    tracemalloc.start()
+    try:
+        fun()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPauliMoments:
+    """The Walsh-Hadamard route to every Z- and X-string moment."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_wht_is_sylvester_hadamard(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        want = _sylvester(n) @ v
+        got = v.copy()
+        assert _wht(got) is got
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        ints = rng.integers(-9, 10, size=2**n).astype(float)
+        assert np.array_equal(_wht(ints.copy()), _sylvester(n) @ ints)
+
+    def test_pure_density_matrix_gives_statevector_moments(self):
+        n = 6
+        rng = np.random.default_rng(n)
+        psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        p = QuenchProtocol(tau_q=1.0, variant=Variant.FULL_QUENCH)
+        evolved = evolve_statevector(p, n, sample_times=[0.3])[0].data
+        for vec in (psi / np.linalg.norm(psi), evolved):
+            pure = DenseState(n, 0.3, np.outer(vec, vec.conj()))
+            for got, want in zip(_pauli_moments(pure),
+                                 _pauli_moments(DenseState(n, 0.3, vec))):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_observables_memory(self, evolved_14):
+        # the moments take O(2^N) memory: a few copies of the 256 KB state
+        peak = _traced_peak(lambda: oracle_observables(evolved_14, 1.0, 1.0))
+        assert peak <= 1.5e6
+
+    def test_sector_terms_memory(self):
+        _sector_terms.cache_clear()
+        assert _traced_peak(lambda: _sector_terms(14)) <= 3e6
