@@ -24,15 +24,16 @@ transforms, of the probabilities in the computational and in the
 Hadamard basis, not one sum per Pauli string: O(2^N) memory for a
 statevector.
 
-Both continuous evolutions step `_dop853`, an in-repo DOP853 whose
-states equal `solve_ivp(method="DOP853")`'s bit for bit.  The sector
-projector is two arrays, the orbit label and the weight of each basis
-state; the sector terms are a ZZ vector and the entries of the
-transverse-field matrix, which the statevector run multiplies by as rows
-padded to at most N entries: one gather and one einsum per right-hand
-side, about 21 us at N = 14 on a 2-core Xeon with one BLAS thread, as
-fast as the sparse-matrix product it replaced on the cyclic sector's
-d = 596.  So this module, and every oracle run, needs numpy only.
+Both continuous evolutions are stepped by their Taylor series
+(`_taylor`).  The generators, -iH(t) and the master equation's, are
+polynomial in t, so each term of the series follows exactly from the
+terms before it, with no tableau and no error estimate, and a step ends
+on each sample time.  The sector projector is two arrays, the orbit
+label and the weight of each basis state; the sector terms are a ZZ
+vector and the entries of the transverse-field matrix, which the
+statevector run multiplies by as rows padded to at most N entries: one
+gather and one einsum per term.  So this module, and every oracle run,
+needs numpy only.
 
 The caps are desk-scale memory limits, not tunables.  For N = 2 the
 wraparound bond double-counts the single physical bond; the Hamiltonian
@@ -60,7 +61,7 @@ __all__ = [
 
 MAX_N_STATEVECTOR = 14
 # an 18 x 18 sector block at N = 8, where a tau_q = 2 quench at lam = 1
-# takes about 0.1 s
+# takes about 0.08 s
 MAX_N_DENSITY = 8
 
 
@@ -177,23 +178,41 @@ def _sector_terms(n: int):
     return orbit, weight, zz, (a, b, vals)
 
 
-def _integrate(rhs, y0: np.ndarray, p: QuenchProtocol, times: np.ndarray,
-               rtol: float, atol: float, what: str) -> np.ndarray:
-    """DOP853 (the `_dop853` port) from p.t_start to the last sample
-    time; the state at each sample time, shape (len(times), y0.size), in
-    contiguous rows that the evolutions view as complex.  A step below
-    ten float spacings of t raises a RuntimeError naming `what`."""
-    if times[-1] == p.t_start:
-        # the port integrates over a span of positive length only
-        return y0[None, :]
-    # imported here: a process that imports the oracle only for its
-    # Trotter or observables code need not compile the stepper
-    from ._dop853 import StepSizeError, dop853
+def _taylor(series, max_step, y0: np.ndarray, t0: float,
+            times: np.ndarray, what: str) -> List[np.ndarray]:
+    """The state at each sample time of a linear ODE y' = L(t) y, L
+    polynomial in t, stepped from t0 by its Taylor series.
 
-    try:
-        return dop853(rhs, p.t_start, y0, times, rtol, atol)
-    except StepSizeError as err:
-        raise RuntimeError(f"{what} integration failed: {err}") from None
+    series(t, h, y) yields the terms u_1, u_2, ... of y(t + h) = sum_n u_n,
+    u_n = y_n h^n with y_0 = y, from the exact recurrence (n + 1) y_{n+1}
+    = sum_m L_m y_{n-m} of L(t + s) = sum_m L_m s^m (Jorba & Zou, Exp.
+    Math. 14, 99 (2005)).  A step is cut after the first two consecutive
+    terms of norm below 1e-17, is no longer than max_step(t, target) and
+    ends exactly on each sample time, so no interpolation is needed.  A
+    non-finite term, or a step too short to advance t, raises a
+    RuntimeError naming `what`.
+    """
+    y, t, out = y0, t0, []
+    for target in times:
+        while t < target:
+            step = max_step(t, target)
+            end = target if t + step >= target else t + step
+            if not t < end:
+                raise RuntimeError(f"{what} integration failed: a step of "
+                                   f"{step:g} does not advance t = {t}")
+            total, small = y.copy(), 0
+            for term in series(t, end - t, y):
+                total += term
+                norm2 = np.vdot(term, term).real
+                if not math.isfinite(norm2):
+                    raise RuntimeError(
+                        f"{what} integration failed: non-finite state at t = {t}")
+                small = small + 1 if norm2 < 1e-34 else 0
+                if small == 2:
+                    break
+            y, t = total, end
+        out.append(y)
+    return out
 
 
 def _plus_state(n: int) -> np.ndarray:
@@ -230,20 +249,20 @@ def evolve_statevector(
     p: QuenchProtocol,
     n: int,
     sample_times: Optional[Sequence[float]] = None,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
 ) -> List[DenseState]:
     """Closed-system evolution from |+>^N through the quench.
 
-    Continuous protocols integrate the Schrodinger equation with the
-    `_dop853` port on the d amplitudes c of the symmetric sector (module
-    docstring), from t_start to the last sample time; the solver state is
-    the float view of c.  There the ZZ term is diagonal and the
-    transverse field is a sparse d x d matrix, so each right-hand side is
-    one gather product over its padded rows plus the diagonal term.
-    Sample times default to t_end and must be strictly increasing inside
-    the protocol interval.  Trotter protocols apply exactly the gate
-    layers to the full 2^N vector, sampling at every step boundary.
+    Continuous protocols step the Schrodinger equation by its Taylor
+    series (`_taylor`) on the d amplitudes c of the symmetric sector
+    (module docstring), from t_start to the last sample time.  There the
+    ZZ term is diagonal and the transverse field is a sparse d x d matrix;
+    -iH(t) = M0 + t M1 is linear in t, so each term of the series costs
+    one gather product over the field's padded rows, the product with the
+    previous term being kept.  Steps are at most 3.5 / N long, so that
+    ||H|| h <= 2N h <= 7.  Sample times default to t_end and must be
+    strictly increasing inside the protocol interval.  Trotter protocols
+    apply exactly the gate layers to the full 2^N vector, sampling at
+    every step boundary.
     """
     _check_n(n)
     if p.evolution is Evolution.TROTTER:
@@ -261,26 +280,28 @@ def evolve_statevector(
     slot = np.arange(rows.size) - starts[rows]
     sx_cols = np.zeros((d, count.max()), dtype=np.intp)
     sx_cols[rows, slot] = cols
-    i_sx = np.zeros((d, count.max()), dtype=complex)
-    i_sx[rows, slot] = 1j * sx_vals
-    i_zz = 1j * zz
-    t_start, t_end, tau = p.t_start, p.t_end, p.tau_q
+    sx_pad = np.zeros((d, count.max()), dtype=complex)
+    sx_pad[rows, slot] = sx_vals
+    tau = p.tau_q
 
-    def rhs(t, y):
-        # -iHc for H = -J zz - h sx, with J and h as schedule_at gives them
-        t = min(max(t, t_start), t_end)
-        c = y.view(complex)
-        out = np.einsum("dw,dw->d", c[sx_cols], i_sx)
-        out *= 1.0 - t / tau
-        out += (1.0 + t / tau) * i_zz * c
-        return out.view(float)
+    def series(t, h, c):
+        # -iH(t + s) = i (J + s / tau) zz + i (h_x - s / tau) sx, with J and
+        # h_x as schedule_at gives them at t
+        j, h_x, g = 1.0 + t / tau, 1.0 - t / tau, h / tau
+        u_prev = x_prev = 0.0
+        u, k = c, 0
+        while True:
+            x = np.einsum("dw,dw->d", u[sx_cols], sx_pad)
+            v = zz * (j * u + g * u_prev) + (h_x * x - g * x_prev)
+            k += 1
+            u_prev, x_prev, u = u, x, v * (1j * h / k)
+            yield u
 
     # P^T |+> is real; bincount sums each orbit in ascending basis order
     c0 = np.bincount(orbit, weights=weight * _plus_state(n).real)
-    ys = _integrate(rhs, c0.astype(complex).view(float), p, times,
-                    rtol, atol, "statevector")
-    return [DenseState(n_sites=n, t=float(t),
-                       data=weight * y.view(complex)[orbit])
+    ys = _taylor(series, lambda t, target: 3.5 / n, c0.astype(complex),
+                 p.t_start, times, "statevector")
+    return [DenseState(n_sites=n, t=float(t), data=weight * y[orbit])
             for t, y in zip(times, ys)]
 
 
@@ -289,22 +310,29 @@ def evolve_lindblad(
     n: int,
     lam: float,
     sample_times: Optional[Sequence[float]] = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> List[DenseState]:
     """Full double-commutator master equation, no mode-mixing approximation.
 
     d/dt rho = -i[H, rho] - lam [H, [H, rho]], from the paramagnetic
-    product state.  Continuous protocols only.  The `_dop853` port runs on
-    the d x d block r of rho in the symmetric sector (module docstring),
-    from t_start to the last sample time, and each sample is returned as
-    rho = P r P^T in the full basis.  H is real and r Hermitian, so each
-    right-hand side takes two real d x d products, H r and H [H, r].
-    Sample times default to t_end and must be strictly increasing inside
-    the protocol interval.  The mode pipeline instead dephases each (k, -k)
-    pair in its own H_k, without the cross terms [H_k, [H_k', rho]]; these
-    leave m_x, n_def and the energy unchanged, and its C_zz(x >= 2) and
-    C_xx differ mostly as the Wick closure of the per-mode channel.
+    product state.  Continuous protocols only.  The d x d block r of rho
+    in the symmetric sector (module docstring) is stepped by its Taylor
+    series (`_taylor`) from t_start to the last sample time, and each
+    sample is returned as rho = P r P^T in the full basis.  On a step
+    from t of length h, with G = h H(t), K = h^2 dH/dt and U_k the k-th
+    Taylor coefficient of r times h^k, the terms follow from
+        E_k = [G, U_k] + [K, U_{k-1}],
+        (k + 1) U_{k+1} = -i E_k - (lam / h) ([G, E_k] + [K, E_{k-1}]).
+    H is real and U_k Hermitian, so each commutator is X - X^H or, of the
+    anti-Hermitian E_k, X + X^H, with X from one real product of the
+    stacked [G; K]: two products per term.  The superoperator norm is at
+    most s + lam s^2, s the spread E_max - E_min of H, which is convex in
+    t, so a step is capped by h (s + lam s^2) <= 6 with s the larger
+    spread at its two ends.  Sample times default to t_end and must be
+    strictly increasing inside the protocol interval.  The mode pipeline
+    instead dephases each (k, -k) pair in its own H_k, without the cross
+    terms [H_k, [H_k', rho]]; these leave m_x, n_def and the energy
+    unchanged, and its C_zz(x >= 2) and C_xx differ mostly as the Wick
+    closure of the per-mode channel.
     """
     _check_n(n, cap=MAX_N_DENSITY)
     if p.evolution is not Evolution.CONTINUOUS:
@@ -320,30 +348,49 @@ def evolve_lindblad(
     sx[rows, cols] = sx_vals
     c0 = proj.T @ _plus_state(n)
     rho0 = np.outer(c0, c0.conj())
-    t_start, t_end, tau = p.t_start, p.t_end, p.tau_q
+    tau = p.tau_q
 
-    def rhs(t, y):
+    def ham(t):
         # J and h as schedule_at gives them
-        t = min(max(t, t_start), t_end)
-        ham = -(1.0 + t / tau) * zz - (1.0 - t / tau) * sx
-        # H is real: H rho acts on the rows of rho's float view.  rho is
-        # Hermitian, so rho H = (H rho)^H, and the commutator C is
-        # anti-Hermitian, so [H, C] = HC + (HC)^H.
-        h_rho = (ham @ y.reshape(dim, 2 * dim)).view(complex)
-        comm = h_rho - h_rho.conj().T
-        out = comm * -1j
-        if lam != 0.0:
-            h_comm = (ham @ comm.view(float)).view(complex)
-            h_comm += h_comm.conj().T
-            h_comm *= lam
-            out -= h_comm
-        return out.view(float).ravel()
+        return -(1.0 + t / tau) * zz - (1.0 - t / tau) * sx
 
-    ys = _integrate(rhs, rho0.ravel().view(float), p, times, rtol, atol,
-                    "Lindblad")
+    # a step that its guess did not shorten starts where the guess ended
+    @functools.lru_cache(maxsize=2)
+    def spread(t):
+        energies = np.linalg.eigvalsh(ham(t))
+        return energies[-1] - energies[0]
+
+    def max_step(t, target):
+        # the spread at t bounds a first guess; the larger spread at the
+        # ends of that guess bounds the spread over any shorter step
+        s = spread(t)
+        s = max(s, spread(min(t + 6.0 / (s + lam * s * s), target)))
+        return 6.0 / (s + lam * s * s)
+
+    def series(t, h, r):
+        # rows :dim of a product with gk are G X, rows dim: are K X;
+        # ku and ke keep K U_{k-1} and K E_{k-1} for the next term
+        gk = np.vstack((h * ham(t), (h * h / tau) * (sx - zz)))
+        rate = lam / h
+        u, ku, ke, k = r, 0.0, 0.0, 0
+        while True:
+            prod = (gk @ u.view(float)).view(complex)
+            e = prod[:dim] + ku
+            e -= e.conj().T
+            ku = prod[dim:]
+            prod = (gk @ e.view(float)).view(complex)
+            f = prod[:dim] + ke
+            f += f.conj().T
+            ke = prod[dim:]
+            k += 1
+            u = e * (-1j / k)
+            u -= (rate / k) * f
+            yield u
+
+    ys = _taylor(series, max_step, rho0, p.t_start, times, "Lindblad")
     out = []
-    for t, y in zip(times, ys):
-        rho = proj @ y.view(complex).reshape(dim, dim) @ proj.T
+    for t, r in zip(times, ys):
+        rho = proj @ r @ proj.T
         if abs(np.trace(rho).real - 1.0) > 1e-8:
             raise RuntimeError(f"trace drift {np.trace(rho).real - 1.0:g} at t = {t}")
         out.append(DenseState(n_sites=n, t=float(t), data=rho))
@@ -370,12 +417,27 @@ def _pauli_moments(s: DenseState):
     over the sites in m.  <Z_m> = sum_s p(s) (-1)^|m & s| is the transform
     of the basis probabilities p.  X_m is Z_m conjugated by the Hadamard
     layer W / sqrt(2^n), so <X_m> is the transform of the Hadamard-basis
-    probabilities |W psi|^2 / 2^n, or diag(W rho W) / 2^n: one transform
-    over the 2n bits of rho's flat index, as Im rho is antisymmetric."""
+    probabilities |W psi|^2 / 2^n, or diag(W rho W) / 2^n.  W is real and
+    Im rho antisymmetric, so only Re rho counts, and W is a product over
+    the bits: diag(W rho W) is transformed one bit of both indices at a
+    time, keeping of the row and column bit's four entries only the two
+    whose transformed bits agree, so the array halves at each step."""
     n = s.n_sites
     if s.is_density_matrix:
         p = np.diag(s.data).real.copy()
-        q = np.diag(_wht(s.data.real.flatten()).reshape(s.data.shape)) / 2**n
+        # q has shape (done, remaining row bits, remaining column bits),
+        # the done bits from the most significant down
+        q = s.data.real.reshape(1, 2**n, 2**n)
+        for k in range(n):
+            side = 2 ** (n - 1 - k)
+            rho = q.reshape(2**k, 2, side, 2, side)
+            q = np.empty((2**k, 2, side, side))
+            np.add(rho[:, 0, :, 0], rho[:, 1, :, 1], out=q[:, 0])
+            q[:, 1] = q[:, 0]
+            for mixed in (rho[:, 0, :, 1], rho[:, 1, :, 0]):
+                q[:, 0] += mixed
+                q[:, 1] -= mixed
+        q = q.reshape(2**n) / 2**n
     else:
         p = np.abs(s.data) ** 2
         q = np.abs(_wht(s.data.astype(complex))) ** 2 / 2**n

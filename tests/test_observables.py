@@ -9,7 +9,7 @@ from kzchain.mode_dynamics import run_quench
 from kzchain.observables import (RunRecord, defect_density, excess_energy,
                                  power_law_fit, residual_energy, run_record,
                                  total_energy)
-from kzchain.protocol import QuenchProtocol, Variant
+from kzchain.protocol import QuenchProtocol, Variant, trotter_protocol
 
 from conftest import ground_state_ensemble
 
@@ -66,6 +66,24 @@ class TestDefectAnchors:
         e = run_quench(p, 1024, lam=0.0)[0]
         n_def = defect_density(fermion_correlators(e))
         assert abs(2.0 * math.pi * n_def * math.sqrt(tau_q) - 1.0) < 2e-4
+
+    @pytest.mark.parametrize("tau_q", [32.0, 64.0, 128.0])
+    @pytest.mark.parametrize("dt", [0.5, 0.1])
+    def test_trotter_floquet_landau_zener_density(self, dt, tau_q):
+        """One Trotter step composes a rotation by 4h dt about z and one
+        by 4J dt about the Ising axis, tilted by k, so its quasi-energy
+        obeys cos(e/2) = cos(2h dt) cos(2J dt) + sin(2h dt) sin(2J dt) cos k.
+        At the crossing, J = h = 1, e ~ 2 sin(2 dt) |k| against the
+        continuous 4 dt |k|: the gap shrinks by s = sin(2 dt) / (2 dt)
+        while the k = 0 splitting sweeps at the continuous rate, so
+        Landau-Zener gives exp(-pi tau_q s^2 k^2) and 2 pi n_def
+        sqrt(tau_q) -> 2 dt / sin(2 dt) after a full quench.  At N = 1024
+        the gap is -3.5e-3, -1.1e-3 and -7.7e-4 at dt = 0.5 and -1.2e-3,
+        -4.9e-4 and -2.8e-4 at dt = 0.1, for tau_q = 32, 64 and 128."""
+        p = trotter_protocol(dt, round(2.0 * tau_q / dt), Variant.FULL_QUENCH)
+        n_def = defect_density(fermion_correlators(run_quench(p, 1024, 0.0)[-1]))
+        scaled = 2.0 * math.pi * n_def * math.sqrt(tau_q)
+        assert abs(scaled - 2.0 * dt / math.sin(2.0 * dt)) < 0.2 / tau_q
 
     @staticmethod
     def _end_density(tau_q, lam):

@@ -11,9 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import solve_ivp
 
-from kzchain import _dop853
+from kzchain import oracle
 from kzchain.correlators import (fermion_correlators, magnetization_x,
                                  xx_connected, zz_connected)
 from kzchain.mode_dynamics import run_quench
@@ -224,36 +224,62 @@ class TestSampleTimes:
             evolve_lindblad(p, 4, 0.1, sample_times=times)
 
 
+def _tight_sector_solve(p, n, lam, times, density):
+    """The statevector (density=False) or Lindblad run by a tight
+    solve_ivp(method="DOP853") on the sector terms of _sector_terms, as a
+    sparse product for a statevector and dense d x d matrices for a
+    density matrix, returned in the full basis: the reference for the
+    oracle's Taylor stepper."""
+    _, _, zz, (rows, cols, vals) = _sector_terms(n)
+    d = zz.size
+    sx = sparse.csr_matrix((vals, (rows, cols)), shape=(d, d))
+    zz_dense, sx_dense = np.diag(zz), sx.toarray()
+    proj = _sector_matrix(n).toarray()
+    c0 = proj.T @ _plus(n)
+
+    def rhs(t, y):
+        sched = schedule_at(p, t)
+        if not density:
+            c = y.view(complex)
+            return (1j * (sched.j * zz * c + sched.h * (sx @ c))).view(float)
+        h = -sched.j * zz_dense - sched.h * sx_dense
+        rho = y.view(complex).reshape(d, d)
+        comm = h @ rho - rho @ h
+        return (-1j * comm - lam * (h @ comm - comm @ h)).ravel().view(float)
+
+    y0 = np.outer(c0, c0.conj()).ravel() if density else c0
+    sol = solve_ivp(rhs, (p.t_start, times[-1]), y0.view(float),
+                    method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15)
+    assert sol.success
+    ys = [y.view(complex) for y in sol.y.T.copy()]
+    if density:
+        return [proj @ y.reshape(d, d) @ proj.T for y in ys]
+    return [proj @ y for y in ys]
+
+
 def _evolve(kind, arg, sample_times):
     """The oracle's statevector run at N = arg, or its N = 6 Lindblad run
-    at lambda = arg, sampled at sample_times(p)."""
+    at lambda = arg, sampled at sample_times(p), with the protocol p."""
     if kind == "statevector":
         p = QuenchProtocol(tau_q=1.2)
-        return evolve_statevector(p, arg, sample_times=sample_times(p))
+        return p, evolve_statevector(p, arg, sample_times=sample_times(p))
     p = QuenchProtocol(tau_q=1.0)
-    return evolve_lindblad(p, 6, arg, sample_times=sample_times(p))
+    return p, evolve_lindblad(p, 6, arg, sample_times=sample_times(p))
 
 
-def _reference_dop853(fun, t0, y0, times, rtol, atol):
-    sol = solve_ivp(fun, (t0, times[-1]), y0, method="DOP853", t_eval=times,
-                    rtol=rtol, atol=atol)
-    assert sol.success
-    return sol.y.T
+def _assert_match_tight_solve_ivp(p, n, lam, times, states, density):
+    # each step ends on a sample time: no interpolation, no rounding
+    assert [s.t for s in states] == list(times)
+    ref = _tight_sector_solve(p, n, lam, times, density)
+    for s, want in zip(states, ref):
+        assert np.max(np.abs(s.data - want)) < 1e-12
 
 
 class TestDop853Port:
-    """The in-repo DOP853 takes the steps solve_ivp(method="DOP853")
-    takes, so its states equal scipy's exactly."""
-
-    def test_tableau_is_scipys(self):
-        n = _dop853.N_STAGES
-        assert np.array_equal(_dop853.A[:n, :n], DOP853.A)
-        assert np.array_equal(_dop853.A[n + 1:], DOP853.A_EXTRA)
-        assert np.array_equal(_dop853.C[:n], DOP853.C)
-        assert np.array_equal(_dop853.C[n + 1:], DOP853.C_EXTRA)
-        for name in ("B", "E3", "E5", "D"):
-            assert np.array_equal(getattr(_dop853, name),
-                                  getattr(DOP853, name)), name
+    """The oracle's states against a tight solve_ivp(method="DOP853") on
+    the same sector terms.  The class is named for the DOP853 port the
+    oracle stepped before its Taylor stepper; scipy's DOP853 is now only
+    the reference."""
 
     @pytest.mark.parametrize("samples", ["end", "start_interior_end",
                                          "step_boundary"])
@@ -263,66 +289,76 @@ class TestDop853Port:
                                            ("lindblad", 1.0)])
     def test_oracle_states_equal_solve_ivp(self, monkeypatch, kind, arg,
                                            samples):
-        calls, port = [], _dop853.dop853
-
-        def recorded(*args):
-            calls.append((args, port(*args)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(_dop853, "dop853", recorded)
         if samples == "end":
             pick = lambda p: [p.t_end]
         elif samples == "start_interior_end":
             pick = lambda p: [p.t_start, p.t_start + 0.37 * p.duration, p.t_end]
         else:
-            # the accepted step ends of a run to t_end, from solve_ivp
-            # without t_eval; sample the middle one
-            _evolve(kind, arg, lambda p: [p.t_end])
-            fun, t0, y0, times, rtol, atol = calls.pop()[0]
-            ends = solve_ivp(fun, (t0, times[-1]), y0, method="DOP853",
-                             rtol=rtol, atol=atol).t
-            pick = lambda p: [ends[len(ends) // 2], p.t_end]
-        states = _evolve(kind, arg, pick)
-        ((args, ys),) = calls
-        assert [s.t for s in states] == list(args[3])
-        assert np.array_equal(ys, _reference_dop853(*args))
+            # the step ends of a run to t_end; sample the middle one, which
+            # a step then reaches exactly
+            ends, taylor = [], oracle._taylor
 
-    def test_rejected_steps(self):
-        """A frequency that jumps forty-fold at t = 1 forces rejected
-        steps, and then steps that may not grow."""
+            def recorded(series, max_step, *args):
+                def cap(t, target):
+                    step = max_step(t, target)
+                    ends.append(t + step)
+                    return step
+                return taylor(series, cap, *args)
 
-        def rhs(t, y):
-            return (1.0 if t < 1.0 else 40.0) * np.array([-y[1], y[0]])
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_taylor", recorded)
+                p, _ = _evolve(kind, arg, lambda p: [p.t_end])
+            inner = [e for e in ends if e < p.t_end]
+            assert len(inner) >= 3
+            pick = lambda p: [inner[len(inner) // 2], p.t_end]
+        p, states = _evolve(kind, arg, pick)
+        density = kind == "lindblad"
+        _assert_match_tight_solve_ivp(p, 6 if density else arg,
+                                      arg if density else 0.0, pick(p),
+                                      states, density)
 
-        y0, times = np.array([1.0, 0.0]), np.linspace(0.0, 3.0, 7)
-        solver = DOP853(rhs, 0.0, y0, 3.0, rtol=1e-8, atol=1e-10)
-        rejected = 0
-        while solver.status == "running":
-            nfev = solver.nfev
-            solver.step()
-            # an accepted step takes 12 stages, each rejection 12 more
-            rejected += (solver.nfev - nfev) // 12 - 1
-        assert rejected >= 5
-        ys = _dop853.dop853(rhs, 0.0, y0, times, 1e-8, 1e-10)
-        assert np.array_equal(ys, _reference_dop853(rhs, 0.0, y0, times,
-                                                    1e-8, 1e-10))
+    def test_step_too_small_names_the_stage(self):
+        # at lam = 1e17 the step cap 6 / (s + lam s^2) is below the float
+        # spacing of t_start = -2
+        p = QuenchProtocol(tau_q=2.0)
+        with pytest.raises(RuntimeError, match=r"^Lindblad integration failed: "
+                           r"a step of \S+ does not advance t = -2.0$"):
+            evolve_lindblad(p, 4, 1e17)
 
-    def test_step_too_small_names_the_stage(self, monkeypatch):
-        """y' = y^2 from y(-2) = 1 blows up at t = -1, inside the
-        protocol interval, and the step size collapses there as in
-        solve_ivp."""
-        port = _dop853.dop853
 
-        def blow_up(fun, t0, y0, times, rtol, atol):
-            return port(lambda t, y: y * y, t0, np.ones(1), times, rtol, atol)
+class TestTaylorStepper:
+    """Both continuous evolutions step their Taylor series; the full
+    quench and the largest density matrix against the tight reference,
+    and the stepper's failure."""
 
-        monkeypatch.setattr(_dop853, "dop853", blow_up)
-        sol = solve_ivp(lambda t, y: y * y, (-2.0, 0.0), np.ones(1),
-                        method="DOP853", rtol=1e-11, atol=1e-13)
-        assert sol.status == -1
+    @pytest.mark.parametrize("kind, n, lam, tau_q, variant", [
+        pytest.param("statevector", n, 0.0, 1.2, Variant.FULL_QUENCH,
+                     id=f"statevector-{n}-full_quench") for n in (10, 14)
+    ] + [
+        pytest.param("lindblad", n, lam, tau_q, v, id=f"lindblad-{n}-{lam}")
+        for n, lam, tau_q, v in [(6, 1.0, 1.0, Variant.FULL_QUENCH),
+                                 (8, 1.0, 2.0, Variant.TO_CRITICAL_POINT)]
+    ])
+    def test_matches_tight_solve_ivp(self, kind, n, lam, tau_q, variant):
+        p = QuenchProtocol(tau_q=tau_q, variant=variant)
+        times = [p.t_start, p.t_start + 0.37 * p.duration, p.t_end]
+        density = kind == "lindblad"
+        states = (evolve_lindblad(p, n, lam, sample_times=times) if density
+                  else evolve_statevector(p, n, sample_times=times))
+        _assert_match_tight_solve_ivp(p, n, lam, times, states, density)
+
+    @pytest.mark.parametrize("what", ["statevector", "Lindblad"])
+    def test_non_finite_state_names_the_stage(self, monkeypatch, what):
+        monkeypatch.setattr(oracle, "_plus_state",
+                            lambda n: np.full(2**n, np.nan, dtype=complex))
+        p = QuenchProtocol(tau_q=2.0)
         with pytest.raises(RuntimeError) as err:
-            evolve_statevector(QuenchProtocol(tau_q=2.0), 4)
-        assert str(err.value) == f"statevector integration failed: {sol.message}"
+            if what == "Lindblad":
+                evolve_lindblad(p, 4, 0.5)
+            else:
+                evolve_statevector(p, 4)
+        assert str(err.value) == (f"{what} integration failed: non-finite "
+                                  f"state at t = {p.t_start}")
 
 
 class TestStatevectorEvolution:
@@ -610,6 +646,16 @@ class TestPauliMoments:
         # the moments take O(2^N) memory: a few copies of the 256 KB state
         peak = _traced_peak(lambda: oracle_observables(evolved_14, 1.0, 1.0))
         assert peak <= 1.5e6
+
+    def test_density_moments_memory(self):
+        # one bit of both indices at a time holds at most three quarters
+        # of Re rho's 4^N floats, 0.39 MB at N = 8, plus numpy's fixed-size
+        # ufunc buffers; one transform over the 2N-bit flat index of rho
+        # held 1.5 * 4^N floats and peaked at 1.05 MB
+        n = 8
+        a = np.random.default_rng(n).standard_normal((2**n, 2**n, 2)) @ [1, 1j]
+        rho = DenseState(n, 0.0, a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        assert _traced_peak(lambda: oracle_observables(rho, 1.0, 1.0)) <= 0.7e6
 
     def test_sector_terms_memory(self):
         _sector_terms.cache_clear()
