@@ -18,16 +18,14 @@ b, so every b cell of one a shares its designs, and the scan solves them
 for all b columns at once, as one batched SVD per chunk of 16 decays; its
 decays run to 1e3, where whole designs underflow, so it keeps the SVD's
 rank cutoff.  The cell with the smallest score wins, and only the
-winner's decay is refined, by Brent's bounded minimiser (Brent,
-Algorithms for Minimization without Derivatives, 1973) between the
-neighbours of its best scan point: a scalar transcription of scipy's
-`minimize_scalar(method="bounded")`, which takes scipy's steps.
-So the RMSE surface holds each cell's best scanned decay, except the
-winner's cell, which holds its refined RMSE.  Refining every cell would
-lower a score by well under 1 per cent in the median and by up to 28 per
-cent on the recipes' data.  It moves no acceptance or recipe argmin, but
-on noisy planted data whose curves fall below the mask within a few y
-the argmin of the refined surface can lie one grid step away.
+winner's decay is refined, by zooming the same batched solve in on the
+bracket between the neighbours of its best scan point.  So the RMSE
+surface holds each cell's best scanned decay, except the winner's cell,
+which holds its refined RMSE.  Refining every cell would lower a score by
+well under 1 per cent in the median and by up to 28 per cent on the
+recipes' data.  It moves no acceptance or recipe argmin, but on noisy
+planted data whose curves fall below the mask within a few y the argmin
+of the refined surface can lie one grid step away.
 """
 
 from __future__ import annotations
@@ -148,68 +146,35 @@ def _lstsq(design: np.ndarray, v: np.ndarray):
     return coeffs, np.where(usable, rmse, np.inf)
 
 
-def _bounded_brent(func, lo: float, hi: float):
-    """Brent's bounded minimiser of the scalar function func on [lo, hi].
+def _zoom(y: np.ndarray, powers: np.ndarray, v: np.ndarray, lo: float, hi: float):
+    """The decay in [lo, hi] that scores lowest on the one column v (n, 1),
+    and its RMSE.
 
-    A statement-for-statement transcription of the loop of
-    scipy.optimize.minimize_scalar(method="bounded") with xatol = 1e-12 and
-    maxiter = 500, so x, fun and nfev match it exactly.  Returns
-    (x, fun, nfev).
+    A bracket can hold several local minima, so the first pass scores
+    4 * _SCAN_CHUNK evenly spaced decays by the scan's batched solve, and
+    each local minimum among them is zoomed in on: each later pass scores
+    _SCAN_CHUNK decays between the neighbours of the best point before,
+    until both neighbours score within 4 eps of the best point, relative,
+    or lie within 1e-12 + 4 eps d of each other.  The lowest end wins.
     """
-    xatol, maxfun = 1e-12, 500
-    sqrt_eps, golden_mean = np.sqrt(2.2e-16), 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while np.abs(xf - xm) > tol2 - 0.5 * (b - a) and num < maxfun:
-            golden = True
-            if np.abs(e) > tol1:  # parabola through the three best points
-                golden = False
-                r = (xf - nfc) * (fx - ffulc)
-                q = (xf - fulc) * (fx - fnfc)
-                p = (xf - fulc) * q - (xf - nfc) * r
-                q = 2.0 * (q - r)
-                if q > 0.0:
-                    p = -p
-                q = np.abs(q)
-                r, e = e, rat
-                if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                    rat = (p + 0.0) / q
-                    x = xf + rat
-                    if (x - a) < tol2 or (b - x) < tol2:
-                        rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-                else:
-                    golden = True
-            if golden:  # golden section into the larger part
-                e = a - xf if xf >= xm else b - xf
-                rat = golden_mean * e
-            x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-            fu = func(x)
-            num += 1
-            if fu <= fx:
-                a, b = (xf, b) if x >= xf else (a, xf)
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = xf, fx
-                xf, fx = x, fu
-            else:
-                a, b = (x, b) if x < xf else (a, x)
-                if fu <= fnfc or nfc == xf:
-                    fulc, ffulc = nfc, fnfc
-                    nfc, fnfc = x, fu
-                elif fu <= ffulc or fulc == xf or fulc == nfc:
-                    fulc, ffulc = x, fu
-            xm = 0.5 * (a + b)
-            tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-            tol2 = 2.0 * tol1
-    return xf, fx, num
+    eps = np.finfo(float).eps
+    d = np.linspace(lo, hi, 4 * _SCAN_CHUNK)
+    r = _lstsq(_designs(y, powers, d), v)[1][:, 0]
+    best = (lo, np.inf)
+    # a plateau counts once, at its left end; unusable decays never count
+    below_left = r < np.append(np.inf, r[:-1])
+    for m in np.nonzero(below_left & (r <= np.append(r[1:], np.inf)))[0]:
+        e, s = d, r
+        while True:
+            left, right = max(m - 1, 0), min(m + 1, len(e) - 1)
+            if (e[right] - e[left] <= 1e-12 + 4 * eps * e[m]
+                    or max(s[left], s[right]) <= s[m] * (1 + 4 * eps)):
+                break
+            e = np.linspace(e[left], e[right], _SCAN_CHUNK)
+            s = _lstsq(_designs(y, powers, e), v)[1][:, 0]
+            m = int(np.argmin(s))
+        best = min(best, (e[m], s[m]), key=lambda b: b[1])
+    return best
 
 
 def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
@@ -221,9 +186,9 @@ def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
     solves that take every b column at once, and each cell scores its best
     scanned decay.  The cell with the smallest score wins, ties within
     1e-15 broken toward smaller a, then smaller b.  Only the winner's decay
-    is refined, by Brent's bounded method on `_lstsq` between the scan
-    points either side of its best one, and kept if it scores no worse
-    than the scan; the RMSE of its final solve replaces its score.
+    is refined, by `_zoom` between the scan points either side of its best
+    one, and kept if it scores no worse than the scan; the RMSE of its
+    final solve replaces its score.
     Returns the RMSE (n_a, n_b), inf where no scanned decay gives a usable
     fit, the winning cell (i, j) and its params [p_{-1}, p_0, ..., p_M];
     the cell and params are None where no cell is usable.
@@ -246,9 +211,8 @@ def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
     # exactly as they do in `fit_exp_poly` of that cell
     y, p, col = ys[i], powers[i], v[:, [j]]
     k = int(np.argmin(scan[i, :, j]))
-    x_opt, fun, _ = _bounded_brent(
-        lambda d: _lstsq(_designs(y, p, np.array([d])), col)[1][0, 0],
-        _DECAY_SCAN[max(k - 1, 0)], _DECAY_SCAN[min(k + 1, len(_DECAY_SCAN) - 1)])
+    x_opt, fun = _zoom(y, p, col, _DECAY_SCAN[max(k - 1, 0)],
+                       _DECAY_SCAN[min(k + 1, len(_DECAY_SCAN) - 1)])
     decay = x_opt if fun <= rmse[i, j] else _DECAY_SCAN[k]
     coeffs, r = _lstsq(_designs(y, p, np.array([decay])), col)
     rmse[i, j] = r[0, 0]
@@ -260,8 +224,8 @@ def fit_exp_poly(y: np.ndarray, v: np.ndarray, order: int = DEFAULT_POLY_ORDER):
 
     Uses variable projection: for a fixed decay rate p_{-1} the polynomial
     coefficients are a linear least-squares solve, so the nonlinear part is
-    a 1-D search over p_{-1} >= 0 (coarse log-spaced scan, then a bounded
-    refinement around the best bracket).  Returns (params, rmse) with
+    a 1-D search over p_{-1} >= 0 (coarse log-spaced scan, then a zoom
+    into the bracket around its best point).  Returns (params, rmse) with
     params = [p_{-1}, p_0, ..., p_M], or (None, nan) when the system is
     underdetermined and (None, inf) when no scanned decay gives a usable
     fit.  Runs the sweep's kernel on a one-cell grid (tau = 1, a = 0), whose

@@ -107,9 +107,14 @@ class RunConfig:
             raise ValueError(f"{_NAMES['n_sites']} must be even and >= 2, "
                              f"got {self.n_sites}")
         if self.evolution is Evolution.TROTTER:
-            if self.dt is None or not self.steps:
+            if self.dt is None or self.steps is None:
                 raise ValueError(f"a Trotter run needs {_NAMES['dt']} and "
                                  f"{_NAMES['steps']}")
+            if not self.steps:
+                raise ValueError(f"{_NAMES['steps']} is empty")
+            if min(self.steps) < 1:
+                raise ValueError(f"{_NAMES['steps']} values must be >= 1, "
+                                 f"got {self.steps}")
             if not (math.isfinite(self.dt) and self.dt > 0):
                 raise ValueError(f"{_NAMES['dt']} must be finite and > 0, "
                                  f"got {self.dt}")

@@ -342,11 +342,9 @@ def evolve_lindblad(
         p, [p.t_end] if sample_times is None else sample_times)
     orbit, weight, zz, (rows, cols, sx_vals) = _sector_terms(n)
     dim = zz.size
-    proj = np.zeros((orbit.size, dim))
-    proj[np.arange(orbit.size), orbit] = weight
     zz, sx = np.diag(zz), np.zeros((dim, dim))
     sx[rows, cols] = sx_vals
-    c0 = proj.T @ _plus_state(n)
+    c0 = np.bincount(orbit, weights=weight * _plus_state(n).real).astype(complex)
     rho0 = np.outer(c0, c0.conj())
     tau = p.tau_q
 
@@ -390,7 +388,7 @@ def evolve_lindblad(
     ys = _taylor(series, max_step, rho0, p.t_start, times, "Lindblad")
     out = []
     for t, r in zip(times, ys):
-        rho = proj @ r @ proj.T
+        rho = (weight[:, None] * r[orbit][:, orbit]) * weight
         if abs(np.trace(rho).real - 1.0) > 1e-8:
             raise RuntimeError(f"trace drift {np.trace(rho).real - 1.0:g} at t = {t}")
         out.append(DenseState(n_sites=n, t=float(t), data=rho))

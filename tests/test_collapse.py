@@ -1,14 +1,13 @@
 import logging
-from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from kzchain.collapse import (DEFAULT_POLY_ORDER, EXPONENT_GRID,
                               CorrelationDataset, QKZ_EXPONENTS, QND_EXPONENTS,
-                              _bounded_brent, _designs, _fit_grid, _lstsq,
+                              _designs, _fit_grid, _lstsq,
                               exponent_sweep, fit_exp_poly, rescale)
 
 TAUS = [1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
@@ -28,22 +27,38 @@ def _reference_solve(y, powers, v, decay):
 def reference_fit(y, v, order=4, refine=True):
     """The scalar route to one cell's fit, independent of collapse's
     batched kernel: one `np.linalg.lstsq` per scanned decay, then, with
-    refine, scipy's bounded Brent between the scan points either side of
-    the best one."""
+    refine, the best of 1001 evenly spaced decays between the scan points
+    either side of the best one, and again of 1001 between the neighbours
+    of that best point, polished by scipy's Brent from its neighbours
+    where both score higher; the polish is kept only inside that bracket
+    and where it scores lower, and the refined decay only where it scores
+    no worse than the scan."""
     if len(y) < order + 2:
         return None, float("nan")
     powers = y[:, None] ** np.arange(order + 1)
-    scan = [_reference_solve(y, powers, v, d)[1] for d in DECAY_SCAN]
+
+    def score(d):
+        return _reference_solve(y, powers, v, d)[1]
+
+    scan = [score(d) for d in DECAY_SCAN]
     i = int(np.argmin(scan))
-    lo = DECAY_SCAN[max(i - 1, 0)]
-    hi = DECAY_SCAN[min(i + 1, len(DECAY_SCAN) - 1)]
     decay = DECAY_SCAN[i]
     if refine:
-        res = minimize_scalar(lambda d: _reference_solve(y, powers, v, d)[1],
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        if res.fun <= scan[i]:
-            decay = float(res.x)
+        lo = DECAY_SCAN[max(i - 1, 0)]
+        hi = DECAY_SCAN[min(i + 1, len(DECAY_SCAN) - 1)]
+        for _ in range(2):
+            d = np.linspace(lo, hi, 1001)
+            r = [score(x) for x in d]
+            j = int(np.argmin(r))
+            lo, hi = d[max(j - 1, 0)], d[min(j + 1, len(d) - 1)]
+        best, fun = d[j], r[j]
+        if 0 < j < len(d) - 1 and r[j + 1] > r[j]:  # a strict bracket
+            res = minimize_scalar(score, bracket=(d[j - 1], d[j], d[j + 1]),
+                                  method="brent", tol=1e-14)
+            if d[0] <= res.x <= d[-1] and res.fun < fun:
+                best, fun = float(res.x), res.fun
+        if fun <= scan[i]:
+            decay = best
     coeffs, rmse = _reference_solve(y, powers, v, decay)
     return np.concatenate([[decay], coeffs]), rmse
 
@@ -127,6 +142,9 @@ class TestFitFamily:
 
     @given(decay=st.floats(0.0, 4.0), order=st.integers(1, 4),
            extra=st.integers(3, 100), seed=st.integers(0, 2**32 - 1))
+    # a bracket with two local minima, where a bounded Brent from the
+    # bracket's golden point stopped in the worse, at 1.93 times the RMSE
+    @example(decay=1.5, order=4, extra=8, seed=59)
     @settings(max_examples=25, deadline=None)
     def test_matches_scalar_reference(self, decay, order, extra, seed):
         # with n = order + 2 points the family interpolates and both RMSEs
@@ -165,41 +183,6 @@ class TestFitFamily:
         v = 0.1 + y**2
         params, _ = fit_exp_poly(y, v)
         assert params[0] >= 0.0
-
-
-class TestBoundedBrent:
-    def test_matches_minimize_scalar(self):
-        """On every problem the scalar routine takes exactly the steps
-        scipy's bounded Brent takes."""
-        rng = np.random.default_rng(11)
-        n = 150
-        lo = rng.uniform(-2.0, 2.0, n)
-        hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, n)
-        # minima inside and outside the bracket, some on a kink; some
-        # problems are inf past a wall, as an unusable least-squares fit scores
-        centre = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo))
-        curv = 10.0 ** rng.uniform(-2.0, 2.0, n)
-        quartic = rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.5)
-        kink = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.3)
-        wall = np.where(rng.random(n) < 0.2, rng.uniform(lo, hi), np.inf)
-
-        def f(x, i):
-            dx = x - centre[i]
-            val = curv[i] * dx * dx + quartic[i] * dx * dx * dx * dx \
-                + kink[i] * np.abs(dx)
-            return np.inf if x > wall[i] else float(val)
-
-        x, nfev = np.empty(n), np.empty(n, dtype=int)
-        for i in range(n):
-            x[i], fun, nfev[i] = _bounded_brent(partial(f, i=i), lo[i], hi[i])
-            with np.errstate(invalid="ignore"):  # scipy's parabola on inf
-                res = minimize_scalar(partial(f, i=i), bounds=(lo[i], hi[i]),
-                                      method="bounded", options={"xatol": 1e-12})
-            assert (x[i], fun, nfev[i]) == (res.x, res.fun, res.nfev), i
-        # the problems finish at many different iterations, and some at a bound
-        assert len(np.unique(nfev)) >= 10
-        at_bound = (x - lo < 1e-6 * (hi - lo)) | (hi - x < 1e-6 * (hi - lo))
-        assert np.sum(at_bound) >= 10
 
 
 class TestExponentSweep:
@@ -306,8 +289,8 @@ class TestExponentSweep:
     def test_sweep_matches_scalar_reference(self, a, b, decay, a_vals, b_vals,
                                             seed):
         # the batched SVD kernel against the scalar lstsq route: every cell
-        # against its scan, and the winner against reference_fit with
-        # minimize_scalar; an RMSE may differ by the rounding floor where
+        # against its scan, and the winner against reference_fit's dense
+        # scan and Brent polish; an RMSE may differ by the rounding floor where
         # that exceeds 1e-12 relative (see rmse_tolerance)
         _, nonneg = self._noisy_planted(a, b, decay, seed)
         rmse, cell, params = self._fit_cells(nonneg, a_vals, b_vals)
@@ -329,7 +312,7 @@ class TestExponentSweep:
         dev = np.abs(rmse - ref)
         assert np.all(np.isnan(ref) | (dev <= tol)), np.nanmax(dev / tol)
         assert np.unravel_index(np.nanargmin(rmse), rmse.shape) == cell
-        # the decay is fixed only to Brent's stopping tolerance and the
+        # the decay is fixed only to the zoom's stopping tolerance and the
         # polynomial follows it, so the winner's parameters are checked by
         # the residual they leave
         assert abs(model_rmse(y, v, params) - r) <= rmse_tolerance(y, params, r)

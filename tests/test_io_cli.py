@@ -563,9 +563,16 @@ class TestCli:
          "protocol.dt (--dt)"),
         (["--n", "8", "--trotter", "--dt", "-0.25", "--steps", "8"],
          "protocol.dt (--dt)"),
+        (["--n", "8", "--trotter", "--dt", "0.5", "--steps", "0"],
+         "protocol.steps (--steps)"),
+        (["--n", "8", "--trotter", "--dt", "0.5", "--steps=-2"],
+         "protocol.steps (--steps)"),
+        (["--n", "8", "--trotter", "--dt", "0.5", "--steps", "5..3"],
+         "protocol.steps (--steps) is empty"),
     ], ids=["odd_n", "n_not_int", "continuous_dt", "continuous_steps",
             "trotter_without_dt", "continuous_last", "trotter_tau_q", "trotter_lambda", "mask_nan",
-            "tau_q_inf", "tau_q_nan", "tau_q_zero", "dt_inf", "dt_negative"])
+            "tau_q_inf", "tau_q_nan", "tau_q_zero", "dt_inf", "dt_negative",
+            "steps_zero", "steps_negative", "steps_empty_range"])
     def test_quench_rejects_bad_settings_before_running(self, tmp_path, capsys,
                                                         args, flag):
         rc = main(["quench", *args, "--serial", "--out", str(tmp_path / "out")])
