@@ -40,7 +40,7 @@ from .io import (protocol_from_dict, protocol_to_dict, read_correlators_csv,
                  read_manifest, read_observables_csv, read_trajectories_csv,
                  write_correlators_csv, write_manifest, write_observables_csv,
                  write_rmse_csv, write_trajectories_csv)
-from .mode_dynamics import (DEFAULT_RTOL, check_nonnegative, integrator_stats,
+from .mode_dynamics import (RTOL, check_nonnegative, integrator_stats,
                             run_quench)
 from .observables import power_law_fit, run_record
 from .protocol import Evolution, QuenchProtocol, Variant, schedule_at
@@ -99,7 +99,7 @@ def _single_run(p: QuenchProtocol, cfg: RunConfig, out_dir: Path) -> dict:
         "protocol": protocol_to_dict(p),
         "n_sites": cfg.n_sites,
         "lambda": cfg.lam,
-        "rtol": DEFAULT_RTOL,
+        "rtol": RTOL,
         "integrator": integrator_stats(p, cfg.lam, ensembles),
         "profile": {"max_multiplier": zz.max_multiplier,
                     "fallbacks": zz.fallbacks},
@@ -171,16 +171,19 @@ def _collapse(paths, mask: float, out_dir: Path) -> Tuple[
         CorrelationDataset, CollapseResult]:
     """Sweep EXPONENT_GRID over the t = 0 correlators of the CSVs and write
     the surface, the plots and manifest.json into out_dir.  Only at t = 0
-    is the scaled time t / tau_q^(za) the same for every tau_q."""
+    is the scaled time t / tau_q^(za) the same for every tau_q, so every
+    CSV must hold a t = 0 row; the error names each one that does not."""
     t_read = time.perf_counter()
-    records = []
+    records, missing = [], []
     for path in paths:
-        for tau_q, t, x, c_zz, _ in read_correlators_csv(path):
-            if abs(t) < 1e-9:
-                records.append((tau_q, x, c_zz))
-    if not records:
-        raise ValueError(f"no correlator row at t = 0 in "
-                         f"{', '.join(str(p) for p in paths)}")
+        rows = [(tau_q, x, c_zz)
+                for tau_q, t, x, c_zz, _ in read_correlators_csv(path)
+                if abs(t) < 1e-9]
+        if not rows:
+            missing.append(str(path))
+        records += rows
+    if missing:
+        raise ValueError(f"no correlator row at t = 0 in {', '.join(missing)}")
     ds = CorrelationDataset.from_records(records, mask_threshold=mask)
     t_sweep = time.perf_counter()
     res = exponent_sweep(ds)

@@ -128,17 +128,25 @@ def _lstsq(design: np.ndarray, v: np.ndarray):
     a = 0.025.  The projection u @ (u^T v) would be as independent of the
     batch, but the computed u is off the range of the design by about
     eps cond(design), which moves the RMSE at first order; the bracket is
-    the design's own map, so the RMSE stays that of the coefficients.  A
-    fully underflowed design yields garbage coefficients; such a column
-    scores inf so the search moves on.
+    the design's own map, so the RMSE stays that of the coefficients.
+    Both factors are scaled by 1 / s, except where a kept s is subnormal
+    and its reciprocal overflows: there they are divided by s.  A fully
+    underflowed design yields garbage coefficients; such a column scores
+    inf so the search moves on.
     """
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     keep = s > np.finfo(float).eps * max(design.shape[-2:]) * s[..., :1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
         uv = u.swapaxes(-1, -2) @ v
-        coeffs = vt.swapaxes(-1, -2) @ (s_inv[..., None] * uv)
-        resid = ((design @ vt.swapaxes(-1, -2)) * s_inv[..., None, :]) @ uv
+        left = s_inv[..., None] * uv
+        right = design @ vt.swapaxes(-1, -2)
+        right *= s_inv[..., None, :]
+        for i, j in zip(*np.nonzero(np.isinf(s_inv))):
+            left[i, j] = uv[i, j] / s[i, j]
+            right[i, :, j] = design[i] @ vt[i, j] / s[i, j]
+        coeffs = vt.swapaxes(-1, -2) @ left
+        resid = right @ uv
         resid -= v
         np.square(resid, out=resid)
         rmse = np.sqrt(resid.mean(axis=-2))
@@ -146,12 +154,22 @@ def _lstsq(design: np.ndarray, v: np.ndarray):
     return coeffs, np.where(usable, rmse, np.inf)
 
 
+def _scores(y: np.ndarray, powers: np.ndarray, v: np.ndarray,
+            decays: np.ndarray) -> np.ndarray:
+    """The RMSE (k, c) of every decay against every column of v, solved
+    _SCAN_CHUNK decays at a time, so the temporaries stay those of one
+    chunk however many decays are scored."""
+    return np.concatenate([
+        _lstsq(_designs(y, powers, decays[k:k + _SCAN_CHUNK]), v)[1]
+        for k in range(0, len(decays), _SCAN_CHUNK)])
+
+
 def _zoom(y: np.ndarray, powers: np.ndarray, v: np.ndarray, lo: float, hi: float):
     """The decay in [lo, hi] that scores lowest on the one column v (n, 1),
     and its RMSE.
 
     A bracket can hold several local minima, so the first pass scores
-    4 * _SCAN_CHUNK evenly spaced decays by the scan's batched solve, and
+    4 * _SCAN_CHUNK evenly spaced decays by the scan's chunked solve, and
     each local minimum among them is zoomed in on: each later pass scores
     _SCAN_CHUNK decays between the neighbours of the best point before,
     until both neighbours score within 4 eps of the best point, relative,
@@ -159,7 +177,7 @@ def _zoom(y: np.ndarray, powers: np.ndarray, v: np.ndarray, lo: float, hi: float
     """
     eps = np.finfo(float).eps
     d = np.linspace(lo, hi, 4 * _SCAN_CHUNK)
-    r = _lstsq(_designs(y, powers, d), v)[1][:, 0]
+    r = _scores(y, powers, v, d)[:, 0]
     best = (lo, np.inf)
     # a plateau counts once, at its left end; unusable decays never count
     below_left = r < np.append(np.inf, r[:-1])
@@ -171,7 +189,7 @@ def _zoom(y: np.ndarray, powers: np.ndarray, v: np.ndarray, lo: float, hi: float
                     or max(s[left], s[right]) <= s[m] * (1 + 4 * eps)):
                 break
             e = np.linspace(e[left], e[right], _SCAN_CHUNK)
-            s = _lstsq(_designs(y, powers, e), v)[1][:, 0]
+            s = _scores(y, powers, v, e)[:, 0]
             m = int(np.argmin(s))
         best = min(best, (e[m], s[m]), key=lambda b: b[1])
     return best
@@ -195,10 +213,7 @@ def _fit_grid(tau: np.ndarray, x: np.ndarray, v: np.ndarray,
     """
     ys = np.array([x / tau**a for a in a_vals])
     powers = ys[:, :, None] ** np.arange(order + 1)
-    scan = np.array([np.concatenate([
-        _lstsq(_designs(y, p, _DECAY_SCAN[k:k + _SCAN_CHUNK]), v)[1]
-        for k in range(0, len(_DECAY_SCAN), _SCAN_CHUNK)])
-        for y, p in zip(ys, powers)])
+    scan = np.array([_scores(y, p, v, _DECAY_SCAN) for y, p in zip(ys, powers)])
     rmse = scan.min(axis=1)
     cell = None
     for i, j in zip(*np.nonzero(np.isfinite(rmse))):

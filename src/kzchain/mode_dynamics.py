@@ -51,7 +51,6 @@ from .protocol import (
 
 __all__ = [
     "ModeEnsemble",
-    "check_tolerance",
     "evolve_magnus",
     "evolve_magnus_frame",
     "check_nonnegative",
@@ -60,12 +59,14 @@ __all__ = [
     "integrator_stats",
 ]
 
-DEFAULT_RTOL = 1e-10
+# The relative tolerance both step rules below are written for; every
+# command runs at it, and it is not a setting.
+RTOL = 1e-10
 
-# Magnus-4 steps are sized by dt^4 = MAGNUS_STEP_SCALE * rtol * tau_q.  The
+# Magnus-4 steps are sized by dt^4 = MAGNUS_STEP_SCALE * RTOL * tau_q.  The
 # global error on a linear quench is close to 0.6 dt^4 / tau_q for every
 # tau_q in [0.5, 200] (against LSODA at rtol 1e-13), so this rule spends
-# the error evenly across quench times at about 6 * rtol.
+# the error evenly across quench times at about 6 * RTOL.
 MAGNUS_STEP_SCALE = 10.0
 
 # Most (step, mode) rotations evolve_magnus builds at once.  An interval's
@@ -75,12 +76,12 @@ MAGNUS_STEP_SCALE = 10.0
 MAGNUS_BATCH = 1 << 17
 
 # evolve_magnus_frame takes D = (FRAME_STEP_SCALE * sqrt(1 + lam tau_q +
-# (tau_q / 8)^2) / rtol)^(1/4) steps per unit of its graded time u.  At the
-# default rtol, over lam in [1e-3, 100], tau_q in [0.5, 64] and N <= 512,
-# the worst error against LSODA at rtol 1e-13 was 6e-10 at t = 0 and
-# 2.5e-9 at interior sample times.  The error falls as D^-4 at t = 0 but
-# only about as D^-2.5 at interior sample times once Gamma dt >> 1, so
-# the rule is calibrated at the default rtol rather than derived.
+# (tau_q / 8)^2) / RTOL)^(1/4) steps per unit of its graded time u.  Over
+# lam in [1e-3, 100], tau_q in [0.5, 64] and N <= 512, the worst error
+# against LSODA at rtol 1e-13 was 6e-10 at t = 0 and 2.5e-9 at interior
+# sample times.  The error falls as D^-4 at t = 0 but only about as
+# D^-2.5 at interior sample times once Gamma dt >> 1, so the rule is
+# calibrated at RTOL rather than derived.
 FRAME_STEP_SCALE = 130.0
 # largest Gamma dt of the last step before a sample time; see _frame_nodes
 TAIL_GAMMA_DT = 0.5
@@ -116,19 +117,6 @@ class ModeEnsemble:
     @property
     def n_sites(self) -> int:
         return self.grid.n_sites
-
-
-def check_tolerance(key: str, value: float) -> float:
-    """Return value as a float if it is a finite positive tolerance.
-
-    Raises ValueError naming key otherwise: a zero, negative or nan
-    tolerance would be clamped or ignored by the solvers and would give
-    the Magnus step rule no step size.
-    """
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{key} must be finite and positive, got {value}")
-    return value
 
 
 def check_nonnegative(key: str, value: float) -> float:
@@ -244,15 +232,15 @@ def _rotate(q: np.ndarray, n: np.ndarray) -> np.ndarray:
                      vz + q0 * tz + (ux * ty - uy * tx)], axis=-1)
 
 
-def _magnus_steps(p: QuenchProtocol, span: float, rtol: float) -> int:
+def _magnus_steps(p: QuenchProtocol, span: float) -> int:
     """Number of equal Magnus-4 steps over an interval of length span.
 
-    Depends only on the protocol, the interval and rtol, never on the
-    modes, so a mode's trajectory is the same in any ensemble.
+    Depends only on the protocol and the interval, never on the modes, so
+    a mode's trajectory is the same in any ensemble.
     """
     if span == 0.0:
         return 0
-    dt_max = (MAGNUS_STEP_SCALE * rtol * p.tau_q) ** 0.25
+    dt_max = (MAGNUS_STEP_SCALE * RTOL * p.tau_q) ** 0.25
     return math.ceil(span / dt_max)
 
 
@@ -260,7 +248,6 @@ def evolve_magnus(
     p: QuenchProtocol,
     modes: Sequence[float],
     sample_times: Sequence[float],
-    rtol: float = DEFAULT_RTOL,
 ) -> np.ndarray:
     """Unitary (lam = 0) evolution of every mode at once, from its ground
     state at t_start, sampled at the sample times.
@@ -289,14 +276,13 @@ def evolve_magnus(
     Every operation is elementwise over modes, so a mode's result does not
     depend on the batch it is in.  |n| = 1 is kept to roundoff.
     """
-    rtol = check_tolerance("rtol", rtol)
     times = check_sample_times(p, sample_times)
     modes = np.asarray(modes, dtype=float).reshape(-1)
     n = _ground_states(modes)
     out = []
     t = p.t_start
     for t_next in times:
-        steps = _magnus_steps(p, t_next - t, rtol)
+        steps = _magnus_steps(p, t_next - t)
         if steps:
             rotated = np.empty_like(n)
             per_batch = max(1, MAGNUS_BATCH // steps)
@@ -454,12 +440,12 @@ def _frame_nodes(p: QuenchProtocol, lam: float, times: np.ndarray,
     return out
 
 
-def _frame_density(p: QuenchProtocol, lam: float, rtol: float) -> int:
+def _frame_density(p: QuenchProtocol, lam: float) -> int:
     """Magnus steps per unit of u for evolve_magnus_frame: a function of
-    the protocol, lam and rtol only, never of the modes."""
+    the protocol and lam only, never of the modes."""
     tau_q = p.tau_q
     scale = FRAME_STEP_SCALE * math.sqrt(
-        1.0 + lam * tau_q + (tau_q / 8.0) ** 2) / rtol
+        1.0 + lam * tau_q + (tau_q / 8.0) ** 2) / RTOL
     return math.ceil(scale ** 0.25)
 
 
@@ -488,7 +474,6 @@ def evolve_magnus_frame(
     lam: float,
     modes: Sequence[float],
     sample_times: Sequence[float],
-    rtol: float = DEFAULT_RTOL,
 ) -> np.ndarray:
     """Dephased (lam > 0) evolution of every mode at once, from its ground
     state at t_start, sampled at the sample times.
@@ -514,18 +499,17 @@ def evolve_magnus_frame(
 
     The nodes are graded toward t = 0 (_frame_nodes) and include every
     sample time, where the state is rotated back to the lab frame.  Their
-    number depends on the protocol, lam, rtol and the sample times only.
+    number depends on the protocol, lam and the sample times only.
     The ODE is linear, so the step propagators do not depend on the state:
     they are built by _expm3, about FRAME_BATCH matrices (and at least one
     step of every mode) at a time, and applied one step after another.
     Every operation is elementwise over modes, so a mode's trajectory is
     bit-identical whether it is solved alone, in a subset or in the ensemble.
     """
-    rtol = check_tolerance("rtol", rtol)
     lam = check_nonnegative("lam", lam)
     times = check_sample_times(p, sample_times)
     modes = np.asarray(modes, dtype=float).reshape(-1)
-    return _magnus_frame(p, lam, modes, times, _frame_density(p, lam, rtol))
+    return _magnus_frame(p, lam, modes, times, _frame_density(p, lam))
 
 
 def _trotter_quaternions(k: np.ndarray, j, h, dt: float) -> np.ndarray:
@@ -562,7 +546,6 @@ def run_quench(
     n_sites: int,
     lam: float,
     sample_times: Optional[Sequence[float]] = None,
-    rtol: float = DEFAULT_RTOL,
 ) -> List[ModeEnsemble]:
     """Evolve every positive mode through the quench.
 
@@ -574,11 +557,11 @@ def run_quench(
     interval.  lam must be finite and >= 0.
 
     All modes are stepped together: by evolve_magnus at lam = 0, by
-    evolve_magnus_frame at lam > 0 (rtol sets the step count of both), and
-    by batched Trotter rotations.  Either way a mode's trajectory is
+    evolve_magnus_frame at lam > 0 (both step counts are fixed functions of
+    the protocol and lam, for the tolerance RTOL), and by batched Trotter
+    rotations.  Either way a mode's trajectory is
     bit-identical whether it is solved alone or as part of the ensemble.
     """
-    rtol = check_tolerance("rtol", rtol)
     lam = check_nonnegative("lam", lam)
     grid = momentum_grid(n_sites)
     if p.evolution is Evolution.TROTTER:
@@ -592,9 +575,9 @@ def run_quench(
         times = check_sample_times(
             p, [p.t_end] if sample_times is None else sample_times)
         if lam == 0.0:
-            states = evolve_magnus(p, grid.modes, times, rtol=rtol)
+            states = evolve_magnus(p, grid.modes, times)
         else:
-            states = evolve_magnus_frame(p, lam, grid.modes, times, rtol=rtol)
+            states = evolve_magnus_frame(p, lam, grid.modes, times)
     ensembles = []
     for t, s in zip(times, states):
         sched = schedule_at(p, t)
@@ -606,8 +589,7 @@ def run_quench(
 
 
 def integrator_stats(p: QuenchProtocol, lam: float,
-                     ensembles: Sequence[ModeEnsemble],
-                     rtol: float = DEFAULT_RTOL) -> dict:
+                     ensembles: Sequence[ModeEnsemble]) -> dict:
     """How run_quench produced these ensembles, for the run manifest.
 
     method is "trotter", "magnus4" (lam = 0) or "magnus4_frame" (lam > 0);
@@ -622,11 +604,11 @@ def integrator_stats(p: QuenchProtocol, lam: float,
     elif lam == 0.0:
         edges = [p.t_start, *times]
         method = "magnus4"
-        steps = sum(_magnus_steps(p, b - a, rtol)
+        steps = sum(_magnus_steps(p, b - a)
                     for a, b in zip(edges[:-1], edges[1:]))
     else:
         method = "magnus4_frame"
-        nodes = _frame_nodes(p, lam, times, _frame_density(p, lam, rtol))
+        nodes = _frame_nodes(p, lam, times, _frame_density(p, lam))
         steps = sum(len(x) - 1 for x in nodes)
     drift = norms - 1.0 if lam == 0.0 else np.maximum(norms - 1.0, 0.0)
     return {"method": method, "steps": steps,

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,9 @@ class TestFitFamily:
     # a bracket with two local minima, where a bounded Brent from the
     # bracket's golden point stopped in the worse, at 1.93 times the RMSE
     @example(decay=1.5, order=4, extra=8, seed=59)
+    # four y from 6.19 to 7.10: the design's smallest kept singular value
+    # is subnormal near the best decay, so 1 / s overflows there
+    @example(decay=1.5, order=1, extra=3, seed=45734)
     @settings(max_examples=25, deadline=None)
     def test_matches_scalar_reference(self, decay, order, extra, seed):
         # with n = order + 2 points the family interpolates and both RMSEs
@@ -222,6 +226,20 @@ class TestExponentSweep:
             res = exponent_sweep(noisy)
         assert "negative" in caplog.text
         assert res.best == pytest.approx((0.5, 0.125), abs=0.026)
+
+    def test_refine_peak_memory(self):
+        # the winner's zoom solves its first 4 * _SCAN_CHUNK decays a chunk
+        # at a time, like the scan: a second sweep of this dataset peaks at
+        # 1.27 MB, and at 1.69 MB when those decays were one batch
+        ds = planted_dataset(0.5, 0.125, taus=(4, 8, 12, 16), x_max=96)
+        exponent_sweep(ds)
+        tracemalloc.start()
+        try:
+            exponent_sweep(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.45e6
 
     def test_too_few_records_fail_every_cell(self):
         # three quench times, but fewer records than the order-4 fit needs

@@ -283,7 +283,7 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["mode_dynamics.rtol", "mode_dynamics.atol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_invalid_tolerance_rejected(self, tmp_path, key, value):
-        # neither tolerance is a setting: every command runs at DEFAULT_RTOL
+        # neither tolerance is a setting: every command runs at RTOL
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"{key} = {value}\n")
         name = key.split(".")[1]
@@ -466,7 +466,7 @@ class TestCli:
         for name in ("correlators.csv", "observables.csv", "trajectories.csv"):
             header = (run_a / name).read_text().splitlines()[0]
             assert "multiplier" not in header and "fallback" not in header
-        # tau_q = 2 at the default rtol: dt = (10 * 1e-10 * 2) ** 0.25
+        # tau_q = 2 at RTOL: dt = (10 * 1e-10 * 2) ** 0.25
         assert integrator["method"] == "magnus4"
         assert integrator["steps"] == math.ceil(2.0 / (2e-9) ** 0.25)
         assert 0.0 <= integrator["max_norm_error"] < 1e-13
@@ -606,6 +606,26 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert "no correlator row at t = 0 in" in err["message"]
         assert all(path in err["message"] for path in csvs)
+        assert not (tmp_path / "collapse").exists()
+
+    def test_collapse_names_each_csv_without_t0(self, tmp_path, capsys):
+        # of 4, 5 and 6 full Trotter steps only the 5-step run steps over
+        # t = 0; two tau_q are left, but the collapse must name that CSV
+        # rather than drop it
+        main(["quench", "--n", "8", "--trotter", "--full", "--dt", "0.25",
+              "--steps", "4..6", "--serial", "--out", str(tmp_path)])
+        csvs = sorted(tmp_path.glob("*/correlators.csv"))
+        assert len(csvs) == 3
+        odd = [str(p) for p in csvs
+               if read_manifest(p.parent / "manifest.json")
+               ["protocol"]["steps"] == 5]
+        assert len(odd) == 1
+        capsys.readouterr()
+        rc = main(["collapse", *map(str, csvs), "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == f"no correlator row at t = 0 in {odd[0]}"
         assert not (tmp_path / "collapse").exists()
 
     def test_quench_rejects_clashing_run_directories(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import kzchain.mode_dynamics
-from kzchain.mode_dynamics import (DEFAULT_RTOL, ModeEnsemble,
+from kzchain.mode_dynamics import (RTOL, ModeEnsemble,
                                    evolve_magnus, evolve_magnus_frame,
                                    integrator_stats, run_quench,
                                    _compose, _evolve_trotter, _ground_states,
@@ -39,7 +39,7 @@ class TestGroundState:
         assert residual_energy(e) == pytest.approx(0.0, abs=1e-12)
 
 
-def evolve_continuous(p, lam, modes, sample_times, rtol=DEFAULT_RTOL, atol=1e-12):
+def evolve_continuous(p, lam, modes, sample_times, rtol=RTOL, atol=1e-12):
     """Reference evolution of every mode at once, from its ground state at
     t_start, sampled at the sample times.
 
@@ -151,8 +151,8 @@ class TestMagnus:
            st.one_of(st.none(), st.floats(0.1, 0.9)))
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_matches_tight_lsoda(self, n_sites, tau_q, variant, frac):
-        """At the default rtol the batched unitary evolution lies within
-        5e-9 of LSODA run at rtol 1e-13, at one or two sample times."""
+        """At RTOL the batched unitary evolution lies within 5e-9 of
+        LSODA run at rtol 1e-13, at one or two sample times."""
         p = QuenchProtocol(tau_q=tau_q, variant=variant)
         times = [p.t_end] if frac is None else \
             [p.t_start + frac * p.duration, p.t_end]
@@ -161,16 +161,20 @@ class TestMagnus:
         ref = _lsoda_reference(p, ensembles[0].grid.modes, times)
         assert np.abs(batched - ref).max() < 5e-9
 
-    def test_fourth_order_convergence(self):
-        """Halving the step (rtol / 16) cuts the error by about 2^4."""
+    def test_fourth_order_convergence(self, monkeypatch):
+        """Halving the step cuts the error by about 2^4.  MAGNUS_STEP_SCALE
+        is scaled so that the rule dt^4 = MAGNUS_STEP_SCALE * RTOL * tau_q
+        gives the step of a tolerance of 1e-6, then of 1e-6 / 16."""
         p = QuenchProtocol(tau_q=2.0, variant=Variant.FULL_QUENCH)
         modes = momentum_grid(16).modes
         ref = _lsoda_reference(p, modes, [p.t_end])
         errors, steps = [], []
-        for rtol in (1e-6, 1e-6 / 16):
-            ensembles = run_quench(p, 16, lam=0.0, rtol=rtol)
+        for tol in (1e-6, 1e-6 / 16):
+            monkeypatch.setattr(kzchain.mode_dynamics, "MAGNUS_STEP_SCALE",
+                                10.0 * tol / RTOL)
+            ensembles = run_quench(p, 16, lam=0.0)
             errors.append(np.abs(ensembles[0].states - ref[0]).max())
-            steps.append(integrator_stats(p, 0.0, ensembles, rtol=rtol)["steps"])
+            steps.append(integrator_stats(p, 0.0, ensembles)["steps"])
         assert steps[1] == 2 * steps[0]
         assert errors[0] / errors[1] >= 12.0
 
@@ -187,7 +191,7 @@ class TestMagnus:
         subset = evolve_magnus(p, modes[1::2], times)
         np.testing.assert_array_equal(states[:, 1::2], subset)
         # both intervals span 1.5, so they take the same number of steps
-        steps = _magnus_steps(p, 1.5, kzchain.mode_dynamics.DEFAULT_RTOL)
+        steps = _magnus_steps(p, 1.5)
         assert steps * len(modes) <= kzchain.mode_dynamics.MAGNUS_BATCH
         for per_batch in (1, 4):
             monkeypatch.setattr(kzchain.mode_dynamics, "MAGNUS_BATCH",
@@ -216,8 +220,8 @@ class TestMagnusFrame:
            st.one_of(st.none(), st.floats(0.1, 0.9)))
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_matches_tight_lsoda(self, n_sites, lam, tau_q, variant, frac):
-        """At the default rtol the batched dephased evolution lies within
-        5e-9 of LSODA run at rtol 1e-13, at one or two sample times."""
+        """At RTOL the batched dephased evolution lies within 5e-9 of
+        LSODA run at rtol 1e-13, at one or two sample times."""
         p = QuenchProtocol(tau_q=tau_q, variant=variant)
         times = [p.t_end] if frac is None else \
             [p.t_start + frac * p.duration, p.t_end]
@@ -384,10 +388,9 @@ class TestRunQuench:
     @pytest.mark.parametrize("key", ["rtol", "atol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_tolerances_checked(self, lam, key, value):
-        # run_quench validates rtol and takes no atol
+        # run_quench takes neither: every run steps at the fixed RTOL
         p = QuenchProtocol(tau_q=1.0)
-        error = ValueError if key == "rtol" else TypeError
-        with pytest.raises(error, match=key):
+        with pytest.raises(TypeError, match=key):
             run_quench(p, 8, lam=lam, sample_times=[0.0], **{key: value})
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])

@@ -294,21 +294,23 @@ class TestDop853Port:
         elif samples == "start_interior_end":
             pick = lambda p: [p.t_start, p.t_start + 0.37 * p.duration, p.t_end]
         else:
-            # the step ends of a run to t_end; sample the middle one, which
-            # a step then reaches exactly
-            ends, taylor = [], oracle._taylor
+            # the step ends of a run to t_end, from the fixed step it
+            # passes to _taylor; sample the middle one, which a step then
+            # reaches exactly
+            steps, taylor = [], oracle._taylor
 
-            def recorded(series, max_step, *args):
-                def cap(t, target):
-                    step = max_step(t, target)
-                    ends.append(t + step)
-                    return step
-                return taylor(series, cap, *args)
+            def recorded(series, step, *args):
+                steps.append(step)
+                return taylor(series, step, *args)
 
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_taylor", recorded)
                 p, _ = _evolve(kind, arg, lambda p: [p.t_end])
-            inner = [e for e in ends if e < p.t_end]
+            (step,) = steps
+            inner, t = [], p.t_start + step
+            while t < p.t_end:
+                inner.append(t)
+                t += step
             assert len(inner) >= 3
             pick = lambda p: [inner[len(inner) // 2], p.t_end]
         p, states = _evolve(kind, arg, pick)
@@ -431,6 +433,19 @@ class TestLindbladEvolution:
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError, match="even N"):
             evolve_lindblad(QuenchProtocol(tau_q=1.0), 5, 0.1)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_steps_without_an_eigensolver(self, monkeypatch, n, lam):
+        # the step comes from the bound spread(H) <= 4N, not a spectrum
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve_lindblad called an eigensolver")
+
+        with monkeypatch.context() as m:
+            for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+                m.setattr(np.linalg, name, refuse)
+            (rho,) = evolve_lindblad(QuenchProtocol(tau_q=1.0), n, lam)
+        rho.validate()
 
     def test_density_matrix_cap(self):
         # N = 8 is the largest chain: an 18 x 18 sector block
