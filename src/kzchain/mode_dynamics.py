@@ -24,7 +24,11 @@ product tree, and a Trotter run, sampled after every step, takes an
 inclusive prefix scan; then each state is rotated once per sample.  At
 lam > 0 the dephasing makes the flow stiff; evolve_magnus_frame steps it
 in each mode's adiabatic frame, where the stiff part acts only on the
-(x, y) block, with 3x3 step propagators from a batched Padé exponential.
+(x, y) block.  There every step's 3x3 propagator is the closed-form
+exponential of its Magnus exponent, a quadratic in the exponent with
+coefficients from its three eigenvalues, and the propagators are
+multiplied FRAME_CHUNK at a time by the same pairwise tree, so each state
+is multiplied once per chunk.
 The tests check both paths against an independent reference, one LSODA
 solve of all modes (scipy.integrate), so the package needs numpy only.
 
@@ -85,6 +89,9 @@ MAGNUS_BATCH = 1 << 17
 FRAME_STEP_SCALE = 130.0
 # largest Gamma dt of the last step before a sample time; see _frame_nodes
 TAIL_GAMMA_DT = 0.5
+
+# Largest |n_k| - 1 run_quench accepts, and largest ||n_k| - 1| at lam = 0.
+NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -312,57 +319,17 @@ def _magnus_vectors(p: QuenchProtocol, modes: np.ndarray, t: float,
     return w
 
 
-# Padé(6, 6) coefficients of exp(x): numerator sum_j b_j x^j, denominator
-# sum_j b_j (-x)^j.  Matrices are scaled by 2^-s until their 1-norm is at
-# most PADE_THETA, where the approximant's relative backward error is below
-# the double-precision unit roundoff (Higham, SIAM J. Matrix Anal. Appl.
-# 26 (2005), Table 2.3), and squared s times afterwards.
-PADE_COEFFS = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840,
-               1.0 / 665280)
-PADE_THETA = 0.5
+# evolve_magnus_frame multiplies the step propagators of an interval
+# FRAME_CHUNK at a time, counted from its first step, into one propagator
+# per chunk, and applies each chunk's product to the state.  The chunk
+# length is a constant, so the products a mode gets depend on the node
+# count alone.
+FRAME_CHUNK = 32
 
-# Most 3x3 step propagators built at once (at least one step of every mode).
-# The exponential of a batch holds about a dozen (3, 3, batch) temporaries:
-# about 2 MB for 2048 matrices, on the order of the state past 2048 modes.
-FRAME_BATCH = 2048
-
-
-def _mm3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two component-major stacks of 3x3 matrices, each of
-    shape (3, 3, B); elementwise over B."""
-    return np.einsum("ijb,jkb->ikb", a, b)
-
-
-def _expm3(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix in a component-major (3, 3, B) stack.
-
-    Padé(6, 6) with per-matrix scaling and squaring: the denominator is
-    inverted through its adjugate, and matrix b is squared s_b times by
-    np.where, so every operation is elementwise over B and a matrix's
-    result does not depend on the rest of the batch.
-    """
-    norm = np.abs(a).sum(axis=0).max(axis=0)
-    s = np.maximum(np.frexp(norm / PADE_THETA)[1], 0)
-    a = np.ldexp(a, -s)
-    eye = np.eye(3)[:, :, None]
-    a2 = _mm3(a, a)
-    a4 = _mm3(a2, a2)
-    a6 = _mm3(a2, a4)
-    b = PADE_COEFFS
-    u = _mm3(a, b[1] * eye + b[3] * a2 + b[5] * a4)
-    v = b[0] * eye + b[2] * a2 + b[4] * a4 + b[6] * a6
-    q, r = v - u, v + u
-    adj = np.empty_like(q)
-    for i in range(3):
-        i1, i2 = (i + 1) % 3, (i + 2) % 3
-        for j in range(3):
-            j1, j2 = (j + 1) % 3, (j + 2) % 3
-            adj[j, i] = q[i1, j1] * q[i2, j2] - q[i1, j2] * q[i2, j1]
-    det = q[0, 0] * adj[0, 0] + q[0, 1] * adj[1, 0] + q[0, 2] * adj[2, 0]
-    x = _mm3(adj, r) / det
-    for i in range(int(s.max())):
-        x = np.where(i < s, _mm3(x, x), x)
-    return x
+# Most step propagators built at once: whole chunks for a batch of modes,
+# at least one chunk of one mode.  Their exponentials hold some 30 arrays of
+# one float per propagator, about 2 MB for 8192 propagators.
+FRAME_BATCH = 8192
 
 
 def _frame_field(p: QuenchProtocol, t, modes: np.ndarray):
@@ -372,14 +339,18 @@ def _frame_field(p: QuenchProtocol, t, modes: np.ndarray):
     return hy, hz, hy * hy + hz * hz
 
 
-def _frame_propagators(p: QuenchProtocol, lam: float, modes: np.ndarray,
-                       nodes: np.ndarray) -> np.ndarray:
-    """Magnus-4 propagators of the steps between consecutive nodes, shape
-    (3, 3, n_steps, n_modes); see evolve_magnus_frame.
+def _frame_generators(p: QuenchProtocol, lam: float, modes: np.ndarray,
+                      nodes: np.ndarray):
+    """Magnus-4 exponents of the steps between consecutive nodes, as the
+    parameters (g, w, f, alpha, beta) of
 
-    With A = [[-g, w, 0], [-w, -g, -f], [0, f, 0]] at the two Gauss
-    points, the commutator [A_2, A_1] has only the entries that the
-    alpha and beta terms below fill in.
+        Omega = [[ -g,      w,       -beta  ],
+                 [ -w,     -g,     alpha - f],
+                 [beta, alpha + f,     0    ]],
+
+    each of shape (n_steps, n_modes); see evolve_magnus_frame.  With
+    A = [[-g, w, 0], [-w, -g, -f], [0, f, 0]] at the two Gauss points, the
+    commutator [A_2, A_1] has only the entries alpha and beta fill in.
     """
     dt = np.diff(nodes)[:, None]
     mid = 0.5 * (nodes[:-1] + nodes[1:])[:, None]
@@ -391,16 +362,114 @@ def _frame_propagators(p: QuenchProtocol, lam: float, modes: np.ndarray,
                     8.0 * np.sin(modes) / (p.tau_q * h2)))
     (w1, g1, f1), (w2, g2, f2) = gen
     comm = (math.sqrt(3.0) / 12.0) * dt * dt
-    alpha = comm * (f1 * g2 - f2 * g1)
-    beta = comm * (f1 * w2 - f2 * w1)
     half = 0.5 * dt
-    w, g, f = half * (w1 + w2), half * (g1 + g2), half * (f1 + f2)
-    omega = np.zeros((3, 3) + w.shape)
-    omega[0, 0] = omega[1, 1] = -g
-    omega[0, 1], omega[1, 0] = w, -w
-    omega[1, 2], omega[2, 1] = alpha - f, alpha + f
-    omega[0, 2], omega[2, 0] = -beta, beta
-    return _expm3(omega.reshape(3, 3, -1)).reshape(omega.shape)
+    return (half * (g1 + g2), half * (w1 + w2), half * (f1 + f2),
+            comm * (f1 * g2 - f2 * g1), comm * (f1 * w2 - f2 * w1))
+
+
+def _frame_spectrum(g, w, f, alpha, beta):
+    """Eigenvalues of the step exponents with the parameters of
+    _frame_generators, as (lam1, a, b2), elementwise.
+
+    Omega has the characteristic polynomial s^3 + 2g s^2 + (g^2 + c0) s - p0
+    with c0 = w^2 + f^2 + beta^2 - alpha^2 and p0 = g (alpha^2 - f^2 -
+    beta^2) + 2 w alpha beta.  lam1 is its largest real root: Cardano's
+    formula for the depressed cubic in x = s + 2g/3, in trigonometric form
+    where all three roots are real, then two Newton steps.  The other two
+    roots are a -/+ i b with a = -g - lam1 / 2 and b2 = b^2 = c0 + g lam1
+    + 3 lam1^2 / 4, written so that no g^2 cancels; they are the real pair
+    a -/+ sqrt(-b2) where b2 < 0.
+    """
+    aa, bb, ff = alpha * alpha, beta * beta, f * f
+    c0 = w * w + ff + bb - aa
+    p0 = g * (aa - ff - bb) + 2.0 * w * alpha * beta
+    p3 = c0 / 3.0 - g * g / 9.0  # p / 3 of x^3 + p x + q
+    r = g * (g * g / 27.0 + c0 / 3.0) + 0.5 * p0  # -q / 2
+    disc = r * r + p3 * p3 * p3
+    u = np.cbrt(r + np.copysign(np.sqrt(np.abs(disc)), r))
+    x = u - p3 / u
+    three = disc < 0.0
+    if three.any():
+        m = np.sqrt(-p3[three])
+        cos3 = np.clip(r[three] / (m * m * m), -1.0, 1.0)
+        x[three] = 2.0 * m * np.cos(np.arccos(cos3) / 3.0)
+    lam1 = x - (2.0 / 3.0) * g
+    c1 = g * g + c0
+    for _ in range(2):
+        lam1 -= (((lam1 + 2.0 * g) * lam1 + c1) * lam1 - p0) \
+            / ((3.0 * lam1 + 4.0 * g) * lam1 + c1)
+    return lam1, -g - 0.5 * lam1, c0 + (g + 0.75 * lam1) * lam1
+
+
+def _phi1(x):
+    """(e^x - 1) / x elementwise, and 1 at x = 0."""
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _frame_exponentials(g, w, f, alpha, beta) -> np.ndarray:
+    """exp(Omega) of the step exponents with the parameters of
+    _frame_generators, component-major: shape (3, 3) + g.shape.
+
+    exp(Omega) = k0 I + k1 Omega + k2 Omega^2, where k0 + k1 s + k2 s^2
+    interpolates e^s at the eigenvalues lam1 and a -/+ i b of Omega
+    (_frame_spectrum; Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  With
+    E0 = e^a cos b and E1 = e^a sin(b) / b,
+
+        k2 = (e^lam1 - E0 - E1 (lam1 - a)) / ((lam1 - a)^2 + b^2),
+        k1 = E1 - 2 a k2,   k0 = E0 - a E1 + (a^2 + b^2) k2.
+
+    For a real pair E0 = e^a cosh|b| and E1 = e^a sinh|b| / |b|, and k2,
+    the divided difference of e^s over lam1, a + |b| and a - |b|, is built
+    from first differences, so that it stays accurate where lam1 meets
+    a + |b| and no exponential overflows.  Every operation is elementwise,
+    so a step's exponential does not depend on the rest of the batch.
+    """
+    lam1, a, b2 = _frame_spectrum(g, w, f, alpha, beta)
+    real = b2 <= 0.0
+    b = np.sqrt(np.where(real, 1.0, b2))  # real pairs are redone below
+    e_a = np.exp(a)
+    e0 = e_a * np.cos(b)
+    e1 = e_a * np.sin(b) / b
+    e_lam1 = np.exp(lam1)
+    d = lam1 - a
+    k2 = (e_lam1 - e0 - e1 * d) / (d * d + b * b)
+    if real.any():
+        s = np.sqrt(-b2[real])
+        top = a[real] + s
+        e_top = np.exp(top)
+        e0[real] = 0.5 * e_top * (1.0 + np.exp(-2.0 * s))
+        e1[real] = e_top * _phi1(-2.0 * s)
+        k2[real] = (e_lam1[real] * _phi1(top - lam1[real]) - e1[real]) \
+            / (lam1[real] - top + 2.0 * s)
+    k1 = e1 - 2.0 * a * k2
+    k0 = e0 - a * e1 + (a * a + b2) * k2
+    # k0 I + k1 Omega + k2 Omega^2, entry by entry
+    lo, hi = alpha - f, alpha + f
+    out = np.empty((3, 3) + np.shape(g))
+    diag = k0 - g * k1 + (g * g - w * w) * k2
+    out[0, 0] = diag - beta * beta * k2
+    out[1, 1] = diag + lo * hi * k2
+    out[2, 2] = k0 + (lo * hi - beta * beta) * k2
+    s1, s2 = k1 - g * k2, k1 - 2.0 * g * k2
+    out[0, 1] = w * s2 - beta * hi * k2
+    out[1, 0] = beta * lo * k2 - w * s2
+    out[0, 2] = w * lo * k2 - beta * s1
+    out[2, 0] = beta * s1 - w * hi * k2
+    out[1, 2] = lo * s1 + w * beta * k2
+    out[2, 1] = hi * s1 + w * beta * k2
+    return out
+
+
+def _chain(e: np.ndarray) -> np.ndarray:
+    """Products of the runs of step matrices along axis 3 of e, shape
+    (3, 3, R, S, ...): out[:, :, r] = e_{S-1} ... e_1 e_0 of run r, shape
+    (3, 3, R, ...), by the pairwise tree of _compose."""
+    while e.shape[3] > 1:
+        pairs = e.shape[3] // 2
+        prod = np.einsum("ij...,jk...->ik...", e[:, :, :, 1:2 * pairs:2],
+                         e[:, :, :, 0:2 * pairs:2])
+        e = np.concatenate([prod, e[:, :, :, 2 * pairs:]], axis=3)
+    return e[:, :, :, 0]
 
 
 def _frame_nodes(p: QuenchProtocol, lam: float, times: np.ndarray,
@@ -452,21 +521,33 @@ def _frame_density(p: QuenchProtocol, lam: float) -> int:
 def _magnus_frame(p: QuenchProtocol, lam: float, modes: np.ndarray,
                   times: np.ndarray, density: int) -> np.ndarray:
     """evolve_magnus_frame with an explicit step density."""
-    per_batch = max(1, FRAME_BATCH // len(modes))
-    m = _ground_states(modes).T  # z-hat: h = 4 z-hat in both frames there
-    out = []
-    for nodes, t_s in zip(_frame_nodes(p, lam, times, density), times):
-        for lo in range(0, len(nodes) - 1, per_batch):
-            props = _frame_propagators(p, lam, modes,
-                                       nodes[lo:lo + per_batch + 1])
-            for step in range(props.shape[2]):
-                m = (props[:, 0, step] * m[0] + props[:, 1, step] * m[1]
-                     + props[:, 2, step] * m[2])
-        hy, hz, h2 = _frame_field(p, t_s, modes)
-        cos_phi, sin_phi = hz / np.sqrt(h2), hy / np.sqrt(h2)
-        out.append(np.stack([m[0], cos_phi * m[1] + sin_phi * m[2],
-                             cos_phi * m[2] - sin_phi * m[1]], axis=1))
-    return np.stack(out)
+    intervals = _frame_nodes(p, lam, times, density)
+    per_batch = max(1, min(len(modes), FRAME_BATCH // FRAME_CHUNK))
+    span = FRAME_CHUNK * max(1, FRAME_BATCH // (FRAME_CHUNK * per_batch))
+    out = np.empty((len(times), len(modes), 3))
+    for lo in range(0, len(modes), per_batch):
+        batch = modes[lo:lo + per_batch]
+        m = _ground_states(batch).T  # z-hat: h = 4 z-hat in both frames there
+        for i, nodes in enumerate(intervals):
+            for first in range(0, len(nodes) - 1, span):
+                e = _frame_exponentials(*_frame_generators(
+                    p, lam, batch, nodes[first:first + span + 1]))
+                # whole chunks, then the interval's partial last chunk
+                full = e.shape[2] - e.shape[2] % FRAME_CHUNK
+                runs = [e[:, :, :full].reshape(3, 3, -1, FRAME_CHUNK,
+                                               len(batch))]
+                if full < e.shape[2]:
+                    runs.append(e[:, :, None, full:])
+                for run in runs:
+                    for prod in np.moveaxis(_chain(run), 2, 0):
+                        m = (prod[:, 0] * m[0] + prod[:, 1] * m[1]
+                             + prod[:, 2] * m[2])
+            hy, hz, h2 = _frame_field(p, times[i], batch)
+            cos_phi, sin_phi = hz / np.sqrt(h2), hy / np.sqrt(h2)
+            out[i, lo:lo + per_batch] = np.stack(
+                [m[0], cos_phi * m[1] + sin_phi * m[2],
+                 cos_phi * m[2] - sin_phi * m[1]], axis=1)
+    return out
 
 
 def evolve_magnus_frame(
@@ -500,10 +581,13 @@ def evolve_magnus_frame(
     The nodes are graded toward t = 0 (_frame_nodes) and include every
     sample time, where the state is rotated back to the lab frame.  Their
     number depends on the protocol, lam and the sample times only.
-    The ODE is linear, so the step propagators do not depend on the state:
-    they are built by _expm3, about FRAME_BATCH matrices (and at least one
-    step of every mode) at a time, and applied one step after another.
-    Every operation is elementwise over modes, so a mode's trajectory is
+    The ODE is linear, so the step propagators do not depend on the state.
+    They are built in closed form (_frame_exponentials) in batches of at
+    most FRAME_BATCH, whole chunks of FRAME_CHUNK steps for a batch of
+    modes; each chunk, counted from the first step of its interval, is
+    multiplied in a pairwise tree (_chain), and the state is multiplied
+    once per chunk.  The chunks depend on the node count alone and every
+    operation is elementwise over modes, so a mode's trajectory is
     bit-identical whether it is solved alone, in a subset or in the ensemble.
     """
     lam = check_nonnegative("lam", lam)
@@ -541,6 +625,25 @@ def _evolve_trotter(p: QuenchProtocol, modes: np.ndarray) -> np.ndarray:
     return _rotate(_scan(q), _ground_states(modes))
 
 
+def _check_norms(states: np.ndarray, times: np.ndarray, modes: np.ndarray,
+                 lam: float) -> None:
+    """Raise RuntimeError unless every Bloch vector of states, shape
+    (n_samples, n_modes, 3), is finite with |n| <= 1 + NORM_TOL, and with
+    ||n| - 1| <= NORM_TOL at lam = 0; see run_quench."""
+    norms = np.sqrt(np.einsum("...i,...i", states, states))
+    excess = np.abs(norms - 1.0) if lam == 0.0 else norms - 1.0
+    if excess.max() <= NORM_TOL:  # false if any excess is nan
+        return
+    excess[~np.isfinite(excess)] = np.inf
+    i, k = np.unravel_index(np.argmax(excess), excess.shape)
+    bound = "||n| - 1|" if lam == 0.0 else "|n| - 1"
+    raise RuntimeError(
+        f"mode_dynamics: at t = {times[i]:g} the Bloch vector of mode "
+        f"k = {modes[k]:.6g} is {states[i, k].tolist()} with |n| = "
+        f"{norms[i, k]:.17g}; lam = {lam:g} needs finite states with "
+        f"{bound} <= {NORM_TOL:g}")
+
+
 def run_quench(
     p: QuenchProtocol,
     n_sites: int,
@@ -561,6 +664,11 @@ def run_quench(
     the protocol and lam, for the tolerance RTOL), and by batched Trotter
     rotations.  Either way a mode's trajectory is
     bit-identical whether it is solved alone or as part of the ensemble.
+
+    Every state is checked before it is returned: it must be finite, with
+    |n_k| <= 1 + NORM_TOL, and ||n_k| - 1| <= NORM_TOL at lam = 0.  A
+    state that is not raises RuntimeError naming the sample time and the
+    worst mode.
     """
     lam = check_nonnegative("lam", lam)
     grid = momentum_grid(n_sites)
@@ -578,6 +686,7 @@ def run_quench(
             states = evolve_magnus(p, grid.modes, times)
         else:
             states = evolve_magnus_frame(p, lam, grid.modes, times)
+    _check_norms(states, times, grid.modes, lam)
     ensembles = []
     for t, s in zip(times, states):
         sched = schedule_at(p, t)

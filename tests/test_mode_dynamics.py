@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import kzchain.mode_dynamics
-from kzchain.mode_dynamics import (RTOL, ModeEnsemble,
+from kzchain.mode_dynamics import (FRAME_CHUNK, RTOL, ModeEnsemble,
                                    evolve_magnus, evolve_magnus_frame,
                                    integrator_stats, run_quench,
-                                   _compose, _evolve_trotter, _ground_states,
+                                   _compose, _evolve_trotter,
+                                   _frame_density, _frame_exponentials,
+                                   _frame_generators, _frame_nodes,
+                                   _frame_spectrum, _ground_states,
                                    _magnus_frame, _magnus_steps,
                                    _magnus_vectors, _quaternions, _rotate,
                                    _scan)
@@ -238,14 +242,109 @@ class TestMagnusFrame:
         assert np.abs(e.states - ref[0]).max() < 5e-9
 
     def test_fourth_order_convergence(self):
-        """Doubling the step density cuts the error by about 2^4."""
+        """Doubling the step density cuts the error at t = 0 by about 2^4,
+        also where the dephasing is stiff (lam = 100, where Gamma dt
+        reaches about 1000 at density 50)."""
         p = QuenchProtocol(tau_q=4.0)
         modes = momentum_grid(16).modes
         times = np.array([0.0])
-        ref = _lsoda_reference(p, modes, times, lam=1.0)
-        errors = [np.abs(_magnus_frame(p, 1.0, modes, times, density)
-                         - ref).max() for density in (50, 100)]
-        assert errors[0] / errors[1] >= 12.0
+        for lam in (1.0, 100.0):
+            ref = _lsoda_reference(p, modes, times, lam=lam)
+            errors = [np.abs(_magnus_frame(p, lam, modes, times, density)
+                             - ref).max() for density in (50, 100)]
+            assert errors[0] / errors[1] >= 12.0
+
+    @pytest.mark.parametrize("n_sites, tau_q, steps", [
+        (192, 3.696, 2237), (192, 8.533, 2484), (192, 12.599, 2608),
+        (192, 15.171, 2669), (512, 64.0, 3198)])
+    def test_step_counts_pinned(self, n_sites, tau_q, steps):
+        """The lam = 100 step counts of the QND benchmark sweep and of the
+        N = 512 quench, sampled at t = 0: a faster step kernel must not
+        take fewer steps."""
+        p = QuenchProtocol(tau_q=tau_q)
+        ensembles = run_quench(p, n_sites, lam=100.0, sample_times=[0.0])
+        assert integrator_stats(p, 100.0, ensembles)["steps"] == steps
+
+
+def _omega(g, w, f, alpha, beta):
+    """The step exponents of _frame_generators as explicit matrices, shape
+    g.shape + (3, 3)."""
+    g, w, f, alpha, beta = np.broadcast_arrays(g, w, f, alpha, beta)
+    zero = np.zeros_like(g)
+    return np.stack([np.stack([-g, w, -beta], axis=-1),
+                     np.stack([-w, -g, alpha - f], axis=-1),
+                     np.stack([beta, alpha + f, zero], axis=-1)], axis=-2)
+
+
+def _expm_errors(params):
+    """Per step, the largest entry of |_frame_exponentials - expm| over
+    max(1, ||Omega||_1), and the two results, shape (..., 3, 3)."""
+    got = np.moveaxis(_frame_exponentials(*params), (0, 1), (-2, -1))
+    omega = _omega(*params)
+    ref = expm(omega.reshape(-1, 3, 3)).reshape(omega.shape)
+    scale = np.maximum(1.0, np.abs(omega).sum(axis=-2).max(axis=-1))
+    return np.abs(got - ref).max(axis=(-2, -1)) / scale, got, ref
+
+
+class TestFrameExponential:
+    """The closed-form step exponential against scipy.linalg.expm.
+
+    The bound is relative to max(1, ||Omega||_1), the scale of expm's own
+    error: on the lam = 1e4 mesh expm is 6.8e-13 from 40-digit mpmath
+    where ||Omega||_1 is about 1.2e4, and 1.2e-14 at ||Omega||_1 = 4.2 on
+    the lam = 100 meshes, while _frame_exponentials is within 4.5e-16.
+    """
+
+    @pytest.mark.parametrize("n_sites, lam, tau_q, stride", [
+        (16, 1e-3, 0.5, 1), (192, 1.0, 12.6, 8), (192, 100.0, 12.6, 8),
+        (512, 1e4, 64.0, 32)])
+    def test_every_step_of_the_mesh(self, n_sites, lam, tau_q, stride):
+        """Every step of the mesh of a quench sampled at t = 0, for every
+        stride-th mode from the smallest k."""
+        p = QuenchProtocol(tau_q=tau_q)
+        (nodes,) = _frame_nodes(p, lam, np.array([0.0]),
+                                _frame_density(p, lam))
+        modes = momentum_grid(n_sites).modes[::stride]
+        params = _frame_generators(p, lam, modes, nodes)
+        errors, got, _ = _expm_errors(params)
+        assert errors.max() <= 1e-14
+        # the strongly dephased meshes hold steps with three real roots
+        _, _, b2 = _frame_spectrum(*params)
+        assert (b2 < 0.0).any() == (lam >= 100.0)
+        # the steps farthest from expm, and the stiffest step, where an
+        # unpolished root costs most, against 40-digit mpmath
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        norms = np.abs(_omega(*params)).sum(axis=-2).max(axis=-1)
+        for step in [*np.argsort(errors, axis=None)[-3:], norms.argmax()]:
+            i = np.unravel_index(step, errors.shape)
+            omega = _omega(*(x[i] for x in params))
+            exact = mpmath.expm(mpmath.matrix(omega.tolist())).tolist()
+            np.testing.assert_allclose(got[i], np.array(exact, dtype=float),
+                                       rtol=0, atol=1e-15)
+
+    def test_built_cases_take_every_branch(self):
+        """(g, w, f, alpha, beta) of a complex pair, three real roots, a
+        real pair whose upper root nearly meets lam1, b = 0, and a step of
+        norm 1e-9, which gives I + Omega to rounding."""
+        complex_pair = (0.3, 1.0, 2.0, 0.01, 0.02)
+        cases = np.array([
+            complex_pair,
+            (5.0, 0.1, 1.0, 0.01, 0.01),
+            (0.2, 0.0, 0.1 * (1.0 - 1e-12), 0.0, 0.0),
+            (3.0, 0.0, 0.0, 0.0, 0.0),
+            1e-9 * np.array(complex_pair)]).T
+        lam1, a, b2 = _frame_spectrum(*cases)
+        assert b2[0] > 0.0 and b2[4] > 0.0
+        assert b2[1] < 0.0 and b2[2] < 0.0 and b2[3] == 0.0
+        omega = _omega(*cases)
+        assert np.isreal(np.linalg.eigvals(omega[1])).all()
+        top = a[2] + np.sqrt(-b2[2])
+        assert 0.0 < lam1[2] - top < 1e-5 * abs(lam1[2])
+        errors, got, _ = _expm_errors(cases)
+        assert errors.max() <= 1e-14
+        np.testing.assert_allclose(got[4], np.eye(3) + omega[4], rtol=0,
+                                   atol=np.finfo(float).eps)
 
 
 class TestTrotterStep:
@@ -361,8 +460,14 @@ class TestRunQuench:
         # a subset, in the ensemble, or with fewer propagators per batch
         # than modes (TestMagnus covers lam = 0)
         p = QuenchProtocol(tau_q=1.5, variant=Variant.FULL_QUENCH)
-        times = [-0.5, 0.0, 1.5]
+        # the short interval is one partial chunk; the others end in one
+        times = [-0.5, -0.4999, 0.0, 1.5]
         for lam in (0.3, 100.0):
+            density = _frame_density(p, lam)
+            steps = [len(nodes) - 1 for nodes in
+                     _frame_nodes(p, lam, np.array(times), density)]
+            assert steps[1] < FRAME_CHUNK
+            assert all(s > FRAME_CHUNK and s % FRAME_CHUNK for s in steps[2:])
             ensembles = run_quench(p, 12, lam=lam, sample_times=times)
             states = np.stack([e.states for e in ensembles])
             modes = ensembles[0].grid.modes
@@ -374,6 +479,34 @@ class TestRunQuench:
                 m.setattr(kzchain.mode_dynamics, "FRAME_BATCH", len(modes) - 1)
                 np.testing.assert_array_equal(
                     states, evolve_magnus_frame(p, lam, modes, times))
+            # less than one chunk, whole chunks of some of the modes, and
+            # a few chunks of every mode per batch
+            for batch in (FRAME_CHUNK // 2, 4 * FRAME_CHUNK,
+                          3 * FRAME_CHUNK * len(modes)):
+                with monkeypatch.context() as m:
+                    m.setattr(kzchain.mode_dynamics, "FRAME_BATCH", batch)
+                    np.testing.assert_array_equal(
+                        states, evolve_magnus_frame(p, lam, modes, times))
+
+    @pytest.mark.parametrize("lam, kernel", [(0.0, "evolve_magnus"),
+                                             (0.3, "evolve_magnus_frame")])
+    @pytest.mark.parametrize("fault", [1.01, float("nan")])
+    def test_norm_invariant_checked(self, monkeypatch, lam, kernel, fault):
+        """A state with |n_k| > 1, or one that is not finite, is an error
+        that names the stage, the sample time and the worst mode."""
+        p = QuenchProtocol(tau_q=1.0)
+        good = getattr(kzchain.mode_dynamics, kernel)
+
+        def faulty(*args):
+            states = good(*args)
+            states[-1, 3] *= fault
+            return states
+
+        monkeypatch.setattr(kzchain.mode_dynamics, kernel, faulty)
+        modes = momentum_grid(8).modes
+        message = rf"mode_dynamics: at t = 0 .* k = {modes[3]:.6g} "
+        with pytest.raises(RuntimeError, match=message):
+            run_quench(p, 8, lam=lam, sample_times=[-0.5, 0.0])
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     @pytest.mark.parametrize("times", [[0.0, -0.5], [-0.5, -0.5],
